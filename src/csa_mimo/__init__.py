@@ -4,7 +4,6 @@ from .analysis import (
     InterferenceScenario,
     interference_term_count,
     pab_estimate_error_variance,
-    singleton_failure_curve,
     singleton_failure_probability,
     symbol_error_probability,
 )
@@ -14,10 +13,8 @@ from .cancellation import (
     ReceiverState,
     logical_peel,
     pab_channel_estimate,
-    pab_subtract,
-    prce_subtract,
     run_receiver,
-    snb_subtract,
+    subtract,
 )
 from .frame import (
     FrameInstance,
@@ -45,18 +42,14 @@ from .montecarlo import (
 )
 from .receiver import (
     compute_combining_statistics,
-    count_payload_errors,
+    count_errors,
     estimate_all_pilot_channels,
-    genie_bounded_distance_decode,
-    mrc_payload_estimate,
 )
 from .signals import (
     PilotSet,
     RandomStream,
     build_hadamard_pilots,
     complex_normal,
-    draw_channel_vector,
-    draw_noise_matrix,
     qpsk_hard_demodulate,
     qpsk_modulate,
     walsh_hadamard_transform,

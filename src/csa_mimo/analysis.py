@@ -114,17 +114,3 @@ def pab_estimate_error_variance(a_total: int, n_d: int) -> float:
     if n_d < 1:
         raise ValueError(f"n_d must be >= 1, got {n_d}")
     return (a_total - 1) / n_d
-
-
-def singleton_failure_curve(m: int, n_d: int, t: int, a_pilot: int, a_values):
-    """Tabulate the singleton failure probability over slot loads.
-
-    Returns (a_total, p_fail) pairs for every slot load in ``a_values``.
-    """
-    curve = []
-    for a_total in a_values:
-        scenario = InterferenceScenario(
-            m=m, a_total=int(a_total), a_pilot=a_pilot, n_d=n_d, t=t
-        )
-        curve.append((int(a_total), singleton_failure_probability(scenario)))
-    return curve

@@ -17,16 +17,33 @@ Four interchangeable algorithms share one sweep loop:
 * ``LOGICAL``: graph peeling on the user/(slot, pilot) bipartite graph;
   any resource holding exactly one undecoded user decodes it and removal
   is perfect.  Needs no signals at all.
+
+The three signal receivers differ only in the channel estimate ``subtract``
+uses for a decoded user on pilot j of a slot (the generator slot is where
+the user was decoded, replica slots hold its other copies):
+
+=========  ==============================  ==============================
+algorithm  generator slot                  replica slot
+=========  ==============================  ==============================
+SNB        ``||h||^2 = g[slot][j]``        ``||h||^2 = m``
+PAB        ``h = phi[slot][:, j]``         ``h = pab_channel_estimate``
+PRCE       ``h = true_channels[(u, s)]``   ``h = true_channels[(u, s)]``
+=========  ==============================  ==============================
 """
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .frame import FrameInstance
-from .receiver import estimate_all_pilot_channels
+from .receiver import (
+    check_decode_criterion,
+    compute_combining_statistics,
+    count_errors,
+    estimate_all_pilot_channels,
+)
 from .signals import build_hadamard_pilots, qpsk_hard_demodulate
 
 # Combining gains at or below m * RELATIVE_GAIN_FLOOR are treated as unused
@@ -63,27 +80,28 @@ class ReceiverState:
     (channel estimates ``phi``, combining numerators ``f`` and gains ``g``),
     the decoded set, and the subtraction counters.  ``stats_version`` tracks
     which (slot, pilot) statistics changed so sweeps can skip attempts whose
-    outcome cannot have changed.
+    outcome cannot have changed.  SNB never modifies the received matrices,
+    so only PAB and PRCE get private copies of them.
     """
 
-    def __init__(self, frame: FrameInstance, copy_signals: bool):
+    def __init__(self, frame: FrameInstance, algorithm: Algorithm | str):
         if frame.slots is None:
             raise ValueError("frame was generated without signals")
+        self.algorithm = Algorithm(algorithm)
+        if self.algorithm is Algorithm.LOGICAL:
+            raise ValueError("LOGICAL peels the resource graph and keeps no receiver state")
+        copy = self.algorithm is not Algorithm.SNB
         cfg = frame.config
         self.config = cfg
         self.frame = frame
         self.pilots = build_hadamard_pilots(cfg.n_p)
-        self.owns_signals = copy_signals
-        self.p_res = [s.p.copy() if copy_signals else s.p for s in frame.slots]
-        self.y_res = [s.y.copy() if copy_signals else s.y for s in frame.slots]
-        self.phi = []
-        self.f = []
-        self.g = []
+        self.p_res = [s.p.copy() if copy else s.p for s in frame.slots]
+        self.y_res = [s.y.copy() if copy else s.y for s in frame.slots]
+        self.phi = [None] * cfg.n_slots
+        self.f = [None] * cfg.n_slots
+        self.g = [None] * cfg.n_slots
         for slot in range(cfg.n_slots):
-            phi = estimate_all_pilot_channels(self.p_res[slot], self.pilots)
-            self.phi.append(phi)
-            self.f.append(phi.conj().T @ self.y_res[slot])
-            self.g.append(self._gains(phi))
+            self._estimate(slot)
         self.decoded = np.zeros(cfg.k_a, dtype=bool)
         self.n_up = 0
         self.n_pa = 0
@@ -92,25 +110,15 @@ class ReceiverState:
         self.stats_version = np.zeros((cfg.n_slots, cfg.n_p), dtype=np.int64)
         self._applied: set[tuple[int, int]] = set()
 
-    @staticmethod
-    def _gains(phi: np.ndarray) -> np.ndarray:
-        return np.einsum("ij,ij->j", phi.real, phi.real) + np.einsum(
-            "ij,ij->j", phi.imag, phi.imag
-        )
+    def _estimate(self, slot: int) -> None:
+        phi = estimate_all_pilot_channels(self.p_res[slot], self.pilots)
+        self.phi[slot] = phi
+        self.f[slot], self.g[slot] = compute_combining_statistics(phi, self.y_res[slot])
 
     def refresh_slot(self, slot: int) -> None:
         """Recompute all pilot statistics of one slot from its residuals."""
-        phi = estimate_all_pilot_channels(self.p_res[slot], self.pilots)
-        self.phi[slot] = phi
-        self.f[slot] = phi.conj().T @ self.y_res[slot]
-        self.g[slot] = self._gains(phi)
+        self._estimate(slot)
         self.stats_version[slot, :] += 1
-
-    def _guard(self, user: int, slot: int) -> None:
-        key = (user, slot)
-        if key in self._applied:
-            raise RuntimeError(f"user {user} already subtracted in slot {slot}")
-        self._applied.add(key)
 
 
 def pab_channel_estimate(y_residual: np.ndarray, payload: np.ndarray) -> np.ndarray:
@@ -126,102 +134,55 @@ def pab_channel_estimate(y_residual: np.ndarray, payload: np.ndarray) -> np.ndar
     return (y_residual @ payload.conj()) / energy
 
 
-def snb_subtract(state: ReceiverState, user: int, slot: int, mode: str = "replica") -> None:
-    """Remove a decoded user's main term from its pilot statistics in ``slot``.
+def subtract(state: ReceiverState, user: int, slot: int, mode: str) -> None:
+    """Subtract a decoded user from one slot with ``state.algorithm``'s estimate.
 
-    Replica mode uses the antenna count for the unknown squared channel
-    norm; generator mode uses the combining gain measured at decode time.
-    Only the statistics of the user's pilot change, and the residual
-    matrices are never modified.
+    ``mode`` is ``"generator"`` in the slot where the user was just decoded
+    (its pilot there carries no other undecoded signal) and ``"replica"``
+    in its other slots; the module docstring tables the channel estimate
+    each (algorithm, mode) pair uses.  SNB edits only the statistics of the
+    user's pilot; PAB and PRCE remove the user's full contribution from the
+    residual matrices and recompute every pilot statistic of the slot.
+    Subtracting the same (user, slot) twice is an error.
     """
-    state._guard(user, slot)
-    plan = state.frame.plans[user]
-    j = plan.pilot_in_slot(slot)
-    if mode == "generator":
-        norm_sq = float(state.g[slot][j])
-        state.n_up += 1
-    elif mode == "replica":
-        norm_sq = float(state.config.m)
-        state.n_pa += 1
-    else:
+    if mode not in ("generator", "replica"):
         raise ValueError(f"unknown mode {mode!r}")
-    state.f[slot][j] -= norm_sq * plan.payload
-    state.g[slot][j] -= norm_sq
-    state.stats_version[slot, j] += 1
-
-
-def _signal_subtract(state: ReceiverState, user: int, slot: int, h_est: np.ndarray) -> None:
-    if not state.owns_signals:
-        raise RuntimeError("state was initialized without signal copies")
+    key = (user, slot)
+    if key in state._applied:
+        raise RuntimeError(f"user {user} already subtracted in slot {slot}")
+    state._applied.add(key)
     plan = state.frame.plans[user]
     j = plan.pilot_in_slot(slot)
-    s_row = state.pilots.sequences[j].astype(float)
-    state.p_res[slot] -= np.outer(h_est, s_row)
+    generator = mode == "generator"
+    if generator:
+        state.n_up += 1
+    else:
+        state.n_pa += 1
+
+    if state.algorithm is Algorithm.SNB:
+        norm_sq = float(state.g[slot][j]) if generator else float(state.config.m)
+        state.f[slot][j] -= norm_sq * plan.payload
+        state.g[slot][j] -= norm_sq
+        state.stats_version[slot, j] += 1
+        return
+    if state.algorithm is Algorithm.PRCE:
+        h_est = state.frame.true_channels[key]
+    elif generator:
+        h_est = state.phi[slot][:, j]
+    else:
+        h_est = pab_channel_estimate(state.y_res[slot], plan.payload)
+    state.p_res[slot] -= np.outer(h_est, state.pilots.sequences[j].astype(float))
     state.y_res[slot] -= np.outer(h_est, plan.payload)
     state.refresh_slot(slot)
 
 
-def pab_subtract(state: ReceiverState, user: int, slot: int, mode: str) -> None:
-    """Subtract a decoded user's full contribution from one slot's residuals.
-
-    Generator mode uses the matched-filter estimate of the user's pilot as
-    captured right now (valid because the user was just decoded there, so
-    its pilot carries no other undecoded signal); replica mode estimates the
-    channel from the current residual payload phase.  All pilot statistics
-    of the slot are then recomputed.
-    """
-    state._guard(user, slot)
-    plan = state.frame.plans[user]
-    if mode == "generator":
-        h_est = state.phi[slot][:, plan.pilot_in_slot(slot)].copy()
-        state.n_up += 1
-    elif mode == "replica":
-        h_est = pab_channel_estimate(state.y_res[slot], plan.payload)
-        state.n_pa += 1
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    _signal_subtract(state, user, slot, h_est)
-
-
-def prce_subtract(state: ReceiverState, user: int, slot: int, mode: str) -> None:
-    """Subtract using the ground-truth channel of the (user, slot) replica."""
-    state._guard(user, slot)
-    if mode == "generator":
-        state.n_up += 1
-    elif mode == "replica":
-        state.n_pa += 1
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    h_true = state.frame.true_channels[(user, slot)]
-    _signal_subtract(state, user, slot, h_true)
-
-
-def _apply_decode(
-    state: ReceiverState,
-    user: int,
-    gen_slot: int,
-    algorithm: Algorithm,
-    snb_generator_update: bool,
-) -> None:
-    """Mark ``user`` decoded and subtract it everywhere, generator slot first."""
-    state.decoded[user] = True
-    plan = state.frame.plans[user]
-    replicas = sorted(int(s) for s in plan.slot_indices if int(s) != gen_slot)
-    if algorithm is Algorithm.SNB:
-        if snb_generator_update:
-            snb_subtract(state, user, gen_slot, mode="generator")
-        for s in replicas:
-            snb_subtract(state, user, s, mode="replica")
-    elif algorithm is Algorithm.PAB:
-        pab_subtract(state, user, gen_slot, mode="generator")
-        for s in replicas:
-            pab_subtract(state, user, s, mode="replica")
-    elif algorithm is Algorithm.PRCE:
-        prce_subtract(state, user, gen_slot, mode="generator")
-        for s in replicas:
-            prce_subtract(state, user, s, mode="replica")
-    else:  # pragma: no cover - LOGICAL never reaches the signal path
-        raise ValueError(f"unexpected algorithm {algorithm}")
+def _resource_map(frame: FrameInstance) -> dict[tuple[int, int], list[int]]:
+    """User ids on every occupied (slot, pilot) resource, ascending."""
+    users: dict[tuple[int, int], list[int]] = {}
+    for plan in frame.plans:
+        for s, j in zip(plan.slot_indices, plan.pilot_choices):
+            users.setdefault((int(s), int(j)), []).append(plan.user_id)
+    return users
 
 
 def _build_report(decoded: np.ndarray, sweeps: int, n_up: int, n_pa: int) -> DecodeReport:
@@ -253,6 +214,7 @@ def run_receiver(
     inputs always produce the identical report.
     """
     algorithm = Algorithm(algorithm)
+    check_decode_criterion(decode_criterion)
     if algorithm is Algorithm.LOGICAL:
         return logical_peel(frame)
 
@@ -260,13 +222,9 @@ def run_receiver(
     if cfg.k_a == 0:
         return _build_report(np.zeros(0, dtype=bool), 0, 0, 0)
 
-    state = ReceiverState(frame, copy_signals=algorithm is not Algorithm.SNB)
-    t = cfg.t
-
-    users_by_resource: dict[tuple[int, int], list[int]] = {}
-    for plan in frame.plans:
-        for s, j in zip(plan.slot_indices, plan.pilot_choices):
-            users_by_resource.setdefault((int(s), int(j)), []).append(plan.user_id)
+    state = ReceiverState(frame, algorithm)
+    update_generator = algorithm is not Algorithm.SNB or snb_generator_update
+    users_by_resource = _resource_map(frame)
     resources = sorted(users_by_resource)
     last_attempt = {res: -1 for res in resources}
 
@@ -285,16 +243,15 @@ def run_receiver(
             g = state.g[slot][j]
             if g <= state.min_gain:
                 continue
-            x_hat = state.f[slot][j] / g
-            bits_hat = qpsk_hard_demodulate(x_hat)
+            bits_hat = qpsk_hard_demodulate(state.f[slot][j] / g)
             for user in candidates:
-                wrong = bits_hat != frame.plans[user].payload_bits
-                if decode_criterion == "bit":
-                    errors = int(np.count_nonzero(wrong))
-                else:
-                    errors = int(np.count_nonzero(wrong[0::2] | wrong[1::2]))
-                if errors <= t:
-                    _apply_decode(state, user, slot, algorithm, snb_generator_update)
+                plan = frame.plans[user]
+                if count_errors(bits_hat, plan.payload_bits, decode_criterion) <= cfg.t:
+                    state.decoded[user] = True
+                    if update_generator:
+                        subtract(state, user, slot, "generator")
+                    for s in sorted(int(s) for s in plan.slot_indices if s != slot):
+                        subtract(state, user, s, "replica")
                     new_decodes += 1
                     break
         if state.decoded.all() or new_decodes == 0:
@@ -315,13 +272,7 @@ def logical_peel(frame: FrameInstance) -> DecodeReport:
     if cfg.k_a == 0:
         return _build_report(decoded, 0, 0, 0)
 
-    users_by_resource: dict[tuple[int, int], set[int]] = {}
-    resources_by_user: list[list[tuple[int, int]]] = [[] for _ in range(cfg.k_a)]
-    for plan in frame.plans:
-        for s, j in zip(plan.slot_indices, plan.pilot_choices):
-            res = (int(s), int(j))
-            users_by_resource.setdefault(res, set()).add(plan.user_id)
-            resources_by_user[plan.user_id].append(res)
+    users_by_resource = {res: set(users) for res, users in _resource_map(frame).items()}
     resources = sorted(users_by_resource)
 
     n_up = 0
@@ -337,7 +288,9 @@ def logical_peel(frame: FrameInstance) -> DecodeReport:
             user = next(iter(occupants))
             decoded[user] = True
             n_up += 1
-            for other in resources_by_user[user]:
+            plan = frame.plans[user]
+            for s, j in zip(plan.slot_indices, plan.pilot_choices):
+                other = (int(s), int(j))
                 users_by_resource[other].discard(user)
                 if other != res:
                     n_pa += 1

@@ -12,7 +12,7 @@ import argparse
 import sys
 
 from .cancellation import Algorithm
-from .frame import SystemConfig, compute_slot_count
+from .frame import SystemConfig
 from .montecarlo import (
     AnalysisRecord,
     PlrRecord,
@@ -23,6 +23,7 @@ from .montecarlo import (
     run_singleton_sweep,
     tabulate_singleton_failure,
 )
+from .receiver import DECODE_CRITERIA
 
 _CONFIG_KEYS = {
     "k_a": int, "m": int, "n_slots": int, "n_p": int, "n_d": int, "r": int,
@@ -99,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     par.add_argument("--noise-var", type=float, help="per-entry noise power")
     par.add_argument("--latency-ms", type=float, help="latency budget")
     par.add_argument("--symbol-rate", type=float, help="symbols per second")
-    par.add_argument("--decode-criterion", choices=("bit", "symbol"))
+    par.add_argument("--decode-criterion", choices=DECODE_CRITERIA)
     par.add_argument("--out", help="output CSV path (default: stdout)")
     par.add_argument("--workers", type=int, default=1,
                      help="parallel worker processes")
@@ -144,17 +145,13 @@ def _merged_options(args) -> dict:
 def _system_config(opts: dict) -> SystemConfig:
     fields = {
         k: opts[k]
-        for k in ("m", "n_p", "n_d", "r", "noise_var", "channel_var", "t",
+        for k in ("m", "n_slots", "n_p", "n_d", "r", "noise_var", "channel_var", "t",
                   "latency_ms", "symbol_rate")
         if k in opts
     }
-    base = SystemConfig(**fields)
-    if "n_slots" in opts:
-        n_slots = opts["n_slots"]
-    else:
-        n_slots = compute_slot_count(base.latency_ms, base.symbol_rate,
-                                     base.n_p, base.n_d)
-    return SystemConfig(**{**fields, "n_slots": n_slots})
+    if "n_slots" in fields:
+        return SystemConfig(**fields)
+    return SystemConfig.from_latency(**fields)
 
 
 def _a_values(args) -> list[int]:

@@ -7,7 +7,7 @@ independent block-fading channels plus additive noise.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -71,10 +71,9 @@ class SystemConfig:
     @classmethod
     def from_latency(cls, **kwargs) -> "SystemConfig":
         """Build a config with ``n_slots`` derived from the latency budget."""
-        probe = {k: v for k, v in kwargs.items() if k != "n_slots"}
-        base = cls(**probe) if "n_slots" not in kwargs else cls(**kwargs)
+        base = cls(**kwargs)
         n = compute_slot_count(base.latency_ms, base.symbol_rate, base.n_p, base.n_d)
-        return cls(**{**probe, "n_slots": n})
+        return replace(base, n_slots=n)
 
 
 @dataclass(frozen=True)
@@ -116,14 +115,6 @@ class FrameInstance:
     plans: list[UserPlan]
     true_channels: dict = field(default_factory=dict)
     slots: list[SlotSignal] | None = None
-
-    def users_by_slot(self) -> list[list[int]]:
-        """User ids transmitting in each slot, ascending."""
-        occupants = [[] for _ in range(self.config.n_slots)]
-        for plan in self.plans:
-            for s in plan.slot_indices:
-                occupants[int(s)].append(plan.user_id)
-        return occupants
 
 
 def generate_user_plans(config: SystemConfig, rng: np.random.Generator) -> list[UserPlan]:

@@ -10,23 +10,22 @@ from __future__ import annotations
 import csv
 import dataclasses
 import math
+import os
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass
 from multiprocessing import get_context
 
 import numpy as np
 
 from .analysis import InterferenceScenario, singleton_failure_probability, symbol_error_probability
-from .cancellation import Algorithm, run_receiver
+from .cancellation import RELATIVE_GAIN_FLOOR, Algorithm, run_receiver
 from .frame import SystemConfig, make_frame
+from .receiver import check_decode_criterion, count_errors
 from .signals import RandomStream, complex_normal, qpsk_hard_demodulate, qpsk_modulate
 
-try:
-    from threadpoolctl import threadpool_limits
-except ImportError:  # pragma: no cover - threadpoolctl ships with the test extras
-    def threadpool_limits(*_args, **_kwargs):
-        return nullcontext()
+# Thread-count variables of the BLAS builds numpy may link; read once, when
+# a process first imports numpy.
+_BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 _WILSON_Z95 = 1.959963984540054
 
@@ -57,7 +56,8 @@ class SweepSpec:
 
     Each (algorithm, k_a) point runs at least ``min_frames`` frames and
     stops once ``target_loss_events`` packet losses have been seen, or at
-    ``max_frames``.
+    ``max_frames``.  Frame indices share a stream id with ``k_a``, so
+    ``max_frames`` must stay below 2**32.
     """
 
     config: SystemConfig
@@ -82,10 +82,13 @@ class SweepSpec:
             raise ValueError(f"min_frames must be >= 1, got {self.min_frames}")
         if self.max_frames < self.min_frames:
             raise ValueError("max_frames must be >= min_frames")
+        if self.max_frames >= 2**32:
+            raise ValueError(f"max_frames must be below 2**32, got {self.max_frames}")
         if self.target_loss_events < 1:
             raise ValueError(
                 f"target_loss_events must be >= 1, got {self.target_loss_events}"
             )
+        check_decode_criterion(self.decode_criterion)
         for ka in self.ka_values:
             dataclasses.replace(self.config, k_a=ka)  # reject infeasible configs early
 
@@ -141,16 +144,35 @@ def frame_stream(base_seed: int, ka: int, frame_idx: int) -> RandomStream:
     return RandomStream(seed=base_seed, stream_id=(ka << 32) | frame_idx)
 
 
+def _spawn_pool(workers: int):
+    """Start a spawn pool whose workers each run one BLAS thread.
+
+    Spawned workers read the BLAS thread variables when they import numpy,
+    so the variables are set to 1 while the workers start and the parent's
+    own values are put back afterwards.  Unpinned, every worker would start
+    one BLAS thread per core and the pool would oversubscribe the machine.
+    """
+    saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    try:
+        return get_context("spawn").Pool(processes=workers)
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                del os.environ[name]
+            else:
+                os.environ[name] = value
+
+
 def _run_one_frame(task) -> tuple[int, int, int, int]:
     config, algorithm, base_seed, ka, frame_idx, criterion = task
     stream = frame_stream(base_seed, ka, frame_idx)
-    with threadpool_limits(limits=1):
-        frame = make_frame(
-            dataclasses.replace(config, k_a=ka),
-            stream,
-            with_signals=algorithm is not Algorithm.LOGICAL,
-        )
-        report = run_receiver(frame, algorithm, decode_criterion=criterion)
+    frame = make_frame(
+        dataclasses.replace(config, k_a=ka),
+        stream,
+        with_signals=algorithm is not Algorithm.LOGICAL,
+    )
+    report = run_receiver(frame, algorithm, decode_criterion=criterion)
     return report.lost_count, report.n_up, report.n_pa, report.sweep_count
 
 
@@ -164,10 +186,9 @@ def run_plr_sweep(
     ``measure_time=False`` zeroes the wall-clock column, making the output
     byte-stable across runs.
     """
-    pool = None
-    ctx = get_context("spawn")
-    if workers > 1:
-        pool = ctx.Pool(processes=workers)
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    pool = _spawn_pool(workers) if workers > 1 else None
     try:
         records = []
         for algorithm in spec.algorithms:
@@ -285,6 +306,9 @@ def run_singleton_experiment(
         raise ValueError(f"presub_fraction must lie in [0, 1], got {presub_fraction}")
     if a_pilot < 1 or a_total < a_pilot:
         raise ValueError(f"need a_total >= a_pilot >= 1, got {a_total}, {a_pilot}")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    check_decode_criterion(decode_criterion)
 
     rng = RandomStream(seed, a_total).generator()
     n_out = a_total - a_pilot
@@ -338,14 +362,9 @@ def run_singleton_experiment(
             f = np.einsum("bm,bmn->bn", phi.conj(), y)
             g = np.einsum("bm,bm->b", phi.conj(), phi).real
 
-        usable = g > m * 1e-6
+        usable = g > m * RELATIVE_GAIN_FLOOR
         x_hat = np.where(usable[:, None], f, 1.0) / np.where(usable, g, 1.0)[:, None]
-        bits_hat = qpsk_hard_demodulate(x_hat)
-        wrong = bits_hat != bits[:, 0]
-        if decode_criterion == "bit":
-            errors = wrong.sum(axis=1)
-        else:
-            errors = (wrong[:, 0::2] | wrong[:, 1::2]).sum(axis=1)
+        errors = count_errors(qpsk_hard_demodulate(x_hat), bits[:, 0], decode_criterion)
         failures += int(np.count_nonzero(~usable | (errors > t)))
 
     ci_low, ci_high = wilson_interval(failures, trials)
@@ -356,16 +375,14 @@ def run_singleton_experiment(
         p=presub_fraction,
         trials=trials,
         failures=failures,
-        fail_prob=failures / trials if trials else 0.0,
+        fail_prob=failures / trials,
         ci_low=ci_low,
         ci_high=ci_high,
     )
 
 
-def _singleton_point(task) -> SingletonRecord:
-    kwargs = task
-    with threadpool_limits(limits=1):
-        return run_singleton_experiment(**kwargs)
+def _singleton_point(kwargs) -> SingletonRecord:
+    return run_singleton_experiment(**kwargs)
 
 
 def run_singleton_sweep(
@@ -385,6 +402,8 @@ def run_singleton_sweep(
     workers: int = 1,
 ) -> list[SingletonRecord]:
     """Run the singleton experiment over a grid of slot loads."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     tasks = [
         dict(
             m=m, n_d=n_d, t=t, a_pilot=a_pilot, a_total=int(a),
@@ -395,7 +414,7 @@ def run_singleton_sweep(
         for a in a_values
     ]
     if workers > 1 and len(tasks) > 1:
-        with get_context("spawn").Pool(processes=workers) as pool:
+        with _spawn_pool(workers) as pool:
             return pool.map(_singleton_point, tasks)
     return [_singleton_point(t_) for t_ in tasks]
 

@@ -1,18 +1,30 @@
-"""Per-slot receiver front end: channel estimation, combining, genie decoding.
+"""Per-slot receiver front end: channel estimation, combining, decode rule.
 
 The base station correlates the pilot phase against every pilot sequence to
 estimate one channel vector per pilot, forms maximal-ratio-combining
-statistics from the payload phase, and attempts a bounded-distance decode of
-the combined estimate.  Decoding success is decided by error counting against
-the known transmitted packet; packet validation is modeled as perfect, so a
-success always yields the true payload and a failure is always detected.
+statistics from the payload phase, and decides a decode attempt by counting
+the errors of the hard-demodulated combined estimate.  Packet validation is
+modeled as perfect, so a success always yields the true payload and a
+failure is always detected.
+
+This module owns three decisions that every receiver shares:
+
+* ``estimate_all_pilot_channels``: the matched-filter estimate of every
+  pilot's channel from the pilot phase;
+* ``compute_combining_statistics``: the combining numerators ``f`` and
+  gains ``g`` of those estimates against the payload phase;
+* ``count_errors``: the bit/symbol error count of a bounded-distance
+  decode, for one attempt or a whole batch; ``DECODE_CRITERIA`` lists the
+  criteria, and ``check_decode_criterion`` rejects any other where a
+  criterion enters.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .frame import UserPlan
-from .signals import PilotSet, qpsk_hard_demodulate, walsh_hadamard_transform
+from .signals import PilotSet, walsh_hadamard_transform
+
+DECODE_CRITERIA = ("bit", "symbol")
 
 
 def estimate_all_pilot_channels(p: np.ndarray, pilots: PilotSet) -> np.ndarray:
@@ -36,7 +48,7 @@ def compute_combining_statistics(phi: np.ndarray, y: np.ndarray):
     For a single estimate ``phi`` of shape (m,), returns ``f = phi^H y`` of
     shape (n_d,) and the scalar combining gain ``g = ||phi||^2``.  For an
     (m, n_p) column stack, returns the (n_p, n_d) stack of f rows and the
-    (n_p,) gain vector.
+    (n_p,) gain vector.  The payload estimate of pilot j is ``f[j] / g[j]``.
     """
     if phi.ndim == 1:
         return phi.conj() @ y, float(np.real(phi.conj() @ phi))
@@ -47,45 +59,31 @@ def compute_combining_statistics(phi: np.ndarray, y: np.ndarray):
     return f, g
 
 
-def mrc_payload_estimate(f: np.ndarray, g: float, min_gain: float = 0.0):
-    """Maximal-ratio-combining payload estimate ``f / g``.
-
-    Returns None when the combining gain is at or below ``min_gain``,
-    meaning the pilot carries no usable signal.
-    """
-    if g <= min_gain:
-        return None
-    return f / g
-
-
-def count_payload_errors(x_hat: np.ndarray, plan: UserPlan, criterion: str = "bit") -> int:
-    """Errors in a hard-demodulated payload estimate against the truth.
-
-    ``criterion="bit"`` counts wrong bits; ``criterion="symbol"`` counts
-    symbols with at least one wrong bit (equivalent to nearest-point
-    hard decisions for Gray-labeled QPSK).
-    """
-    if x_hat.shape[-1] != plan.payload.shape[-1]:
+def check_decode_criterion(criterion: str) -> None:
+    """Reject a decode criterion that is not in ``DECODE_CRITERIA``."""
+    if criterion not in DECODE_CRITERIA:
         raise ValueError(
-            f"estimate has {x_hat.shape[-1]} symbols, payload has {plan.payload.shape[-1]}"
+            f"unknown decode criterion {criterion!r}, expected one of {DECODE_CRITERIA}"
         )
-    bits_hat = qpsk_hard_demodulate(x_hat)
-    wrong = bits_hat != plan.payload_bits
-    if criterion == "bit":
-        return int(wrong.sum())
-    if criterion == "symbol":
-        return int((wrong[0::2] | wrong[1::2]).sum())
-    raise ValueError(f"unknown decode criterion {criterion!r}")
 
 
-def genie_bounded_distance_decode(
-    x_hat: np.ndarray, plan: UserPlan, t: int, criterion: str = "bit"
-) -> bool:
-    """Bounded-distance decoding outcome for a payload estimate.
+def count_errors(bits_hat: np.ndarray, bits: np.ndarray, criterion: str) -> np.ndarray:
+    """Errors of hard-demodulated bits against the transmitted packet.
 
-    Succeeds iff the hard-demodulated estimate differs from the transmitted
-    packet in at most ``t`` positions (bits or symbols per ``criterion``).
-    The simulator knows the transmitted packet, so no algebraic codec is
-    needed to decide success.
+    Counts along the last axis and broadcasts over leading ones, so one
+    call serves a single attempt or a batch.  ``criterion="bit"`` counts
+    wrong bits; ``criterion="symbol"`` counts QPSK symbols with at least one
+    wrong bit (nearest-point hard decisions for Gray labeling).  A
+    bounded-distance decoder correcting ``t`` errors succeeds iff the count
+    is at most ``t``; the simulator knows the transmitted packet, so no
+    algebraic codec is needed to decide success.
     """
-    return count_payload_errors(x_hat, plan, criterion) <= t
+    check_decode_criterion(criterion)
+    if bits_hat.shape[-1] != bits.shape[-1]:
+        raise ValueError(
+            f"decisions have {bits_hat.shape[-1]} bits, packet has {bits.shape[-1]}"
+        )
+    wrong = bits_hat != bits
+    if criterion == "symbol":
+        wrong = wrong[..., 0::2] | wrong[..., 1::2]
+    return np.count_nonzero(wrong, axis=-1)

@@ -46,22 +46,6 @@ def complex_normal(rng: np.random.Generator, shape, var: float) -> np.ndarray:
     return scale * (z[..., 0] + 1j * z[..., 1])
 
 
-def draw_channel_vector(rng: np.random.Generator, m: int, var: float = 1.0) -> np.ndarray:
-    """Draw one block-fading channel vector for an ``m``-antenna receiver."""
-    if m < 1:
-        raise ValueError(f"antenna count must be >= 1, got {m}")
-    if var <= 0:
-        raise ValueError(f"channel variance must be positive, got {var}")
-    return complex_normal(rng, m, var)
-
-
-def draw_noise_matrix(rng: np.random.Generator, rows: int, cols: int, var: float) -> np.ndarray:
-    """Draw an i.i.d. complex Gaussian noise matrix with per-entry variance ``var``."""
-    if rows < 1 or cols < 1:
-        raise ValueError(f"noise matrix dimensions must be >= 1, got {rows}x{cols}")
-    return complex_normal(rng, (rows, cols), var)
-
-
 @dataclass(frozen=True)
 class PilotSet:
     """Mutually orthogonal +/-1 pilot sequences, one per row.

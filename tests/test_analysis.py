@@ -15,10 +15,10 @@ from csa_mimo.analysis import (
     InterferenceScenario,
     interference_term_count,
     pab_estimate_error_variance,
-    singleton_failure_curve,
     singleton_failure_probability,
     symbol_error_probability,
 )
+from csa_mimo.montecarlo import tabulate_singleton_failure
 from csa_mimo.signals import RandomStream, qpsk_hard_demodulate, qpsk_modulate
 
 mp.mp.dps = 40
@@ -36,6 +36,12 @@ def binomial_tail_oracle(n: int, t: int, p) -> float:
     for d in range(min(t, n) + 1):
         lower += mp.binomial(n, d) * p**d * (1 - p) ** (n - d)
     return float(1 - lower)
+
+
+def failure_curve(m, n_d, t, a_pilot, a_values) -> dict:
+    """Closed-form failure probability per slot load, as the CLI tabulates it."""
+    rows = tabulate_singleton_failure(m, n_d, t, a_pilot, a_values)
+    return {rec.a_total: rec.p_fail for rec in rows}
 
 
 class TestInterferenceTermCount:
@@ -97,7 +103,7 @@ class TestSingletonFailureProbability:
     def test_half_crossing_location(self):
         # frozen from the oracle: P_fail(62) < 0.5 <= P_fail(63) at the
         # reference parameters with one user on the probed pilot
-        curve = dict(singleton_failure_curve(256, 256, 10, 1, range(55, 70)))
+        curve = failure_curve(256, 256, 10, 1, range(55, 70))
         assert curve[62] < 0.5 <= curve[63]
 
     def test_bounded_and_monotone(self):
@@ -186,19 +192,18 @@ class TestPabEstimateErrorVariance:
 class TestFailureCurve:
     def test_more_pilot_sharers_always_worse(self):
         a_range = range(2, 80, 3)
-        one = dict(singleton_failure_curve(256, 256, 10, 1, a_range))
-        two = dict(singleton_failure_curve(256, 256, 10, 2, a_range))
+        one = failure_curve(256, 256, 10, 1, a_range)
+        two = failure_curve(256, 256, 10, 2, a_range)
         assert all(one[a] < two[a] for a in a_range)
 
     def test_monotone_in_load(self):
-        curve = singleton_failure_curve(256, 256, 10, 2, range(2, 120))
-        values = [p for _, p in curve]
+        values = list(failure_curve(256, 256, 10, 2, range(2, 120)).values())
         assert all(a <= b + 1e-13 for a, b in zip(values, values[1:]))
 
     def test_crossings_match_oracle_for_all_sharer_counts(self):
         for a_pilot in (1, 2, 3):
-            curve = singleton_failure_curve(256, 256, 10, a_pilot, range(a_pilot, 120))
-            for a_total, p in curve:
+            curve = failure_curve(256, 256, 10, a_pilot, range(a_pilot, 120))
+            for a_total, p in curve.items():
                 n_it = interference_term_count(a_pilot, a_total)
                 want = binomial_tail_oracle(256, 10, symbol_error_probability(256, n_it))
                 assert p == pytest.approx(want, abs=1e-12)

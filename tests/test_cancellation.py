@@ -8,10 +8,8 @@ from csa_mimo.cancellation import (
     ReceiverState,
     logical_peel,
     pab_channel_estimate,
-    pab_subtract,
-    prce_subtract,
     run_receiver,
-    snb_subtract,
+    subtract,
 )
 from csa_mimo.frame import FrameInstance, SystemConfig, UserPlan, assemble_frame, make_frame
 from csa_mimo.signals import RandomStream, build_hadamard_pilots, complex_normal, qpsk_modulate
@@ -88,6 +86,12 @@ class TestHandTracedPeeling:
         assert report.decoded_count == 0
         assert report.lost_count == 2
 
+    @pytest.mark.parametrize("algorithm", ALL_ALGORITHMS)
+    def test_unknown_decode_criterion_rejected(self, algorithm):
+        frame = manual_frame([[(1, 0), (2, 0)], [(1, 0)]])
+        with pytest.raises(ValueError, match="decode criterion"):
+            run_receiver(frame, algorithm, decode_criterion="nonsense")
+
     def test_single_user_always_decodes(self):
         frame = manual_frame([[(0, 2), (3, 1)]])
         for algorithm in ALL_ALGORITHMS:
@@ -114,6 +118,22 @@ class TestLogicalPeeling:
         assert logical_peel(frame).decoded_count == len(assignments)
 
 
+class TestReceiverState:
+    def test_only_signal_subtraction_copies_the_received_matrices(self):
+        frame = manual_frame([[(0, 2), (1, 0)]])
+        snb = ReceiverState(frame, Algorithm.SNB)
+        assert snb.y_res[0] is frame.slots[0].y and snb.p_res[0] is frame.slots[0].p
+        for algorithm in (Algorithm.PAB, Algorithm.PRCE):
+            state = ReceiverState(frame, algorithm)
+            assert state.y_res[0] is not frame.slots[0].y
+            np.testing.assert_array_equal(state.y_res[0], frame.slots[0].y)
+
+    def test_logical_rejected(self):
+        frame = manual_frame([[(0, 2), (1, 0)]])
+        with pytest.raises(ValueError):
+            ReceiverState(frame, Algorithm.LOGICAL)
+
+
 class TestSnbSubtraction:
     def test_never_touches_received_matrices(self):
         cfg = SystemConfig(k_a=30, m=32, n_slots=8, n_p=8, n_d=32, r=3, noise_var=0.1, t=3)
@@ -127,12 +147,12 @@ class TestSnbSubtraction:
 
     def test_generator_subtraction_zeroes_gain(self):
         frame = manual_frame([[(0, 1), (1, 1)]], noise_var=0.0)
-        state = ReceiverState(frame, copy_signals=False)
-        snb_subtract(state, 0, 0, mode="generator")
+        state = ReceiverState(frame, Algorithm.SNB)
+        subtract(state, 0, 0, mode="generator")
         assert state.g[0][1] == 0.0
         # replica slot uses the antenna count in place of the true norm
         g_before = state.g[1][1]
-        snb_subtract(state, 0, 1, mode="replica")
+        subtract(state, 0, 1, mode="replica")
         assert state.g[1][1] == pytest.approx(g_before - frame.config.m)
 
     def test_matches_logical_on_single_user_noiseless_frame(self):
@@ -143,17 +163,17 @@ class TestSnbSubtraction:
 
     def test_double_subtraction_rejected(self):
         frame = manual_frame([[(0, 1), (1, 1)]])
-        state = ReceiverState(frame, copy_signals=False)
-        snb_subtract(state, 0, 0, mode="replica")
+        state = ReceiverState(frame, Algorithm.SNB)
+        subtract(state, 0, 0, mode="replica")
         with pytest.raises(RuntimeError):
-            snb_subtract(state, 0, 0, mode="replica")
+            subtract(state, 0, 0, mode="replica")
 
     def test_other_pilot_statistics_untouched(self):
         frame = manual_frame([[(0, 1), (1, 2)], [(0, 3)]], noise_var=0.1)
-        state = ReceiverState(frame, copy_signals=False)
+        state = ReceiverState(frame, Algorithm.SNB)
         f_other = state.f[0][3].copy()
         g_other = state.g[0][3]
-        snb_subtract(state, 0, 0, mode="generator")
+        subtract(state, 0, 0, mode="generator")
         np.testing.assert_array_equal(state.f[0][3], f_other)
         assert state.g[0][3] == g_other
 
@@ -161,17 +181,17 @@ class TestSnbSubtraction:
 class TestPabSubtraction:
     def test_noiseless_generator_subtraction_clears_pilot(self):
         frame = manual_frame([[(0, 2), (1, 0)]], noise_var=0.0)
-        state = ReceiverState(frame, copy_signals=True)
-        pab_subtract(state, 0, 0, mode="generator")
+        state = ReceiverState(frame, Algorithm.PAB)
+        subtract(state, 0, 0, mode="generator")
         np.testing.assert_array_equal(state.phi[0][:, 2], np.zeros(frame.config.m))
         np.testing.assert_array_equal(state.p_res[0], np.zeros_like(state.p_res[0]))
         assert state.n_up == 1
 
     def test_replica_mode_uses_payload_estimate(self):
         frame = manual_frame([[(0, 2), (1, 0)]], noise_var=0.0, n_d=64)
-        state = ReceiverState(frame, copy_signals=True)
+        state = ReceiverState(frame, Algorithm.PAB)
         h_true = frame.true_channels[(0, 1)]
-        pab_subtract(state, 0, 1, mode="replica")
+        subtract(state, 0, 1, mode="replica")
         assert state.n_pa == 1
         # lone user, no noise: the estimate equals the channel to rounding,
         # so the residual is ~0 relative to the original signal scale
@@ -180,17 +200,11 @@ class TestPabSubtraction:
         assert np.abs(state.p_res[1]).max() < 1e-12 * scale
         assert h_true.shape == (frame.config.m,)
 
-    def test_requires_signal_ownership(self):
-        frame = manual_frame([[(0, 2), (1, 0)]])
-        state = ReceiverState(frame, copy_signals=False)
-        with pytest.raises(RuntimeError):
-            pab_subtract(state, 0, 0, mode="generator")
-
     def test_unknown_mode_rejected(self):
         frame = manual_frame([[(0, 2), (1, 0)]])
-        state = ReceiverState(frame, copy_signals=True)
+        state = ReceiverState(frame, Algorithm.PAB)
         with pytest.raises(ValueError):
-            pab_subtract(state, 0, 0, mode="oracle")
+            subtract(state, 0, 0, mode="oracle")
 
 
 class TestPabChannelEstimate:
@@ -240,9 +254,9 @@ class TestPrceSubtraction:
             [[(0, 1), (1, 2)], [(0, 1)], [(0, 3), (1, 3)]], noise_var=0.0
         )
         cfg = frame.config
-        state = ReceiverState(frame, copy_signals=True)
-        prce_subtract(state, 0, 0, mode="generator")
-        prce_subtract(state, 0, 1, mode="replica")
+        state = ReceiverState(frame, Algorithm.PRCE)
+        subtract(state, 0, 0, mode="generator")
+        subtract(state, 0, 1, mode="replica")
         pilot_rows = build_hadamard_pilots(cfg.n_p).sequences.astype(float)
         for slot in (0, 1):
             expected_p = np.zeros_like(state.p_res[slot])

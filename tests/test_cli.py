@@ -147,6 +147,12 @@ class TestErrorPaths:
     def test_bad_range_exit_code(self):
         assert run_cli(["--algorithm", "logical", "--ka-range", "5:1"]) == 2
 
+    def test_out_of_range_counts_exit_code(self):
+        common = ["--experiment", "singleton", "--algorithm", "snb", "--a-range", "2:4:2",
+                  "--m", "8", "--n-pilots", "8", "--n-d", "8", "--t", "1"]
+        assert run_cli(common + ["--trials", "-5"]) == 2
+        assert run_cli(common + ["--trials", "10", "--workers", "0"]) == 2
+
     def test_bad_config_key_exit_code(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("bogus = 1\n")

@@ -1,10 +1,14 @@
 """Tests for the Monte Carlo harness: sweeps, singleton experiment, CSV."""
 
+import os
+
 import numpy as np
 import pytest
 
 from csa_mimo.frame import SystemConfig
 from csa_mimo.montecarlo import (
+    _BLAS_THREAD_VARS,
+    _spawn_pool,
     AnalysisRecord,
     PlrRecord,
     SingletonRecord,
@@ -15,6 +19,7 @@ from csa_mimo.montecarlo import (
     read_csv_records,
     run_plr_sweep,
     run_singleton_experiment,
+    run_singleton_sweep,
     tabulate_singleton_failure,
     wilson_interval,
 )
@@ -57,6 +62,21 @@ class TestSweepSpec:
         with pytest.raises(ValueError):
             SweepSpec(config=tiny_config(), ka_values=[5], algorithms=["snb"],
                       target_loss_events=0)
+
+    def test_unknown_decode_criterion_rejected(self):
+        with pytest.raises(ValueError, match="decode criterion"):
+            SweepSpec(config=tiny_config(), ka_values=[5], algorithms=["snb"],
+                      decode_criterion="nonsense")
+
+    def test_frame_cap_below_stream_id_width(self):
+        # frame indices share the stream id with k_a: index 2**32 would
+        # alias frame 0 of the next load
+        assert frame_stream(0, 1, 0) == frame_stream(0, 0, 2**32)
+        SweepSpec(config=tiny_config(), ka_values=[5], algorithms=["snb"],
+                  max_frames=2**32 - 1)
+        with pytest.raises(ValueError, match="max_frames"):
+            SweepSpec(config=tiny_config(), ka_values=[5], algorithms=["snb"],
+                      max_frames=2**32)
 
     def test_algorithms_coerced(self):
         spec = SweepSpec(config=tiny_config(), ka_values=[5], algorithms=["snb", "pab"])
@@ -120,6 +140,11 @@ class TestRunPlrSweep:
             paths.append(path.read_bytes())
         assert paths[0] == paths[1]
 
+    def test_worker_count_below_one_rejected(self):
+        spec = SweepSpec(config=tiny_config(), ka_values=[5], algorithms=["logical"])
+        with pytest.raises(ValueError, match="workers"):
+            run_plr_sweep(spec, workers=0)
+
     def test_frames_paired_across_algorithms(self):
         assert frame_stream(5, 100, 7) == frame_stream(5, 100, 7)
         assert frame_stream(5, 100, 7) != frame_stream(5, 100, 8)
@@ -158,6 +183,13 @@ class TestSingletonExperiment:
         assert pab.ci_high < snb.ci_low
 
     def test_invalid_parameters_rejected(self):
+        kwargs = dict(m=16, n_d=16, t=1, a_pilot=1, a_total=2, presub_fraction=0.0,
+                      algorithm="snb")
+        for trials in (0, -5):
+            with pytest.raises(ValueError, match="trials"):
+                run_singleton_experiment(trials=trials, **kwargs)
+        with pytest.raises(ValueError, match="decode criterion"):
+            run_singleton_experiment(trials=1, decode_criterion="nonsense", **kwargs)
         with pytest.raises(ValueError):
             run_singleton_experiment(m=16, n_d=16, t=1, a_pilot=2, a_total=1,
                                      presub_fraction=0.0, trials=1, algorithm="pab")
@@ -167,6 +199,27 @@ class TestSingletonExperiment:
         with pytest.raises(ValueError):
             run_singleton_experiment(m=16, n_d=16, t=1, a_pilot=1, a_total=2,
                                      presub_fraction=0.0, trials=1, algorithm="prce")
+
+
+    def test_sweep_worker_count_below_one_rejected(self):
+        with pytest.raises(ValueError, match="workers"):
+            run_singleton_sweep(m=16, n_d=16, t=1, a_pilot=1, a_values=[2, 4],
+                                presub_fraction=0.0, trials=1, algorithm="snb", workers=0)
+
+
+class TestWorkerPool:
+    def test_workers_run_pinned_blas_and_parent_env_comes_back(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "7")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        before = dict(os.environ)
+        pool = _spawn_pool(2)
+        try:
+            assert dict(os.environ) == before
+            seen = pool.map(os.getenv, _BLAS_THREAD_VARS * 2, chunksize=1)
+        finally:
+            pool.close()
+            pool.join()
+        assert seen == ["1"] * (2 * len(_BLAS_THREAD_VARS))
 
 
 class TestCsvEmission:

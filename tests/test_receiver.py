@@ -4,31 +4,25 @@ import numpy as np
 import pytest
 
 from csa_mimo.analysis import InterferenceScenario, singleton_failure_probability
-from csa_mimo.frame import SystemConfig, UserPlan, make_frame
+from csa_mimo.cancellation import Algorithm, run_receiver
+from csa_mimo.frame import SystemConfig, UserPlan, assemble_frame, make_frame
 from csa_mimo.receiver import (
     compute_combining_statistics,
-    count_payload_errors,
+    count_errors,
     estimate_all_pilot_channels,
-    genie_bounded_distance_decode,
-    mrc_payload_estimate,
 )
 from csa_mimo.signals import (
     RandomStream,
     build_hadamard_pilots,
     complex_normal,
+    qpsk_hard_demodulate,
     qpsk_modulate,
 )
 
 
-def _plan(bits, user_id=0):
-    bits = np.asarray(bits, dtype=np.uint8)
-    return UserPlan(
-        user_id=user_id,
-        slot_indices=np.array([0]),
-        pilot_choices=np.array([0]),
-        payload_bits=bits,
-        payload=qpsk_modulate(bits),
-    )
+def _errors(x_hat, bits, criterion="bit"):
+    """Errors of the hard decisions on ``x_hat``, as the receivers count them."""
+    return int(count_errors(qpsk_hard_demodulate(x_hat), bits, criterion))
 
 
 class TestPilotChannelEstimation:
@@ -132,22 +126,37 @@ class TestMrcPayloadEstimate:
         bits = rng.integers(0, 2, 2 * n_d)
         x = qpsk_modulate(bits)
         f, g = compute_combining_statistics(h, np.outer(h, x))
-        x_hat = mrc_payload_estimate(f, g)
+        x_hat = f / g
         np.testing.assert_allclose(x_hat, x, rtol=1e-12)
-        np.testing.assert_array_equal(
-            count_payload_errors(x_hat, _plan(bits), "bit"), 0
-        )
+        assert _errors(x_hat, bits) == 0
 
     def test_scale_invariance(self):
-        rng = RandomStream(7, 0).generator()
-        f = complex_normal(rng, 8, 1.0)
-        x1 = mrc_payload_estimate(f, 2.0)
-        x2 = mrc_payload_estimate(3.5 * f, 3.5 * 2.0)
-        np.testing.assert_allclose(x1, x2, rtol=1e-15)
+        # scaling every received matrix by a power of two scales all
+        # statistics exactly, so the PAB receiver's decisions cannot change
+        cfg = SystemConfig(k_a=30, m=32, n_slots=8, n_p=8, n_d=32, r=3, noise_var=0.1, t=3)
+        frame = make_frame(cfg, RandomStream(7, 0))
+        scaled = make_frame(cfg, RandomStream(7, 0))
+        for slot in scaled.slots:
+            slot.p *= 4.0
+            slot.y *= 4.0
+        a = run_receiver(frame, Algorithm.PAB)
+        b = run_receiver(scaled, Algorithm.PAB)
+        np.testing.assert_array_equal(a.decoded, b.decoded)
+        assert (a.sweep_count, a.n_up, a.n_pa) == (b.sweep_count, b.n_up, b.n_pa)
 
     def test_gain_floor_yields_no_estimate(self):
-        assert mrc_payload_estimate(np.ones(4, dtype=complex), 0.0) is None
-        assert mrc_payload_estimate(np.ones(4, dtype=complex), 1e-9, min_gain=1e-6) is None
+        # a user with all-zero bits in a slot that received nothing: f / g
+        # would be 0/0, whose hard decisions are all zero bits and would
+        # "decode" the user; the gain floor must skip the attempt instead
+        cfg = SystemConfig(k_a=1, m=8, n_slots=2, n_p=4, n_d=8, r=1, noise_var=0.0, t=0)
+        bits = np.zeros(2 * cfg.n_d, dtype=np.uint8)
+        plan = UserPlan(0, np.array([0]), np.array([1]), bits, qpsk_modulate(bits))
+        frame = assemble_frame([plan], cfg, RandomStream(0, 0).generator())
+        for slot in frame.slots:
+            slot.p[:] = 0.0
+            slot.y[:] = 0.0
+        for algorithm in (Algorithm.SNB, Algorithm.PAB, Algorithm.PRCE):
+            assert run_receiver(frame, algorithm).lost_count == 1
 
     def test_interference_error_variance_scales_inversely_with_antennas(self):
         # per-symbol estimation error variance ~ n_it / m: doubling the
@@ -166,7 +175,7 @@ class TestMrcPayloadEstimate:
                     x_i = qpsk_modulate(rng.integers(0, 2, 2 * n_d))
                     y += np.outer(h_i, x_i)
                 f, g = compute_combining_statistics(h, y)
-                errs[i] = mrc_payload_estimate(f, g) - x
+                errs[i] = f / g - x
             measured[m] = np.mean(np.abs(errs) ** 2)
         for m in (128, 256):
             assert measured[m] == pytest.approx(n_it / m, rel=0.1)
@@ -176,39 +185,44 @@ class TestMrcPayloadEstimate:
 class TestGenieDecoder:
     def test_exact_estimate_succeeds(self):
         bits = np.array([0, 1, 1, 0, 0, 0, 1, 1], dtype=np.uint8)
-        plan = _plan(bits)
-        assert genie_bounded_distance_decode(plan.payload.copy(), plan, t=0)
+        for criterion in ("bit", "symbol"):
+            assert _errors(qpsk_modulate(bits), bits, criterion) == 0
 
     def test_boundary_error_counts(self):
         rng = RandomStream(9, 0).generator()
         n_d, t = 64, 5
         bits = rng.integers(0, 2, 2 * n_d, dtype=np.uint8)
-        plan = _plan(bits)
         # flip exactly t+1 symbols by negating both quadratures
-        x = plan.payload.copy()
+        x = qpsk_modulate(bits)
         x[: t + 1] = -x[: t + 1]
-        assert not genie_bounded_distance_decode(x, plan, t, "symbol")
-        assert genie_bounded_distance_decode(x, plan, t + 1, "symbol")
+        assert _errors(x, bits, "symbol") == t + 1
         # each flipped symbol contributes two bit errors
-        assert count_payload_errors(x, plan, "bit") == 2 * (t + 1)
+        assert _errors(x, bits, "bit") == 2 * (t + 1)
 
     def test_bit_and_symbol_criteria_differ_on_double_errors(self):
         bits = np.zeros(8, dtype=np.uint8)
-        plan = _plan(bits)
-        x = plan.payload.copy()
+        x = qpsk_modulate(bits)
         x[0] = -x[0]  # both bits of symbol 0 wrong
-        assert count_payload_errors(x, plan, "bit") == 2
-        assert count_payload_errors(x, plan, "symbol") == 1
+        assert _errors(x, bits, "bit") == 2
+        assert _errors(x, bits, "symbol") == 1
+
+    def test_batch_counts_match_single_counts(self):
+        rng = RandomStream(12, 0).generator()
+        bits = rng.integers(0, 2, (20, 16), dtype=np.uint8)
+        bits_hat = rng.integers(0, 2, (20, 16), dtype=np.uint8)
+        for criterion in ("bit", "symbol"):
+            batch = count_errors(bits_hat, bits, criterion)
+            single = [count_errors(h, b, criterion) for h, b in zip(bits_hat, bits)]
+            np.testing.assert_array_equal(batch, single)
 
     def test_length_mismatch_rejected(self):
-        plan = _plan(np.zeros(8, dtype=np.uint8))
         with pytest.raises(ValueError):
-            genie_bounded_distance_decode(np.zeros(3, dtype=complex), plan, 1)
+            count_errors(np.zeros(6, dtype=np.uint8), np.zeros(8, dtype=np.uint8), "bit")
 
     def test_unknown_criterion_rejected(self):
-        plan = _plan(np.zeros(8, dtype=np.uint8))
+        bits = np.zeros(8, dtype=np.uint8)
         with pytest.raises(ValueError):
-            count_payload_errors(plan.payload, plan, "llr")
+            count_errors(bits, bits, "llr")
 
     def test_heavy_interference_failure_rate_matches_binomial_model(self):
         # n_it = m: simulate the MRC estimate under the Gaussian-interference
@@ -221,9 +235,8 @@ class TestGenieDecoder:
         scale = np.sqrt(scen.n_it * m) / m
         for _ in range(trials):
             bits = rng.integers(0, 2, 2 * n_d, dtype=np.uint8)
-            plan = _plan(bits)
-            x_hat = plan.payload + scale * complex_normal(rng, n_d, 1.0)
-            if not genie_bounded_distance_decode(x_hat, plan, t, "symbol"):
+            x_hat = qpsk_modulate(bits) + scale * complex_normal(rng, n_d, 1.0)
+            if _errors(x_hat, bits, "symbol") > t:
                 failures += 1
         sigma = np.sqrt(p_ref * (1 - p_ref) / trials)
         assert failures / trials == pytest.approx(p_ref, abs=3.5 * sigma)

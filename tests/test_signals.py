@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from csa_mimo.frame import SystemConfig
 from csa_mimo.signals import (
     RandomStream,
     build_hadamard_pilots,
     complex_normal,
-    draw_channel_vector,
-    draw_noise_matrix,
     qpsk_hard_demodulate,
     qpsk_modulate,
     walsh_hadamard_transform,
@@ -21,8 +20,8 @@ SQRT_HALF = 1.0 / np.sqrt(2.0)
 
 class TestRandomStream:
     def test_identical_streams_reproduce_identical_draws(self):
-        a = draw_channel_vector(RandomStream(7, 3).generator(), 256, 1.0)
-        b = draw_channel_vector(RandomStream(7, 3).generator(), 256, 1.0)
+        a = complex_normal(RandomStream(7, 3).generator(), 256, 1.0)
+        b = complex_normal(RandomStream(7, 3).generator(), 256, 1.0)
         np.testing.assert_array_equal(a, b)
 
     def test_distinct_stream_ids_differ(self):
@@ -81,40 +80,39 @@ class TestChannelDraws:
         )
 
     def test_invalid_parameters_rejected(self):
-        rng = RandomStream(0, 0).generator()
+        # antenna count and channel power enter through the scenario config
         with pytest.raises(ValueError):
-            draw_channel_vector(rng, 0, 1.0)
+            SystemConfig(m=0)
         with pytest.raises(ValueError):
-            draw_channel_vector(rng, 4, 0.0)
+            SystemConfig(channel_var=0.0)
         with pytest.raises(ValueError):
-            draw_channel_vector(rng, 4, -1.0)
+            complex_normal(RandomStream(0, 0).generator(), 4, -1.0)
 
 
 class TestNoiseDraws:
     def test_sample_variance_matches_configured(self):
         rng = RandomStream(5, 0).generator()
         var = 0.1
-        z = draw_noise_matrix(rng, 256, 64, var)
+        z = complex_normal(rng, (256, 64), var)
         for _ in range(60):  # > 1e6 entries total
-            z = np.concatenate([z.ravel(), draw_noise_matrix(rng, 256, 64, var).ravel()])
+            z = np.concatenate([z.ravel(), complex_normal(rng, (256, 64), var).ravel()])
         measured = np.mean(np.abs(z) ** 2)
         assert abs(measured - var) < 0.02 * var
 
     def test_zero_variance_all_zero(self):
         rng = RandomStream(6, 0).generator()
-        np.testing.assert_array_equal(draw_noise_matrix(rng, 3, 4, 0.0), np.zeros((3, 4)))
+        np.testing.assert_array_equal(complex_normal(rng, (3, 4), 0.0), np.zeros((3, 4)))
 
     def test_determinism_under_fixed_stream(self):
-        a = draw_noise_matrix(RandomStream(9, 2).generator(), 8, 8, 0.1)
-        b = draw_noise_matrix(RandomStream(9, 2).generator(), 8, 8, 0.1)
+        a = complex_normal(RandomStream(9, 2).generator(), (8, 8), 0.1)
+        b = complex_normal(RandomStream(9, 2).generator(), (8, 8), 0.1)
         np.testing.assert_array_equal(a, b)
 
     def test_zero_dimension_rejected(self):
-        rng = RandomStream(0, 0).generator()
-        with pytest.raises(ValueError):
-            draw_noise_matrix(rng, 0, 4, 0.1)
-        with pytest.raises(ValueError):
-            draw_noise_matrix(rng, 4, 0, 0.1)
+        # noise matrices are (m, n_p) and (m, n_d); the config rejects empty ones
+        for field in ("m", "n_p", "n_d"):
+            with pytest.raises(ValueError):
+                SystemConfig(**{field: 0})
 
 
 class TestHadamardPilots:
