@@ -29,6 +29,11 @@ SNB        ``||h||^2 = g[slot][j]``        ``||h||^2 = m``
 PAB        ``h = phi[slot][:, j]``         ``h = pab_channel_estimate``
 PRCE       ``h = true_channels[(u, s)]``   ``h = true_channels[(u, s)]``
 =========  ==============================  ==============================
+
+PAB and PRCE never re-estimate a slot: the pilots are orthogonal, so removing
+``h s_j^T`` from the pilot phase only moves ``phi[:, j]`` by ``-h``.  ``subtract``
+applies that rank-1 update in O(m n_p + m n_d + n_p n_d), not a Walsh-Hadamard
+transform of the slot plus an O(m n_p n_d) product.
 """
 from __future__ import annotations
 
@@ -76,12 +81,13 @@ class DecodeReport:
 class ReceiverState:
     """Mutable per-frame receiver state owned by a single worker.
 
-    Holds the residual received matrices, the per-slot pilot statistics
-    (channel estimates ``phi``, combining numerators ``f`` and gains ``g``),
-    the decoded set, and the subtraction counters.  ``stats_version`` tracks
-    which (slot, pilot) statistics changed so sweeps can skip attempts whose
-    outcome cannot have changed.  SNB never modifies the received matrices,
-    so only PAB and PRCE get private copies of them.
+    Holds the residual payload-phase matrices ``y_res``, the per-slot pilot
+    statistics (channel estimates ``phi``, combining numerators ``f`` and
+    gains ``g``), the decoded set, and the subtraction counters.  ``phi`` is
+    estimated once per slot and then updated in place by ``subtract``.
+    ``stats_version`` tracks which (slot, pilot) statistics changed so
+    sweeps can skip attempts whose outcome cannot have changed.  SNB never
+    modifies the received matrices, so only PAB and PRCE copy ``y``.
     """
 
     def __init__(self, frame: FrameInstance, algorithm: Algorithm | str):
@@ -94,14 +100,12 @@ class ReceiverState:
         cfg = frame.config
         self.config = cfg
         self.frame = frame
-        self.pilots = build_hadamard_pilots(cfg.n_p)
-        self.p_res = [s.p.copy() if copy else s.p for s in frame.slots]
+        pilots = build_hadamard_pilots(cfg.n_p)
         self.y_res = [s.y.copy() if copy else s.y for s in frame.slots]
-        self.phi = [None] * cfg.n_slots
-        self.f = [None] * cfg.n_slots
-        self.g = [None] * cfg.n_slots
-        for slot in range(cfg.n_slots):
-            self._estimate(slot)
+        self.phi = [estimate_all_pilot_channels(s.p, pilots) for s in frame.slots]
+        stats = [compute_combining_statistics(phi, y) for phi, y in zip(self.phi, self.y_res)]
+        self.f = [f for f, _ in stats]
+        self.g = [g for _, g in stats]
         self.decoded = np.zeros(cfg.k_a, dtype=bool)
         self.n_up = 0
         self.n_pa = 0
@@ -109,16 +113,6 @@ class ReceiverState:
         self.min_gain = cfg.m * RELATIVE_GAIN_FLOOR
         self.stats_version = np.zeros((cfg.n_slots, cfg.n_p), dtype=np.int64)
         self._applied: set[tuple[int, int]] = set()
-
-    def _estimate(self, slot: int) -> None:
-        phi = estimate_all_pilot_channels(self.p_res[slot], self.pilots)
-        self.phi[slot] = phi
-        self.f[slot], self.g[slot] = compute_combining_statistics(phi, self.y_res[slot])
-
-    def refresh_slot(self, slot: int) -> None:
-        """Recompute all pilot statistics of one slot from its residuals."""
-        self._estimate(slot)
-        self.stats_version[slot, :] += 1
 
 
 def pab_channel_estimate(y_residual: np.ndarray, payload: np.ndarray) -> np.ndarray:
@@ -141,8 +135,10 @@ def subtract(state: ReceiverState, user: int, slot: int, mode: str) -> None:
     (its pilot there carries no other undecoded signal) and ``"replica"``
     in its other slots; the module docstring tables the channel estimate
     each (algorithm, mode) pair uses.  SNB edits only the statistics of the
-    user's pilot; PAB and PRCE remove the user's full contribution from the
-    residual matrices and recompute every pilot statistic of the slot.
+    user's pilot.  PAB and PRCE remove ``h x^T`` from ``y_res`` and apply
+    the rank-1 update of the module docstring: ``f -= (phi^H h) x^T``,
+    ``phi[:, j] -= h``, then ``f[j]`` and ``g[j]`` are recomputed from the
+    updated column.  Every pilot of the slot gets a new ``stats_version``.
     Subtracting the same (user, slot) twice is an error.
     """
     if mode not in ("generator", "replica"):
@@ -168,12 +164,15 @@ def subtract(state: ReceiverState, user: int, slot: int, mode: str) -> None:
     if state.algorithm is Algorithm.PRCE:
         h_est = state.frame.true_channels[key]
     elif generator:
-        h_est = state.phi[slot][:, j]
+        h_est = state.phi[slot][:, j].copy()  # the column is updated below
     else:
         h_est = pab_channel_estimate(state.y_res[slot], plan.payload)
-    state.p_res[slot] -= np.outer(h_est, state.pilots.sequences[j].astype(float))
-    state.y_res[slot] -= np.outer(h_est, plan.payload)
-    state.refresh_slot(slot)
+    phi, y = state.phi[slot], state.y_res[slot]
+    y -= np.outer(h_est, plan.payload)
+    state.f[slot] -= np.outer(phi.conj().T @ h_est, plan.payload)
+    phi[:, j] -= h_est
+    state.f[slot][j], state.g[slot][j] = compute_combining_statistics(phi[:, j], y)
+    state.stats_version[slot, :] += 1
 
 
 def _resource_map(frame: FrameInstance) -> dict[tuple[int, int], list[int]]:

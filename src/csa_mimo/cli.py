@@ -65,8 +65,8 @@ def _parse_range(text: str) -> list[int]:
     if len(parts) != 3:
         raise ValueError(f"expected start:stop:step, got {text!r}")
     start, stop, step = (int(p) for p in parts)
-    if step <= 0:
-        raise ValueError(f"range step must be positive, got {step}")
+    if step <= 0 or start > stop:
+        raise ValueError(f"range needs start <= stop and a positive step, got {text!r}")
     return list(range(start, stop + 1, step))
 
 

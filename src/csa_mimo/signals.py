@@ -41,9 +41,9 @@ def complex_normal(rng: np.random.Generator, shape, var: float) -> np.ndarray:
         raise ValueError(f"variance must be nonnegative, got {var}")
     if var == 0:
         return np.zeros(shape, dtype=complex)
-    scale = np.sqrt(var / 2.0)
-    z = rng.standard_normal(tuple(np.atleast_1d(shape)) + (2,))
-    return scale * (z[..., 0] + 1j * z[..., 1])
+    z = rng.standard_normal(tuple(np.atleast_1d(shape)) + (2,)).view(np.complex128)[..., 0]
+    z *= np.sqrt(var / 2.0)
+    return z
 
 
 @dataclass(frozen=True)

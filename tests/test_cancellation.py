@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from csa_mimo import cancellation
 from csa_mimo.cancellation import (
     Algorithm,
     ReceiverState,
@@ -12,7 +15,14 @@ from csa_mimo.cancellation import (
     subtract,
 )
 from csa_mimo.frame import FrameInstance, SystemConfig, UserPlan, assemble_frame, make_frame
-from csa_mimo.signals import RandomStream, build_hadamard_pilots, complex_normal, qpsk_modulate
+from csa_mimo.receiver import compute_combining_statistics, estimate_all_pilot_channels
+from csa_mimo.signals import (
+    RandomStream,
+    build_hadamard_pilots,
+    complex_normal,
+    qpsk_modulate,
+    walsh_hadamard_transform,
+)
 
 ALL_ALGORITHMS = (Algorithm.SNB, Algorithm.PAB, Algorithm.PRCE, Algorithm.LOGICAL)
 
@@ -40,6 +50,37 @@ def manual_frame(assignments, *, m=16, n_slots=4, n_p=4, n_d=16, noise_var=0.0, 
             )
         )
     return assemble_frame(plans, cfg, rng)
+
+
+def expected_phi(p):
+    """Every pilot's matched-filter estimate from a pilot-phase matrix ``p``."""
+    return walsh_hadamard_transform(p) / p.shape[1]
+
+
+def full_recompute_subtract(state, user, slot, mode):
+    """PAB/PRCE subtraction by the full recompute that the rank-1 update replaces.
+
+    Keeps a residual pilot-phase matrix on the state, removes ``h s_j^T`` and
+    ``h x^T`` from the residuals, then re-estimates every pilot of the slot.
+    """
+    if not hasattr(state, "p_res"):
+        state.p_res = [s.p.copy() for s in state.frame.slots]
+    plan = state.frame.plans[user]
+    j = plan.pilot_in_slot(slot)
+    if state.algorithm is Algorithm.PRCE:
+        h = state.frame.true_channels[(user, slot)]
+    elif mode == "generator":
+        h = state.phi[slot][:, j]
+    else:
+        h = pab_channel_estimate(state.y_res[slot], plan.payload)
+    state.n_up += mode == "generator"
+    state.n_pa += mode == "replica"
+    pilots = build_hadamard_pilots(state.config.n_p)
+    state.p_res[slot] -= np.outer(h, pilots.sequences[j].astype(float))
+    state.y_res[slot] -= np.outer(h, plan.payload)
+    state.phi[slot] = estimate_all_pilot_channels(state.p_res[slot], pilots)
+    state.f[slot], state.g[slot] = compute_combining_statistics(state.phi[slot], state.y_res[slot])
+    state.stats_version[slot, :] += 1
 
 
 class TestHandTracedPeeling:
@@ -121,12 +162,15 @@ class TestLogicalPeeling:
 class TestReceiverState:
     def test_only_signal_subtraction_copies_the_received_matrices(self):
         frame = manual_frame([[(0, 2), (1, 0)]])
-        snb = ReceiverState(frame, Algorithm.SNB)
-        assert snb.y_res[0] is frame.slots[0].y and snb.p_res[0] is frame.slots[0].p
-        for algorithm in (Algorithm.PAB, Algorithm.PRCE):
+        for algorithm in (Algorithm.SNB, Algorithm.PAB, Algorithm.PRCE):
             state = ReceiverState(frame, algorithm)
-            assert state.y_res[0] is not frame.slots[0].y
-            np.testing.assert_array_equal(state.y_res[0], frame.slots[0].y)
+            # the pilot phase is read once, into phi, and never kept
+            np.testing.assert_array_equal(state.phi[0], expected_phi(frame.slots[0].p))
+            if algorithm is Algorithm.SNB:
+                assert state.y_res[0] is frame.slots[0].y
+            else:
+                assert state.y_res[0] is not frame.slots[0].y
+                np.testing.assert_array_equal(state.y_res[0], frame.slots[0].y)
 
     def test_logical_rejected(self):
         frame = manual_frame([[(0, 2), (1, 0)]])
@@ -184,7 +228,7 @@ class TestPabSubtraction:
         state = ReceiverState(frame, Algorithm.PAB)
         subtract(state, 0, 0, mode="generator")
         np.testing.assert_array_equal(state.phi[0][:, 2], np.zeros(frame.config.m))
-        np.testing.assert_array_equal(state.p_res[0], np.zeros_like(state.p_res[0]))
+        np.testing.assert_array_equal(state.phi[0], expected_phi(np.zeros_like(frame.slots[0].p)))
         assert state.n_up == 1
 
     def test_replica_mode_uses_payload_estimate(self):
@@ -197,7 +241,8 @@ class TestPabSubtraction:
         # so the residual is ~0 relative to the original signal scale
         scale = np.abs(frame.slots[1].y).max()
         assert np.abs(state.y_res[1]).max() < 1e-12 * scale
-        assert np.abs(state.p_res[1]).max() < 1e-12 * scale
+        empty_phi = expected_phi(np.zeros_like(frame.slots[1].p))
+        assert np.abs(state.phi[1] - empty_phi).max() < 1e-12 * scale
         assert h_true.shape == (frame.config.m,)
 
     def test_unknown_mode_rejected(self):
@@ -259,7 +304,7 @@ class TestPrceSubtraction:
         subtract(state, 0, 1, mode="replica")
         pilot_rows = build_hadamard_pilots(cfg.n_p).sequences.astype(float)
         for slot in (0, 1):
-            expected_p = np.zeros_like(state.p_res[slot])
+            expected_p = np.zeros_like(frame.slots[slot].p)
             expected_y = np.zeros_like(state.y_res[slot])
             for plan in frame.plans[1:]:
                 if slot not in plan.slot_indices:
@@ -268,7 +313,7 @@ class TestPrceSubtraction:
                 expected_p += np.outer(h, pilot_rows[plan.pilot_in_slot(slot)])
                 expected_y += np.outer(h, plan.payload)
             scale = max(np.abs(frame.slots[slot].p).max(), 1.0)
-            assert np.abs(state.p_res[slot] - expected_p).max() < 1e-12 * scale
+            assert np.abs(state.phi[slot] - expected_phi(expected_p)).max() < 1e-12 * scale
             assert np.abs(state.y_res[slot] - expected_y).max() < 1e-12 * scale
 
     def test_decodes_superset_of_pab_on_paired_frames(self):
@@ -282,6 +327,50 @@ class TestPrceSubtraction:
             if np.all(prce.decoded >= pab.decoded):
                 superset += 1
         assert superset >= 0.9 * frames
+
+
+class TestRank1Update:
+    """The rank-1 statistics update against the full per-slot recompute."""
+
+    SIGNAL_ALGORITHMS = (Algorithm.PAB, Algorithm.PRCE)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        algorithm=st.sampled_from(SIGNAL_ALGORITHMS),
+        data=st.data(),
+    )
+    def test_matches_full_recompute_over_random_sequences(self, seed, algorithm, data):
+        cfg = SystemConfig(k_a=10, m=16, n_slots=4, n_p=4, n_d=16, r=2, noise_var=0.1, t=3)
+        frame = make_frame(cfg, RandomStream(seed, 0))
+        fast, slow = ReceiverState(frame, algorithm), ReceiverState(frame, algorithm)
+        fields = ("phi", "f", "g", "y_res")
+        scale = {name: max(np.abs(a).max() for a in getattr(fast, name)) for name in fields}
+        pairs = [(plan.user_id, int(s)) for plan in frame.plans for s in plan.slot_indices]
+        order = data.draw(st.permutations(pairs))
+        count = data.draw(st.integers(1, len(pairs)))
+        for user, slot in order[:count]:
+            mode = data.draw(st.sampled_from(("generator", "replica")))
+            subtract(fast, user, slot, mode)
+            full_recompute_subtract(slow, user, slot, mode)
+            for name in fields:
+                for a, b in zip(getattr(fast, name), getattr(slow, name)):
+                    assert np.abs(a - b).max() <= 1e-9 * scale[name], name
+            np.testing.assert_array_equal(fast.stats_version, slow.stats_version)
+        assert (fast.n_up, fast.n_pa) == (slow.n_up, slow.n_pa)
+
+    @pytest.mark.parametrize("algorithm", SIGNAL_ALGORITHMS)
+    def test_paired_frames_decode_as_full_recompute(self, algorithm, monkeypatch):
+        # an overloaded small config, so both receivers lose users on some frames
+        cfg = SystemConfig(k_a=30, m=16, n_slots=8, n_p=8, n_d=32, r=2, noise_var=0.1, t=3)
+        frames = [make_frame(cfg, RandomStream(13, i)) for i in range(24)]
+        fast = [run_receiver(frame, algorithm) for frame in frames]
+        monkeypatch.setattr(cancellation, "subtract", full_recompute_subtract)
+        slow = [run_receiver(frame, algorithm) for frame in frames]
+        assert sum(report.lost_count > 0 for report in fast) >= 2
+        for a, b in zip(fast, slow):
+            np.testing.assert_array_equal(a.decoded, b.decoded)
+            assert (a.sweep_count, a.n_up, a.n_pa) == (b.sweep_count, b.n_up, b.n_pa)
 
 
 class TestSweepInvariants:

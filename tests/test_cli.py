@@ -147,6 +147,17 @@ class TestErrorPaths:
     def test_bad_range_exit_code(self):
         assert run_cli(["--algorithm", "logical", "--ka-range", "5:1"]) == 2
 
+    @pytest.mark.parametrize("experiment", ["analysis", "singleton"])
+    def test_empty_load_grid_exit_code(self, experiment, tmp_path):
+        out = tmp_path / "empty.csv"
+        code = run_cli([
+            "--experiment", experiment, "--algorithm", "snb", "--a-range", "5:1:1",
+            "--trials", "10", "--m", "8", "--n-pilots", "8", "--n-d", "8", "--t", "1",
+            "--out", str(out),
+        ])
+        assert code == 2
+        assert not out.exists()
+
     def test_out_of_range_counts_exit_code(self):
         common = ["--experiment", "singleton", "--algorithm", "snb", "--a-range", "2:4:2",
                   "--m", "8", "--n-pilots", "8", "--n-d", "8", "--t", "1"]

@@ -108,6 +108,16 @@ class TestNoiseDraws:
         b = complex_normal(RandomStream(9, 2).generator(), (8, 8), 0.1)
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("shape", [7, (5, 6), (3, 4, 5)])
+    def test_bitwise_equal_to_two_part_formula(self, shape):
+        # the draws are (real, imaginary) pairs of standard normals, scaled
+        var = 0.3
+        z = RandomStream(12, 1).generator().standard_normal(tuple(np.atleast_1d(shape)) + (2,))
+        expected = np.sqrt(var / 2.0) * (z[..., 0] + 1j * z[..., 1])
+        drawn = complex_normal(RandomStream(12, 1).generator(), shape, var)
+        assert drawn.shape == expected.shape
+        np.testing.assert_array_equal(drawn.view(np.uint64), expected.view(np.uint64))
+
     def test_zero_dimension_rejected(self):
         # noise matrices are (m, n_p) and (m, n_d); the config rejects empty ones
         for field in ("m", "n_p", "n_d"):
