@@ -30,10 +30,21 @@ PAB        ``h = phi[slot][:, j]``         ``h = pab_channel_estimate``
 PRCE       ``h = true_channels[(u, s)]``   ``h = true_channels[(u, s)]``
 =========  ==============================  ==============================
 
-PAB and PRCE never re-estimate a slot: the pilots are orthogonal, so removing
-``h s_j^T`` from the pilot phase only moves ``phi[:, j]`` by ``-h``.  ``subtract``
-applies that rank-1 update in O(m n_p + m n_d + n_p n_d), not a Walsh-Hadamard
-transform of the slot plus an O(m n_p n_d) product.
+Each receiver keeps, per slot, the pilot estimates ``phi`` (estimated once
+from the pilot phase) and the combining gains ``g``; the received payload
+matrix ``y`` is the frame's own and is never written:
+
+* SNB also keeps the combining numerators ``f = phi^H y`` and edits the
+  user's row of ``f`` and ``g`` in place.
+* PAB and PRCE keep, in subtraction order, the estimates ``H`` (k x m) and
+  payloads ``X`` (k x n_d) they subtracted from the slot, so the residual
+  is ``y - H^T X`` without ever being formed.  The pilots are orthogonal,
+  so removing ``h s_j^T`` from the pilot phase only moves ``phi[:, j]`` by
+  ``-h``: a subtraction appends ``(h, x)``, updates that column and its
+  gain, O(m) work.  The two products of the residual the receiver needs
+  are formed on demand: the PAB replica estimate ``y x* - H^T (X x*)`` and
+  a decode attempt's numerator ``f_j = phi_j^H y - (H phi_j*)^T X``, each
+  O(m n_d + k (m + n_d)) with k at most the slot's occupancy.
 """
 from __future__ import annotations
 
@@ -45,6 +56,7 @@ import numpy as np
 from .frame import FrameInstance
 from .receiver import (
     check_decode_criterion,
+    combining_gains,
     compute_combining_statistics,
     count_errors,
     estimate_all_pilot_channels,
@@ -81,13 +93,16 @@ class DecodeReport:
 class ReceiverState:
     """Mutable per-frame receiver state owned by a single worker.
 
-    Holds the residual payload-phase matrices ``y_res``, the per-slot pilot
-    statistics (channel estimates ``phi``, combining numerators ``f`` and
-    gains ``g``), the decoded set, and the subtraction counters.  ``phi`` is
-    estimated once per slot and then updated in place by ``subtract``.
-    ``stats_version`` tracks which (slot, pilot) statistics changed so
-    sweeps can skip attempts whose outcome cannot have changed.  SNB never
-    modifies the received matrices, so only PAB and PRCE copy ``y``.
+    Holds the per-slot pilot estimates ``phi`` and combining gains ``g``,
+    the decoded set and the subtraction counters; ``y`` is the list of the
+    frame's payload-phase matrices, shared and never written.  ``phi`` is
+    estimated once per slot and then updated in place by ``subtract``.  SNB
+    also holds the combining numerators ``f``.  PAB and PRCE hold instead
+    the first ``n_subtracted[s]`` rows of ``subtracted_h[s]`` and
+    ``subtracted_x[s]``, the (estimate, payload) pairs removed from slot s,
+    buffers sized to the slot's occupancy; ``numerator`` forms ``f_j`` from
+    them.  ``stats_version`` tracks which (slot, pilot) statistics changed
+    so sweeps can skip attempts whose outcome cannot have changed.
     """
 
     def __init__(self, frame: FrameInstance, algorithm: Algorithm | str):
@@ -96,16 +111,24 @@ class ReceiverState:
         self.algorithm = Algorithm(algorithm)
         if self.algorithm is Algorithm.LOGICAL:
             raise ValueError("LOGICAL peels the resource graph and keeps no receiver state")
-        copy = self.algorithm is not Algorithm.SNB
         cfg = frame.config
         self.config = cfg
         self.frame = frame
         pilots = build_hadamard_pilots(cfg.n_p)
-        self.y_res = [s.y.copy() if copy else s.y for s in frame.slots]
+        self.y = [s.y for s in frame.slots]
         self.phi = [estimate_all_pilot_channels(s.p, pilots) for s in frame.slots]
-        stats = [compute_combining_statistics(phi, y) for phi, y in zip(self.phi, self.y_res)]
-        self.f = [f for f, _ in stats]
-        self.g = [g for _, g in stats]
+        if self.algorithm is Algorithm.SNB:
+            stats = [compute_combining_statistics(phi, y) for phi, y in zip(self.phi, self.y)]
+            self.f = [f for f, _ in stats]
+            self.g = [g for _, g in stats]
+        else:
+            self.g = [combining_gains(phi) for phi in self.phi]
+            occupancy = np.zeros(cfg.n_slots, dtype=np.int64)
+            for plan in frame.plans:
+                occupancy[plan.slot_indices] += 1  # a user's slots are distinct
+            self.n_subtracted = np.zeros(cfg.n_slots, dtype=np.int64)
+            self.subtracted_h = [np.empty((k, cfg.m), dtype=complex) for k in occupancy]
+            self.subtracted_x = [np.empty((k, cfg.n_d), dtype=complex) for k in occupancy]
         self.decoded = np.zeros(cfg.k_a, dtype=bool)
         self.n_up = 0
         self.n_pa = 0
@@ -114,18 +137,46 @@ class ReceiverState:
         self.stats_version = np.zeros((cfg.n_slots, cfg.n_p), dtype=np.int64)
         self._applied: set[tuple[int, int]] = set()
 
+    def subtracted(self, slot: int) -> tuple[np.ndarray, np.ndarray]:
+        """The (estimates, payloads) removed from a PAB/PRCE slot so far."""
+        k = self.n_subtracted[slot]
+        return self.subtracted_h[slot][:k], self.subtracted_x[slot][:k]
 
-def pab_channel_estimate(y_residual: np.ndarray, payload: np.ndarray) -> np.ndarray:
+    def numerator(self, slot: int, j: int) -> np.ndarray:
+        """Combining numerator ``f_j = phi_j^H y_res`` of pilot j in a slot.
+
+        SNB reads its stored row.  PAB and PRCE form it from the received
+        matrix and the slot's subtracted pairs, ``phi_j^H y - (H phi_j*)^T X``.
+        """
+        if self.algorithm is Algorithm.SNB:
+            return self.f[slot][j]
+        phi_conj = self.phi[slot][:, j].conj()
+        h_sub, x_sub = self.subtracted(slot)
+        return phi_conj @ self.y[slot] - (h_sub @ phi_conj) @ x_sub
+
+
+def pab_channel_estimate(
+    y: np.ndarray,
+    payload: np.ndarray,
+    h_sub: np.ndarray | None = None,
+    x_sub: np.ndarray | None = None,
+) -> np.ndarray:
     """Estimate a user's channel from the residual payload phase.
 
-    ``h_hat = y @ x^H / ||x||^2`` for the known payload ``x``.  Accuracy
-    improves as other users' contributions are subtracted from the residual
-    before the estimate is taken.
+    ``h_hat = y_res x^* / ||x||^2`` for the known payload ``x``, where the
+    residual ``y_res = y - h_sub^T x_sub`` is the received matrix minus the
+    (estimate, payload) rows already subtracted from it (none by default);
+    the residual itself is never formed.  Accuracy improves as other users'
+    contributions are subtracted before the estimate is taken.
     """
-    energy = float(np.real(payload.conj() @ payload))
+    x_conj = payload.conj()
+    energy = float(np.real(x_conj @ payload))
     if energy <= 0:
         raise ValueError("payload has zero energy")
-    return (y_residual @ payload.conj()) / energy
+    correlation = y @ x_conj
+    if h_sub is not None:
+        correlation -= h_sub.T @ (x_sub @ x_conj)
+    return correlation / energy
 
 
 def subtract(state: ReceiverState, user: int, slot: int, mode: str) -> None:
@@ -135,11 +186,12 @@ def subtract(state: ReceiverState, user: int, slot: int, mode: str) -> None:
     (its pilot there carries no other undecoded signal) and ``"replica"``
     in its other slots; the module docstring tables the channel estimate
     each (algorithm, mode) pair uses.  SNB edits only the statistics of the
-    user's pilot.  PAB and PRCE remove ``h x^T`` from ``y_res`` and apply
-    the rank-1 update of the module docstring: ``f -= (phi^H h) x^T``,
-    ``phi[:, j] -= h``, then ``f[j]`` and ``g[j]`` are recomputed from the
-    updated column.  Every pilot of the slot gets a new ``stats_version``.
-    Subtracting the same (user, slot) twice is an error.
+    user's pilot.  PAB and PRCE append the (estimate ``h``, payload ``x``)
+    pair to the slot's subtracted rows, do ``phi[:, j] -= h`` and recompute
+    ``g[j]`` from the updated column; the received matrices are not
+    touched.  Every pilot of the slot gets a new ``stats_version``, since
+    every numerator ``f_j`` of the residual changed.  Subtracting the same
+    (user, slot) twice is an error.
     """
     if mode not in ("generator", "replica"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -164,14 +216,17 @@ def subtract(state: ReceiverState, user: int, slot: int, mode: str) -> None:
     if state.algorithm is Algorithm.PRCE:
         h_est = state.frame.true_channels[key]
     elif generator:
-        h_est = state.phi[slot][:, j].copy()  # the column is updated below
+        h_est = state.phi[slot][:, j]
     else:
-        h_est = pab_channel_estimate(state.y_res[slot], plan.payload)
-    phi, y = state.phi[slot], state.y_res[slot]
-    y -= np.outer(h_est, plan.payload)
-    state.f[slot] -= np.outer(phi.conj().T @ h_est, plan.payload)
-    phi[:, j] -= h_est
-    state.f[slot][j], state.g[slot][j] = compute_combining_statistics(phi[:, j], y)
+        h_est = pab_channel_estimate(state.y[slot], plan.payload, *state.subtracted(slot))
+    k = state.n_subtracted[slot]
+    h = state.subtracted_h[slot][k]
+    h[:] = h_est  # a copy, so the update below cannot alias a phi column
+    state.subtracted_x[slot][k] = plan.payload
+    state.n_subtracted[slot] = k + 1
+    phi = state.phi[slot]
+    phi[:, j] -= h
+    state.g[slot][j] = combining_gains(phi[:, j])
     state.stats_version[slot, :] += 1
 
 
@@ -242,7 +297,7 @@ def run_receiver(
             g = state.g[slot][j]
             if g <= state.min_gain:
                 continue
-            bits_hat = qpsk_hard_demodulate(state.f[slot][j] / g)
+            bits_hat = qpsk_hard_demodulate(state.numerator(slot, j) / g)
             for user in candidates:
                 plan = frame.plans[user]
                 if count_errors(bits_hat, plan.payload_bits, decode_criterion) <= cfg.t:

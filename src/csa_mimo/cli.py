@@ -135,6 +135,8 @@ def _merged_options(args) -> dict:
             opts[key] = val
     if args.algorithm is not None:
         opts["algorithms"] = [a.strip() for a in args.algorithm.split(",")]
+    if args.ka is not None and args.ka_range is not None:
+        raise ValueError("give --ka or --ka-range, not both")
     if args.ka_range is not None:
         opts["ka_values"] = _parse_range(args.ka_range)
     if args.ka is not None:
@@ -155,6 +157,8 @@ def _system_config(opts: dict) -> SystemConfig:
 
 
 def _a_values(args) -> list[int]:
+    if args.a_total is not None and args.a_range is not None:
+        raise ValueError("give --a-total or --a-range, not both")
     if args.a_range is not None:
         return _parse_range(args.a_range)
     if args.a_total is not None:

@@ -12,7 +12,8 @@ This module owns three decisions that every receiver shares:
 * ``estimate_all_pilot_channels``: the matched-filter estimate of every
   pilot's channel from the pilot phase;
 * ``compute_combining_statistics``: the combining numerators ``f`` and
-  gains ``g`` of those estimates against the payload phase;
+  gains ``g`` of those estimates against the payload phase, the gains
+  alone by ``combining_gains``;
 * ``count_errors``: the bit/symbol error count of a bounded-distance
   decode, for one attempt or a whole batch; ``DECODE_CRITERIA`` lists the
   criteria, and ``check_decode_criterion`` rejects any other where a
@@ -50,13 +51,16 @@ def compute_combining_statistics(phi: np.ndarray, y: np.ndarray):
     (m, n_p) column stack, returns the (n_p, n_d) stack of f rows and the
     (n_p,) gain vector.  The payload estimate of pilot j is ``f[j] / g[j]``.
     """
+    return phi.conj().T @ y, combining_gains(phi)
+
+
+def combining_gains(phi: np.ndarray):
+    """Combining gain ``||phi||^2`` of one estimate, or (n_p,) gains of a stack."""
     if phi.ndim == 1:
-        return phi.conj() @ y, float(np.real(phi.conj() @ phi))
-    f = phi.conj().T @ y
-    g = np.einsum("ij,ij->j", phi.real, phi.real) + np.einsum(
+        return float(np.real(phi.conj() @ phi))
+    return np.einsum("ij,ij->j", phi.real, phi.real) + np.einsum(
         "ij,ij->j", phi.imag, phi.imag
     )
-    return f, g
 
 
 def check_decode_criterion(criterion: str) -> None:

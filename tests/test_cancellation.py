@@ -57,14 +57,28 @@ def expected_phi(p):
     return walsh_hadamard_transform(p) / p.shape[1]
 
 
-def full_recompute_subtract(state, user, slot, mode):
-    """PAB/PRCE subtraction by the full recompute that the rank-1 update replaces.
+def implied_residual(state, slot):
+    """The residual ``y - H^T X`` a PAB/PRCE state holds implicitly for a slot."""
+    h_sub, x_sub = state.subtracted(slot)
+    return state.y[slot] - h_sub.T @ x_sub
 
-    Keeps a residual pilot-phase matrix on the state, removes ``h s_j^T`` and
-    ``h x^T`` from the residuals, then re-estimates every pilot of the slot.
-    """
-    if not hasattr(state, "p_res"):
+
+def _explicit_residuals(state):
+    """The oracle's own residual pilot- and payload-phase matrices, copied on first use."""
+    if not hasattr(state, "y_res"):
         state.p_res = [s.p.copy() for s in state.frame.slots]
+        state.y_res = [s.y.copy() for s in state.frame.slots]
+    return state.p_res, state.y_res
+
+
+def full_recompute_subtract(state, user, slot, mode):
+    """PAB/PRCE subtraction by the full recompute that the implicit residual replaces.
+
+    Keeps explicit residual pilot- and payload-phase matrices on the side,
+    removes ``h s_j^T`` and ``h x^T`` from them, then re-estimates every
+    pilot of the slot and its gain.
+    """
+    p_res, y_res = _explicit_residuals(state)
     plan = state.frame.plans[user]
     j = plan.pilot_in_slot(slot)
     if state.algorithm is Algorithm.PRCE:
@@ -72,15 +86,25 @@ def full_recompute_subtract(state, user, slot, mode):
     elif mode == "generator":
         h = state.phi[slot][:, j]
     else:
-        h = pab_channel_estimate(state.y_res[slot], plan.payload)
+        h = pab_channel_estimate(y_res[slot], plan.payload)
     state.n_up += mode == "generator"
     state.n_pa += mode == "replica"
     pilots = build_hadamard_pilots(state.config.n_p)
-    state.p_res[slot] -= np.outer(h, pilots.sequences[j].astype(float))
-    state.y_res[slot] -= np.outer(h, plan.payload)
-    state.phi[slot] = estimate_all_pilot_channels(state.p_res[slot], pilots)
-    state.f[slot], state.g[slot] = compute_combining_statistics(state.phi[slot], state.y_res[slot])
+    p_res[slot] -= np.outer(h, pilots.sequences[j].astype(float))
+    y_res[slot] -= np.outer(h, plan.payload)
+    state.phi[slot] = estimate_all_pilot_channels(p_res[slot], pilots)
+    state.g[slot] = compute_combining_statistics(state.phi[slot], y_res[slot])[1]
     state.stats_version[slot, :] += 1
+
+
+def full_recompute_numerator(state, slot, j):
+    """``f_j`` of pilot j from the oracle's explicit payload-phase residual."""
+    return compute_combining_statistics(state.phi[slot][:, j], explicit_residual(state, slot))[0]
+
+
+def explicit_residual(state, slot):
+    """The oracle's explicit payload-phase residual of a slot."""
+    return _explicit_residuals(state)[1][slot]
 
 
 class TestHandTracedPeeling:
@@ -160,17 +184,26 @@ class TestLogicalPeeling:
 
 
 class TestReceiverState:
-    def test_only_signal_subtraction_copies_the_received_matrices(self):
+    def test_no_receiver_copies_the_received_matrices(self):
         frame = manual_frame([[(0, 2), (1, 0)]])
         for algorithm in (Algorithm.SNB, Algorithm.PAB, Algorithm.PRCE):
             state = ReceiverState(frame, algorithm)
             # the pilot phase is read once, into phi, and never kept
             np.testing.assert_array_equal(state.phi[0], expected_phi(frame.slots[0].p))
-            if algorithm is Algorithm.SNB:
-                assert state.y_res[0] is frame.slots[0].y
-            else:
-                assert state.y_res[0] is not frame.slots[0].y
-                np.testing.assert_array_equal(state.y_res[0], frame.slots[0].y)
+            for slot, signal in enumerate(frame.slots):
+                assert state.y[slot] is signal.y
+
+    @pytest.mark.parametrize("algorithm", (Algorithm.SNB, Algorithm.PAB, Algorithm.PRCE))
+    def test_never_touches_received_matrices(self, algorithm):
+        cfg = SystemConfig(k_a=30, m=32, n_slots=8, n_p=8, n_d=32, r=3, noise_var=0.1, t=3)
+        frame = make_frame(cfg, RandomStream(4, 0))
+        before_p = [s.p.copy() for s in frame.slots]
+        before_y = [s.y.copy() for s in frame.slots]
+        report = run_receiver(frame, algorithm)
+        assert report.n_up + report.n_pa > 0
+        for slot, (bp, by) in enumerate(zip(before_p, before_y)):
+            np.testing.assert_array_equal(frame.slots[slot].p, bp)
+            np.testing.assert_array_equal(frame.slots[slot].y, by)
 
     def test_logical_rejected(self):
         frame = manual_frame([[(0, 2), (1, 0)]])
@@ -179,16 +212,6 @@ class TestReceiverState:
 
 
 class TestSnbSubtraction:
-    def test_never_touches_received_matrices(self):
-        cfg = SystemConfig(k_a=30, m=32, n_slots=8, n_p=8, n_d=32, r=3, noise_var=0.1, t=3)
-        frame = make_frame(cfg, RandomStream(4, 0))
-        before_p = [s.p.copy() for s in frame.slots]
-        before_y = [s.y.copy() for s in frame.slots]
-        run_receiver(frame, Algorithm.SNB)
-        for slot, (bp, by) in enumerate(zip(before_p, before_y)):
-            np.testing.assert_array_equal(frame.slots[slot].p, bp)
-            np.testing.assert_array_equal(frame.slots[slot].y, by)
-
     def test_generator_subtraction_zeroes_gain(self):
         frame = manual_frame([[(0, 1), (1, 1)]], noise_var=0.0)
         state = ReceiverState(frame, Algorithm.SNB)
@@ -240,7 +263,7 @@ class TestPabSubtraction:
         # lone user, no noise: the estimate equals the channel to rounding,
         # so the residual is ~0 relative to the original signal scale
         scale = np.abs(frame.slots[1].y).max()
-        assert np.abs(state.y_res[1]).max() < 1e-12 * scale
+        assert np.abs(implied_residual(state, 1)).max() < 1e-12 * scale
         empty_phi = expected_phi(np.zeros_like(frame.slots[1].p))
         assert np.abs(state.phi[1] - empty_phi).max() < 1e-12 * scale
         assert h_true.shape == (frame.config.m,)
@@ -305,7 +328,7 @@ class TestPrceSubtraction:
         pilot_rows = build_hadamard_pilots(cfg.n_p).sequences.astype(float)
         for slot in (0, 1):
             expected_p = np.zeros_like(frame.slots[slot].p)
-            expected_y = np.zeros_like(state.y_res[slot])
+            expected_y = np.zeros_like(frame.slots[slot].y)
             for plan in frame.plans[1:]:
                 if slot not in plan.slot_indices:
                     continue
@@ -314,7 +337,7 @@ class TestPrceSubtraction:
                 expected_y += np.outer(h, plan.payload)
             scale = max(np.abs(frame.slots[slot].p).max(), 1.0)
             assert np.abs(state.phi[slot] - expected_phi(expected_p)).max() < 1e-12 * scale
-            assert np.abs(state.y_res[slot] - expected_y).max() < 1e-12 * scale
+            assert np.abs(implied_residual(state, slot) - expected_y).max() < 1e-12 * scale
 
     def test_decodes_superset_of_pab_on_paired_frames(self):
         cfg = SystemConfig(k_a=60, m=64, n_slots=12, n_p=16, n_d=128, r=3, noise_var=0.1, t=5)
@@ -330,7 +353,7 @@ class TestPrceSubtraction:
 
 
 class TestRank1Update:
-    """The rank-1 statistics update against the full per-slot recompute."""
+    """The implicit-residual subtraction against the explicit full recompute."""
 
     SIGNAL_ALGORITHMS = (Algorithm.PAB, Algorithm.PRCE)
 
@@ -344,8 +367,27 @@ class TestRank1Update:
         cfg = SystemConfig(k_a=10, m=16, n_slots=4, n_p=4, n_d=16, r=2, noise_var=0.1, t=3)
         frame = make_frame(cfg, RandomStream(seed, 0))
         fast, slow = ReceiverState(frame, algorithm), ReceiverState(frame, algorithm)
-        fields = ("phi", "f", "g", "y_res")
-        scale = {name: max(np.abs(a).max() for a in getattr(fast, name)) for name in fields}
+        slots, pilots = range(cfg.n_slots), range(cfg.n_p)
+
+        def snapshot(state, numerator, residual):
+            return {
+                "phi": state.phi,
+                "g": state.g,
+                "f": [[numerator(state, s, j) for j in pilots] for s in slots],
+                "y_res": [residual(state, s) for s in slots],
+            }
+
+        def compare():
+            a = snapshot(fast, ReceiverState.numerator, implied_residual)
+            b = snapshot(slow, full_recompute_numerator, explicit_residual)
+            for name in a:
+                diff = max(np.abs(np.subtract(x, y)).max() for x, y in zip(a[name], b[name]))
+                assert diff <= 1e-9 * scale[name], name
+            np.testing.assert_array_equal(fast.stats_version, slow.stats_version)
+
+        initial = snapshot(slow, full_recompute_numerator, explicit_residual)
+        scale = {name: max(np.abs(a).max() for a in arrays) for name, arrays in initial.items()}
+        compare()
         pairs = [(plan.user_id, int(s)) for plan in frame.plans for s in plan.slot_indices]
         order = data.draw(st.permutations(pairs))
         count = data.draw(st.integers(1, len(pairs)))
@@ -353,10 +395,7 @@ class TestRank1Update:
             mode = data.draw(st.sampled_from(("generator", "replica")))
             subtract(fast, user, slot, mode)
             full_recompute_subtract(slow, user, slot, mode)
-            for name in fields:
-                for a, b in zip(getattr(fast, name), getattr(slow, name)):
-                    assert np.abs(a - b).max() <= 1e-9 * scale[name], name
-            np.testing.assert_array_equal(fast.stats_version, slow.stats_version)
+            compare()
         assert (fast.n_up, fast.n_pa) == (slow.n_up, slow.n_pa)
 
     @pytest.mark.parametrize("algorithm", SIGNAL_ALGORITHMS)
@@ -366,6 +405,7 @@ class TestRank1Update:
         frames = [make_frame(cfg, RandomStream(13, i)) for i in range(24)]
         fast = [run_receiver(frame, algorithm) for frame in frames]
         monkeypatch.setattr(cancellation, "subtract", full_recompute_subtract)
+        monkeypatch.setattr(ReceiverState, "numerator", full_recompute_numerator)
         slow = [run_receiver(frame, algorithm) for frame in frames]
         assert sum(report.lost_count > 0 for report in fast) >= 2
         for a, b in zip(fast, slow):

@@ -158,6 +158,20 @@ class TestErrorPaths:
         assert code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("experiment, flags", [
+        ("plr", ["--ka", "50", "--ka-range", "10:20:10"]),
+        ("analysis", ["--a-total", "10", "--a-range", "20:30:10"]),
+    ], ids=["ka", "a_total"])
+    def test_contradictory_load_flags_exit_code(self, experiment, flags, tmp_path):
+        out = tmp_path / "load.csv"
+        code = run_cli([
+            "--experiment", experiment, "--algorithm", "logical", "--frames", "1",
+            "--m", "8", "--n-slots", "6", "--n-pilots", "8", "--n-d", "8", "--r", "2",
+            "--t", "1", "--out", str(out),
+        ] + flags)
+        assert code == 2
+        assert not out.exists()
+
     def test_out_of_range_counts_exit_code(self):
         common = ["--experiment", "singleton", "--algorithm", "snb", "--a-range", "2:4:2",
                   "--m", "8", "--n-pilots", "8", "--n-d", "8", "--t", "1"]
