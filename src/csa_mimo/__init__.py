@@ -11,7 +11,6 @@ from .cancellation import (
     Algorithm,
     DecodeReport,
     ReceiverState,
-    logical_peel,
     pab_channel_estimate,
     run_receiver,
     subtract,
@@ -31,7 +30,6 @@ from .montecarlo import (
     PlrRecord,
     SingletonRecord,
     SweepSpec,
-    emit_analysis_csv,
     emit_csv,
     read_csv_records,
     run_plr_sweep,

@@ -18,9 +18,13 @@ Four interchangeable algorithms share one sweep loop:
   any resource holding exactly one undecoded user decodes it and removal
   is perfect.  Needs no signals at all.
 
-The three signal receivers differ only in the channel estimate ``subtract``
-uses for a decoded user on pilot j of a slot (the generator slot is where
-the user was decoded, replica slots hold its other copies):
+A decode attempt on a resource of the three signal receivers demodulates
+the combined payload of its pilot and accepts the first undecoded user
+within ``t`` errors; a LOGICAL attempt accepts the resource's sole
+undecoded user.  The receivers differ otherwise only in the channel
+estimate ``subtract`` uses for a decoded user on pilot j of a slot (the
+generator slot is where the user was decoded, replica slots hold its
+other copies):
 
 =========  ==============================  ==============================
 algorithm  generator slot                  replica slot
@@ -28,10 +32,11 @@ algorithm  generator slot                  replica slot
 SNB        ``||h||^2 = g[slot][j]``        ``||h||^2 = m``
 PAB        ``h = phi[slot][:, j]``         ``h = pab_channel_estimate``
 PRCE       ``h = true_channels[(u, s)]``   ``h = true_channels[(u, s)]``
+LOGICAL    none, removal is perfect        none, removal is perfect
 =========  ==============================  ==============================
 
-Each receiver keeps, per slot, the pilot estimates ``phi`` (estimated once
-from the pilot phase) and the combining gains ``g``; the received payload
+Each signal receiver keeps, per slot, the pilot estimates ``phi`` (estimated
+once from the pilot phase) and the combining gains ``g``; the received payload
 matrix ``y`` is the frame's own and is never written:
 
 * SNB also keeps the combining numerators ``f = phi^H y`` and edits the
@@ -79,41 +84,56 @@ class Algorithm(str, enum.Enum):
 class DecodeReport:
     """Outcome of running a receiver over one frame."""
 
-    decoded_count: int
-    lost_count: int
     decoded: np.ndarray     # (k_a,) bool, per-user outcome
     sweep_count: int
     n_up: int               # subtractions applied in generator slots
     n_pa: int               # subtractions applied in replica slots
 
-    def __post_init__(self):
-        assert self.decoded_count + self.lost_count == self.decoded.size
+    @property
+    def decoded_count(self) -> int:
+        return int(self.decoded.sum())
+
+    @property
+    def lost_count(self) -> int:
+        return self.decoded.size - self.decoded_count
 
 
 class ReceiverState:
     """Mutable per-frame receiver state owned by a single worker.
 
-    Holds the per-slot pilot estimates ``phi`` and combining gains ``g``,
-    the decoded set and the subtraction counters; ``y`` is the list of the
-    frame's payload-phase matrices, shared and never written.  ``phi`` is
-    estimated once per slot and then updated in place by ``subtract``.  SNB
-    also holds the combining numerators ``f``.  PAB and PRCE hold instead
-    the first ``n_subtracted[s]`` rows of ``subtracted_h[s]`` and
-    ``subtracted_x[s]``, the (estimate, payload) pairs removed from slot s,
-    buffers sized to the slot's occupancy; ``numerator`` forms ``f_j`` from
-    them.  ``stats_version`` tracks which (slot, pilot) statistics changed
-    so sweeps can skip attempts whose outcome cannot have changed.
+    Every receiver holds the decoded set, the subtraction counters and
+    ``stale``, an (n_slots, n_p) bool mask of the resources whose statistics
+    changed since their last decode attempt: all start stale, an attempt
+    clears its resource and ``subtract`` marks the resources it changed, so
+    sweeps skip attempts whose outcome cannot have changed.  LOGICAL holds
+    nothing else and needs no signals.
+
+    The signal receivers also hold the per-slot pilot estimates ``phi`` and
+    combining gains ``g``; ``y`` is the list of the frame's payload-phase
+    matrices, shared and never written.  ``phi`` is estimated once per slot
+    and then updated in place by ``subtract``.  SNB also holds the combining
+    numerators ``f``.  PAB and PRCE hold instead the first
+    ``n_subtracted[s]`` rows of ``subtracted_h[s]`` and ``subtracted_x[s]``,
+    the (estimate, payload) pairs removed from slot s, buffers sized to the
+    slot's occupancy; ``numerator`` forms ``f_j`` from them.
     """
 
     def __init__(self, frame: FrameInstance, algorithm: Algorithm | str):
-        if frame.slots is None:
-            raise ValueError("frame was generated without signals")
         self.algorithm = Algorithm(algorithm)
-        if self.algorithm is Algorithm.LOGICAL:
-            raise ValueError("LOGICAL peels the resource graph and keeps no receiver state")
         cfg = frame.config
         self.config = cfg
         self.frame = frame
+        self.decoded = np.zeros(cfg.k_a, dtype=bool)
+        self.n_up = 0
+        self.n_pa = 0
+        self.sweep_count = 0
+        self.stale = np.ones((cfg.n_slots, cfg.n_p), dtype=bool)
+        self._applied: set[tuple[int, int]] = set()
+        if self.algorithm is Algorithm.LOGICAL:
+            return
+        if frame.slots is None:
+            raise ValueError("frame was generated without signals")
+        self.min_gain = cfg.m * RELATIVE_GAIN_FLOOR
         pilots = build_hadamard_pilots(cfg.n_p)
         self.y = [s.y for s in frame.slots]
         self.phi = [estimate_all_pilot_channels(s.p, pilots) for s in frame.slots]
@@ -129,13 +149,6 @@ class ReceiverState:
             self.n_subtracted = np.zeros(cfg.n_slots, dtype=np.int64)
             self.subtracted_h = [np.empty((k, cfg.m), dtype=complex) for k in occupancy]
             self.subtracted_x = [np.empty((k, cfg.n_d), dtype=complex) for k in occupancy]
-        self.decoded = np.zeros(cfg.k_a, dtype=bool)
-        self.n_up = 0
-        self.n_pa = 0
-        self.sweep_count = 0
-        self.min_gain = cfg.m * RELATIVE_GAIN_FLOOR
-        self.stats_version = np.zeros((cfg.n_slots, cfg.n_p), dtype=np.int64)
-        self._applied: set[tuple[int, int]] = set()
 
     def subtracted(self, slot: int) -> tuple[np.ndarray, np.ndarray]:
         """The (estimates, payloads) removed from a PAB/PRCE slot so far."""
@@ -186,12 +199,15 @@ def subtract(state: ReceiverState, user: int, slot: int, mode: str) -> None:
     (its pilot there carries no other undecoded signal) and ``"replica"``
     in its other slots; the module docstring tables the channel estimate
     each (algorithm, mode) pair uses.  SNB edits only the statistics of the
-    user's pilot.  PAB and PRCE append the (estimate ``h``, payload ``x``)
-    pair to the slot's subtracted rows, do ``phi[:, j] -= h`` and recompute
-    ``g[j]`` from the updated column; the received matrices are not
-    touched.  Every pilot of the slot gets a new ``stats_version``, since
-    every numerator ``f_j`` of the residual changed.  Subtracting the same
-    (user, slot) twice is an error.
+    user's pilot and marks that resource stale.  PAB and PRCE append the
+    (estimate ``h``, payload ``x``) pair to the slot's subtracted rows, do
+    ``phi[:, j] -= h`` and recompute ``g[j]`` from the updated column; the
+    received matrices are not touched.  Every pilot of the slot is marked
+    stale, since every numerator ``f_j`` of the residual changed.  LOGICAL
+    only counts the subtraction and marks the whole slot stale without
+    looking up the pilot: a re-attempt on a resource whose undecoded users
+    did not change repeats its failure.  Subtracting the same (user, slot)
+    twice is an error.
     """
     if mode not in ("generator", "replica"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -199,19 +215,22 @@ def subtract(state: ReceiverState, user: int, slot: int, mode: str) -> None:
     if key in state._applied:
         raise RuntimeError(f"user {user} already subtracted in slot {slot}")
     state._applied.add(key)
-    plan = state.frame.plans[user]
-    j = plan.pilot_in_slot(slot)
     generator = mode == "generator"
     if generator:
         state.n_up += 1
     else:
         state.n_pa += 1
+    if state.algorithm is Algorithm.LOGICAL:
+        state.stale[slot] = True
+        return
 
+    plan = state.frame.plans[user]
+    j = plan.pilot_in_slot(slot)
     if state.algorithm is Algorithm.SNB:
         norm_sq = float(state.g[slot][j]) if generator else float(state.config.m)
         state.f[slot][j] -= norm_sq * plan.payload
         state.g[slot][j] -= norm_sq
-        state.stats_version[slot, j] += 1
+        state.stale[slot, j] = True
         return
     if state.algorithm is Algorithm.PRCE:
         h_est = state.frame.true_channels[key]
@@ -227,28 +246,24 @@ def subtract(state: ReceiverState, user: int, slot: int, mode: str) -> None:
     phi = state.phi[slot]
     phi[:, j] -= h
     state.g[slot][j] = combining_gains(phi[:, j])
-    state.stats_version[slot, :] += 1
+    state.stale[slot] = True
 
 
-def _resource_map(frame: FrameInstance) -> dict[tuple[int, int], list[int]]:
-    """User ids on every occupied (slot, pilot) resource, ascending."""
-    users: dict[tuple[int, int], list[int]] = {}
-    for plan in frame.plans:
-        for s, j in zip(plan.slot_indices, plan.pilot_choices):
-            users.setdefault((int(s), int(j)), []).append(plan.user_id)
-    return users
-
-
-def _build_report(decoded: np.ndarray, sweeps: int, n_up: int, n_pa: int) -> DecodeReport:
-    dec = int(decoded.sum())
-    return DecodeReport(
-        decoded_count=dec,
-        lost_count=decoded.size - dec,
-        decoded=decoded,
-        sweep_count=sweeps,
-        n_up=n_up,
-        n_pa=n_pa,
-    )
+def _decode_attempt(
+    state: ReceiverState, slot: int, j: int, candidates: list[int], criterion: str
+) -> int | None:
+    """The undecoded user an attempt on pilot j of a slot decodes, if any."""
+    if state.algorithm is Algorithm.LOGICAL:
+        return candidates[0] if len(candidates) == 1 else None
+    g = state.g[slot][j]
+    if g <= state.min_gain:
+        return None
+    bits_hat = qpsk_hard_demodulate(state.numerator(slot, j) / g)
+    for user in candidates:
+        bits = state.frame.plans[user].payload_bits
+        if count_errors(bits_hat, bits, criterion) <= state.config.t:
+            return user
+    return None
 
 
 def run_receiver(
@@ -256,100 +271,49 @@ def run_receiver(
     algorithm: Algorithm | str,
     *,
     decode_criterion: str = "bit",
-    snb_generator_update: bool = True,
 ) -> DecodeReport:
     """Run the full sweep-until-fixed-point receiver over one frame.
 
-    Sweeps visit (slot, pilot) resources in ascending order; every pilot
-    whose combining gain clears the floor gets a decode attempt against the
-    undecoded users transmitting on it, and each fresh success is subtracted
-    immediately in the generator slot and all replica slots.  The loop ends
-    when a sweep produces no new decode.  Identical (frame, algorithm)
-    inputs always produce the identical report.
+    Sweeps visit (slot, pilot) resources in ascending order; every stale
+    resource with an undecoded user gets a decode attempt, and each fresh
+    success is subtracted immediately in the generator slot and all
+    replica slots.  The loop ends when a sweep produces no new decode.
+    Identical (frame, algorithm) inputs always produce the identical
+    report.
     """
     algorithm = Algorithm(algorithm)
     check_decode_criterion(decode_criterion)
-    if algorithm is Algorithm.LOGICAL:
-        return logical_peel(frame)
-
-    cfg = frame.config
-    if cfg.k_a == 0:
-        return _build_report(np.zeros(0, dtype=bool), 0, 0, 0)
+    if frame.config.k_a == 0:
+        return DecodeReport(np.zeros(0, dtype=bool), 0, 0, 0)
 
     state = ReceiverState(frame, algorithm)
-    update_generator = algorithm is not Algorithm.SNB or snb_generator_update
-    users_by_resource = _resource_map(frame)
+    users_by_resource: dict[tuple[int, int], list[int]] = {}  # user ids, ascending
+    for plan in frame.plans:
+        for res in zip(plan.slot_indices.tolist(), plan.pilot_choices.tolist()):
+            users_by_resource.setdefault(res, []).append(plan.user_id)
     resources = sorted(users_by_resource)
-    last_attempt = {res: -1 for res in resources}
 
     while True:
         state.sweep_count += 1
         new_decodes = 0
         for res in resources:
             slot, j = res
-            version = state.stats_version[slot, j]
-            if version <= last_attempt[res]:
+            if not state.stale[slot, j]:
                 continue
             candidates = [u for u in users_by_resource[res] if not state.decoded[u]]
             if not candidates:
                 continue
-            last_attempt[res] = version
-            g = state.g[slot][j]
-            if g <= state.min_gain:
+            state.stale[slot, j] = False
+            user = _decode_attempt(state, slot, j, candidates, decode_criterion)
+            if user is None:
                 continue
-            bits_hat = qpsk_hard_demodulate(state.numerator(slot, j) / g)
-            for user in candidates:
-                plan = frame.plans[user]
-                if count_errors(bits_hat, plan.payload_bits, decode_criterion) <= cfg.t:
-                    state.decoded[user] = True
-                    if update_generator:
-                        subtract(state, user, slot, "generator")
-                    for s in sorted(int(s) for s in plan.slot_indices if s != slot):
-                        subtract(state, user, s, "replica")
-                    new_decodes += 1
-                    break
+            state.decoded[user] = True
+            subtract(state, user, slot, "generator")
+            for s in sorted(frame.plans[user].slot_indices.tolist()):
+                if s != slot:
+                    subtract(state, user, s, "replica")
+            new_decodes += 1
         if state.decoded.all() or new_decodes == 0:
             break
 
-    return _build_report(state.decoded, state.sweep_count, state.n_up, state.n_pa)
-
-
-def logical_peel(frame: FrameInstance) -> DecodeReport:
-    """Peel the user/(slot, pilot) bipartite graph to its fixed point.
-
-    Any resource containing exactly one undecoded user decodes that user
-    with certainty; the user's replicas are then removed from all its
-    resources.  Only the collision structure is consulted.
-    """
-    cfg = frame.config
-    decoded = np.zeros(cfg.k_a, dtype=bool)
-    if cfg.k_a == 0:
-        return _build_report(decoded, 0, 0, 0)
-
-    users_by_resource = {res: set(users) for res, users in _resource_map(frame).items()}
-    resources = sorted(users_by_resource)
-
-    n_up = 0
-    n_pa = 0
-    sweeps = 0
-    while True:
-        sweeps += 1
-        new_decodes = 0
-        for res in resources:
-            occupants = users_by_resource[res]
-            if len(occupants) != 1:
-                continue
-            user = next(iter(occupants))
-            decoded[user] = True
-            n_up += 1
-            plan = frame.plans[user]
-            for s, j in zip(plan.slot_indices, plan.pilot_choices):
-                other = (int(s), int(j))
-                users_by_resource[other].discard(user)
-                if other != res:
-                    n_pa += 1
-            new_decodes += 1
-        if decoded.all() or new_decodes == 0:
-            break
-
-    return _build_report(decoded, sweeps, n_up, n_pa)
+    return DecodeReport(state.decoded, state.sweep_count, state.n_up, state.n_pa)

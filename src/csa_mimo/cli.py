@@ -120,7 +120,16 @@ def build_parser() -> argparse.ArgumentParser:
     return par
 
 
+# the load flags each experiment reads
+_LOAD_FLAGS = {"plr": ("ka", "ka_range"), "singleton": ("a_total", "a_range"),
+               "analysis": ("a_total", "a_range")}
+
+
 def _merged_options(args) -> dict:
+    for name in ("ka", "ka_range", "a_total", "a_range"):
+        if getattr(args, name) is not None and name not in _LOAD_FLAGS[args.experiment]:
+            flag = "--" + name.replace("_", "-")
+            raise ValueError(f"{flag} does not apply to the {args.experiment} experiment")
     opts = dict(parse_config_file(args.config)) if args.config else {}
     overrides = {
         "m": args.m, "n_slots": args.n_slots, "n_p": args.n_pilots,

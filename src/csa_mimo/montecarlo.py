@@ -473,11 +473,6 @@ def emit_csv(records, path, record_type=None) -> None:
         raise OSError(f"cannot write CSV to {path}: {exc}") from exc
 
 
-def emit_analysis_csv(curve: list[AnalysisRecord], path) -> None:
-    """Write a tabulated failure curve (see ``tabulate_singleton_failure``)."""
-    emit_csv(curve, path, record_type=AnalysisRecord)
-
-
 def read_csv_records(path, record_type) -> list:
     """Parse a CSV produced by ``emit_csv`` back into records."""
     casts = {f.name: f.type for f in dataclasses.fields(record_type)}

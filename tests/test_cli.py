@@ -161,7 +161,12 @@ class TestErrorPaths:
     @pytest.mark.parametrize("experiment, flags", [
         ("plr", ["--ka", "50", "--ka-range", "10:20:10"]),
         ("analysis", ["--a-total", "10", "--a-range", "20:30:10"]),
-    ], ids=["ka", "a_total"])
+        ("analysis", ["--ka", "5", "--a-range", "10:20:10"]),
+        ("singleton", ["--ka-range", "5:10:5", "--a-total", "10"]),
+        ("plr", ["--ka", "5", "--a-total", "3"]),
+        ("plr", ["--ka", "5", "--a-range", "2:4:2"]),
+    ], ids=["ka", "a_total", "ka_outside_plr", "ka_range_outside_plr", "a_total_under_plr",
+            "a_range_under_plr"])
     def test_contradictory_load_flags_exit_code(self, experiment, flags, tmp_path):
         out = tmp_path / "load.csv"
         code = run_cli([

@@ -13,7 +13,6 @@ from csa_mimo.montecarlo import (
     PlrRecord,
     SingletonRecord,
     SweepSpec,
-    emit_analysis_csv,
     emit_csv,
     frame_stream,
     read_csv_records,
@@ -249,7 +248,7 @@ class TestCsvEmission:
     def test_column_count_constant(self, tmp_path):
         curve = tabulate_singleton_failure(64, 128, 5, 1, range(2, 30, 5))
         path = tmp_path / "analysis.csv"
-        emit_analysis_csv(curve, path)
+        emit_csv(curve, path, record_type=AnalysisRecord)
         lines = path.read_text().splitlines()
         widths = {len(line.split(",")) for line in lines}
         assert widths == {len(AnalysisRecord.__dataclass_fields__)}
