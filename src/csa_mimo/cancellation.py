@@ -192,8 +192,8 @@ def pab_channel_estimate(
     return correlation / energy
 
 
-def subtract(state: ReceiverState, user: int, slot: int, mode: str) -> None:
-    """Subtract a decoded user from one slot with ``state.algorithm``'s estimate.
+def subtract(state: ReceiverState, user: int, slot: int, j: int, mode: str) -> None:
+    """Subtract a decoded user, on pilot j of a slot, with ``state.algorithm``'s estimate.
 
     ``mode`` is ``"generator"`` in the slot where the user was just decoded
     (its pilot there carries no other undecoded signal) and ``"replica"``
@@ -204,10 +204,9 @@ def subtract(state: ReceiverState, user: int, slot: int, mode: str) -> None:
     ``phi[:, j] -= h`` and recompute ``g[j]`` from the updated column; the
     received matrices are not touched.  Every pilot of the slot is marked
     stale, since every numerator ``f_j`` of the residual changed.  LOGICAL
-    only counts the subtraction and marks the whole slot stale without
-    looking up the pilot: a re-attempt on a resource whose undecoded users
-    did not change repeats its failure.  Subtracting the same (user, slot)
-    twice is an error.
+    only counts the subtraction and marks the whole slot stale: a
+    re-attempt on a resource whose undecoded users did not change repeats
+    its failure.  Subtracting the same (user, slot) twice is an error.
     """
     if mode not in ("generator", "replica"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -225,7 +224,6 @@ def subtract(state: ReceiverState, user: int, slot: int, mode: str) -> None:
         return
 
     plan = state.frame.plans[user]
-    j = plan.pilot_in_slot(slot)
     if state.algorithm is Algorithm.SNB:
         norm_sq = float(state.g[slot][j]) if generator else float(state.config.m)
         state.f[slot][j] -= norm_sq * plan.payload
@@ -308,10 +306,11 @@ def run_receiver(
             if user is None:
                 continue
             state.decoded[user] = True
-            subtract(state, user, slot, "generator")
-            for s in sorted(frame.plans[user].slot_indices.tolist()):
+            subtract(state, user, slot, j, "generator")
+            plan = frame.plans[user]
+            for s, pilot in sorted(zip(plan.slot_indices.tolist(), plan.pilot_choices.tolist())):
                 if s != slot:
-                    subtract(state, user, s, "replica")
+                    subtract(state, user, s, pilot, "replica")
             new_decodes += 1
         if state.decoded.all() or new_decodes == 0:
             break

@@ -86,12 +86,6 @@ class UserPlan:
     payload_bits: np.ndarray    # (2*n_d,) uint8
     payload: np.ndarray         # (n_d,) complex QPSK symbols
 
-    def pilot_in_slot(self, slot: int) -> int:
-        pos = np.nonzero(self.slot_indices == slot)[0]
-        if pos.size == 0:
-            raise ValueError(f"user {self.user_id} has no replica in slot {slot}")
-        return int(self.pilot_choices[pos[0]])
-
 
 @dataclass
 class SlotSignal:
@@ -127,18 +121,18 @@ def generate_user_plans(config: SystemConfig, rng: np.random.Generator) -> list[
     if config.r > config.n_slots:
         raise ValueError(f"r={config.r} replicas cannot fit in {config.n_slots} slots")
     all_bits = rng.integers(0, 2, size=(config.k_a, 2 * config.n_d), dtype=np.uint8)
+    payloads = qpsk_modulate(all_bits)
     plans = []
     for uid in range(config.k_a):
         slots = np.sort(rng.choice(config.n_slots, size=config.r, replace=False))
         pilots = rng.integers(0, config.n_p, size=config.r)
-        bits = all_bits[uid]
         plans.append(
             UserPlan(
                 user_id=uid,
                 slot_indices=slots,
                 pilot_choices=pilots,
-                payload_bits=bits,
-                payload=qpsk_modulate(bits),
+                payload_bits=all_bits[uid],
+                payload=payloads[uid],
             )
         )
     return plans

@@ -1,9 +1,11 @@
 """Seeded Monte Carlo harness: loss-rate sweeps, singleton experiments, CSV.
 
-Every frame trial gets its own random stream derived from (base seed,
+Every frame gets its own random stream derived from (base seed,
 active-user count, frame index), so results are reproducible bit-for-bit
-for any worker count and frames are paired across algorithms.  Workers
-return integer counters only; aggregation is order-independent.
+for any worker count.  A loss-rate sweep is frame-major: each frame is made
+once and shared by every algorithm whose point is still running, so frames
+are paired across algorithms.  Workers return integer counters only, and
+each point consumes them in frame-index order.
 """
 from __future__ import annotations
 
@@ -164,16 +166,37 @@ def _spawn_pool(workers: int):
                 os.environ[name] = value
 
 
-def _run_one_frame(task) -> tuple[int, int, int, int]:
-    config, algorithm, base_seed, ka, frame_idx, criterion = task
-    stream = frame_stream(base_seed, ka, frame_idx)
-    frame = make_frame(
-        dataclasses.replace(config, k_a=ka),
-        stream,
-        with_signals=algorithm is not Algorithm.LOGICAL,
-    )
-    report = run_receiver(frame, algorithm, decode_criterion=criterion)
-    return report.lost_count, report.n_up, report.n_pa, report.sweep_count
+def _run_frame(task) -> list[tuple[int, int, int]]:
+    """(lost, n_up, n_pa) of each receiver on one frame, made with signals only if needed."""
+    config, algorithms, stream, criterion = task
+    with_signals = any(a is not Algorithm.LOGICAL for a in algorithms)
+    frame = make_frame(config, stream, with_signals=with_signals)
+    reports = [run_receiver(frame, a, decode_criterion=criterion) for a in algorithms]
+    return [(r.lost_count, r.n_up, r.n_pa) for r in reports]
+
+
+@dataclass
+class _Point:
+    """Running counters of one (algorithm, k_a) point of a sweep."""
+
+    algorithm: Algorithm
+    frames: int = 0
+    losses: int = 0
+    n_up: int = 0
+    n_pa: int = 0
+    wall: float = 0.0
+    stopped: bool = False
+
+    def record(self, ka: int, measure_time: bool) -> PlrRecord:
+        sent = self.frames * ka
+        ci_low, ci_high = wilson_interval(self.losses, sent)
+        return PlrRecord(
+            algorithm=self.algorithm.value, mac="baseline", ka=ka, frames_run=self.frames,
+            packets_sent=sent, packets_lost=self.losses,
+            plr=self.losses / sent if sent else 0.0, ci_low=ci_low, ci_high=ci_high,
+            mean_n_up=self.n_up / self.frames, mean_n_pa=self.n_pa / self.frames,
+            wall_seconds=self.wall if measure_time else 0.0,
+        )
 
 
 def run_plr_sweep(
@@ -181,85 +204,67 @@ def run_plr_sweep(
 ) -> list[PlrRecord]:
     """Run every (algorithm, k_a) point of the sweep and return its records.
 
-    Frames are consumed strictly in index order when applying the stopping
-    rule, so the emitted records are identical for any ``workers`` value.
-    ``measure_time=False`` zeroes the wall-clock column, making the output
-    byte-stable across runs.
+    The sweep is frame-major: for each k_a, frame i is made once and every
+    algorithm whose point has not stopped runs on it.  Each point applies
+    its stopping rule to its frames in index order and discards later
+    frames unseen, so its record is what running the point alone would
+    give, and the records, in (algorithm, k_a) order, are identical for any
+    ``workers`` value.  Serially, frames are made one at a time and none
+    after every point of the k_a has stopped; a pool gets them in batches.
+
+    ``wall_seconds`` runs from the start of the k_a's first frame to the
+    end of the frame (or pool batch) at which the point stopped, so it
+    includes the other receivers run on the shared frames.
+    ``measure_time=False`` zeroes it, making the output byte-stable.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     pool = _spawn_pool(workers) if workers > 1 else None
     try:
-        records = []
-        for algorithm in spec.algorithms:
-            for ka in spec.ka_values:
-                records.append(
-                    _run_point(spec, algorithm, ka, pool, workers, measure_time)
-                )
-        return records
+        loads = [_run_load(spec, ka, pool, workers) for ka in spec.ka_values]
     finally:
         if pool is not None:
             pool.close()
             pool.join()
+    return [
+        points[a].record(ka, measure_time)
+        for a in range(len(spec.algorithms))
+        for ka, points in zip(spec.ka_values, loads)
+    ]
 
 
-def _run_point(
-    spec: SweepSpec,
-    algorithm: Algorithm,
-    ka: int,
-    pool,
-    workers: int,
-    measure_time: bool,
-) -> PlrRecord:
+def _run_load(spec: SweepSpec, ka: int, pool, workers: int) -> list[_Point]:
+    """Run the points of one k_a, one per algorithm, on shared frames."""
     t0 = time.perf_counter()
-    frames_run = 0
-    losses = 0
-    n_up_sum = 0
-    n_pa_sum = 0
-    batch_size = max(8, 4 * workers)
-
-    def tasks(start, stop):
-        return [
-            (spec.config, algorithm, spec.base_seed, ka, i, spec.decode_criterion)
+    config = dataclasses.replace(spec.config, k_a=ka)
+    points = running = [_Point(algorithm) for algorithm in spec.algorithms]
+    batch_size = 1 if pool is None else max(8, 4 * workers)
+    start = 0
+    while running and start < spec.max_frames:
+        stop = min(start + batch_size, spec.max_frames)
+        algorithms = tuple(point.algorithm for point in running)
+        tasks = [
+            (config, algorithms, frame_stream(spec.base_seed, ka, i), spec.decode_criterion)
             for i in range(start, stop)
         ]
-
-    while frames_run < spec.max_frames:
-        stop = min(frames_run + batch_size, spec.max_frames)
-        batch = tasks(frames_run, stop)
         if pool is None:
-            results = [_run_one_frame(t) for t in batch]
+            results = map(_run_frame, tasks)
         else:
-            results = pool.map(_run_one_frame, batch, chunksize=1)
-        done = False
-        for lost, n_up, n_pa, _sweeps in results:
-            frames_run += 1
-            losses += lost
-            n_up_sum += n_up
-            n_pa_sum += n_pa
-            if frames_run >= spec.min_frames and losses >= spec.target_loss_events:
-                done = True
-                break  # later frames of the batch are discarded unseen
-        if done:
-            break
-
-    sent = frames_run * ka
-    ci_low, ci_high = wilson_interval(losses, sent)
-    wall = time.perf_counter() - t0 if measure_time else 0.0
-    return PlrRecord(
-        algorithm=algorithm.value,
-        mac="baseline",
-        ka=ka,
-        frames_run=frames_run,
-        packets_sent=sent,
-        packets_lost=losses,
-        plr=losses / sent if sent else 0.0,
-        ci_low=ci_low,
-        ci_high=ci_high,
-        mean_n_up=n_up_sum / frames_run if frames_run else 0.0,
-        mean_n_pa=n_pa_sum / frames_run if frames_run else 0.0,
-        wall_seconds=wall,
-    )
+            results = pool.map(_run_frame, tasks, chunksize=1)
+        for counters in results:
+            for point, (lost, n_up, n_pa) in zip(running, counters):
+                if not point.stopped:
+                    point.frames += 1
+                    point.losses += lost
+                    point.n_up += n_up
+                    point.n_pa += n_pa
+                    point.stopped = (point.frames >= spec.min_frames
+                                     and point.losses >= spec.target_loss_events)
+        for point in running:
+            point.wall = time.perf_counter() - t0
+        running = [point for point in running if not point.stopped]
+        start = stop
+    return points
 
 
 def run_singleton_experiment(

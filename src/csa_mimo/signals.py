@@ -10,7 +10,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import hadamard
 
-_SQRT_HALF = 1.0 / np.sqrt(2.0)
+# The QPSK symbol of bit pair (b0, b1) at index 2*b0 + b1, computed with the
+# mapping's own formula so that a table lookup reproduces it bit for bit.
+_QPSK_SYMBOLS = (1.0 / np.sqrt(2.0)) * (
+    (1.0 - 2.0 * np.array([0, 0, 1, 1])) + 1j * (1.0 - 2.0 * np.array([0, 1, 0, 1]))
+)
 
 
 @dataclass(frozen=True)
@@ -110,10 +114,7 @@ def qpsk_modulate(bits) -> np.ndarray:
     bits = np.asarray(bits)
     if bits.shape[-1] % 2 != 0:
         raise ValueError(f"bit count must be even, got {bits.shape[-1]}")
-    pairs = bits.reshape(bits.shape[:-1] + (-1, 2))
-    re = 1.0 - 2.0 * pairs[..., 0]
-    im = 1.0 - 2.0 * pairs[..., 1]
-    return _SQRT_HALF * (re + 1j * im)
+    return _QPSK_SYMBOLS[2 * bits[..., 0::2] + bits[..., 1::2]]
 
 
 def qpsk_hard_demodulate(symbols) -> np.ndarray:

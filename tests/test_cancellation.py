@@ -73,16 +73,22 @@ def _explicit_residuals(state):
     return state.p_res, state.y_res
 
 
-def full_recompute_subtract(state, user, slot, mode):
+def pilot_of(plan, slot):
+    """The pilot a user's plan picked in one of its slots."""
+    return int(plan.pilot_choices[plan.slot_indices.tolist().index(slot)])
+
+
+def full_recompute_subtract(state, user, slot, j, mode):
     """PAB/PRCE subtraction by the full recompute that the implicit residual replaces.
 
     Keeps explicit residual pilot- and payload-phase matrices on the side,
     removes ``h s_j^T`` and ``h x^T`` from them, then re-estimates every
-    pilot of the slot and its gain.
+    pilot of the slot and its gain.  The pilot j the caller passes must be
+    the one the user's plan picked in the slot.
     """
     p_res, y_res = _explicit_residuals(state)
     plan = state.frame.plans[user]
-    j = plan.pilot_in_slot(slot)
+    assert j == pilot_of(plan, slot)
     if state.algorithm is Algorithm.PRCE:
         h = state.frame.true_channels[(user, slot)]
     elif mode == "generator":
@@ -305,11 +311,11 @@ class TestSnbSubtraction:
     def test_generator_subtraction_zeroes_gain(self):
         frame = manual_frame([[(0, 1), (1, 1)]], noise_var=0.0)
         state = ReceiverState(frame, Algorithm.SNB)
-        subtract(state, 0, 0, mode="generator")
+        subtract(state, 0, 0, 1, mode="generator")
         assert state.g[0][1] == 0.0
         # replica slot uses the antenna count in place of the true norm
         g_before = state.g[1][1]
-        subtract(state, 0, 1, mode="replica")
+        subtract(state, 0, 1, 1, mode="replica")
         assert state.g[1][1] == pytest.approx(g_before - frame.config.m)
 
     def test_matches_logical_on_single_user_noiseless_frame(self):
@@ -321,16 +327,16 @@ class TestSnbSubtraction:
     def test_double_subtraction_rejected(self):
         frame = manual_frame([[(0, 1), (1, 1)]])
         state = ReceiverState(frame, Algorithm.SNB)
-        subtract(state, 0, 0, mode="replica")
+        subtract(state, 0, 0, 1, mode="replica")
         with pytest.raises(RuntimeError):
-            subtract(state, 0, 0, mode="replica")
+            subtract(state, 0, 0, 1, mode="replica")
 
     def test_other_pilot_statistics_untouched(self):
         frame = manual_frame([[(0, 1), (1, 2)], [(0, 3)]], noise_var=0.1)
         state = ReceiverState(frame, Algorithm.SNB)
         f_other = state.f[0][3].copy()
         g_other = state.g[0][3]
-        subtract(state, 0, 0, mode="generator")
+        subtract(state, 0, 0, 1, mode="generator")
         np.testing.assert_array_equal(state.f[0][3], f_other)
         assert state.g[0][3] == g_other
 
@@ -339,7 +345,7 @@ class TestPabSubtraction:
     def test_noiseless_generator_subtraction_clears_pilot(self):
         frame = manual_frame([[(0, 2), (1, 0)]], noise_var=0.0)
         state = ReceiverState(frame, Algorithm.PAB)
-        subtract(state, 0, 0, mode="generator")
+        subtract(state, 0, 0, 2, mode="generator")
         np.testing.assert_array_equal(state.phi[0][:, 2], np.zeros(frame.config.m))
         np.testing.assert_array_equal(state.phi[0], expected_phi(np.zeros_like(frame.slots[0].p)))
         assert state.n_up == 1
@@ -348,7 +354,7 @@ class TestPabSubtraction:
         frame = manual_frame([[(0, 2), (1, 0)]], noise_var=0.0, n_d=64)
         state = ReceiverState(frame, Algorithm.PAB)
         h_true = frame.true_channels[(0, 1)]
-        subtract(state, 0, 1, mode="replica")
+        subtract(state, 0, 1, 0, mode="replica")
         assert state.n_pa == 1
         # lone user, no noise: the estimate equals the channel to rounding,
         # so the residual is ~0 relative to the original signal scale
@@ -362,7 +368,7 @@ class TestPabSubtraction:
         frame = manual_frame([[(0, 2), (1, 0)]])
         state = ReceiverState(frame, Algorithm.PAB)
         with pytest.raises(ValueError):
-            subtract(state, 0, 0, mode="oracle")
+            subtract(state, 0, 0, 2, mode="oracle")
 
 
 class TestPabChannelEstimate:
@@ -413,8 +419,8 @@ class TestPrceSubtraction:
         )
         cfg = frame.config
         state = ReceiverState(frame, Algorithm.PRCE)
-        subtract(state, 0, 0, mode="generator")
-        subtract(state, 0, 1, mode="replica")
+        subtract(state, 0, 0, 1, mode="generator")
+        subtract(state, 0, 1, 2, mode="replica")
         pilot_rows = build_hadamard_pilots(cfg.n_p).sequences.astype(float)
         for slot in (0, 1):
             expected_p = np.zeros_like(frame.slots[slot].p)
@@ -423,7 +429,7 @@ class TestPrceSubtraction:
                 if slot not in plan.slot_indices:
                     continue
                 h = frame.true_channels[(plan.user_id, slot)]
-                expected_p += np.outer(h, pilot_rows[plan.pilot_in_slot(slot)])
+                expected_p += np.outer(h, pilot_rows[pilot_of(plan, slot)])
                 expected_y += np.outer(h, plan.payload)
             scale = max(np.abs(frame.slots[slot].p).max(), 1.0)
             assert np.abs(state.phi[slot] - expected_phi(expected_p)).max() < 1e-12 * scale
@@ -478,15 +484,19 @@ class TestRank1Update:
         initial = snapshot(slow, full_recompute_numerator, explicit_residual)
         scale = {name: max(np.abs(a).max() for a in arrays) for name, arrays in initial.items()}
         compare()
-        pairs = [(plan.user_id, int(s)) for plan in frame.plans for s in plan.slot_indices]
-        order = data.draw(st.permutations(pairs))
-        count = data.draw(st.integers(1, len(pairs)))
-        for user, slot in order[:count]:
+        replicas = [
+            (plan.user_id, int(s), int(j))
+            for plan in frame.plans
+            for s, j in zip(plan.slot_indices, plan.pilot_choices)
+        ]
+        order = data.draw(st.permutations(replicas))
+        count = data.draw(st.integers(1, len(replicas)))
+        for user, slot, j in order[:count]:
             mode = data.draw(st.sampled_from(("generator", "replica")))
             # as after an attempt on every resource, so the step's marks show
             fast.stale[:] = slow.stale[:] = False
-            subtract(fast, user, slot, mode)
-            full_recompute_subtract(slow, user, slot, mode)
+            subtract(fast, user, slot, j, mode)
+            full_recompute_subtract(slow, user, slot, j, mode)
             compare()
         assert (fast.n_up, fast.n_pa) == (slow.n_up, slow.n_pa)
 

@@ -170,7 +170,7 @@ class TestAssembleFrame:
         slot = 0
         expected = np.zeros_like(frame.slots[slot].p)
         for plan in frame.plans:
-            j = plan.pilot_in_slot(slot)
+            j = int(plan.pilot_choices[plan.slot_indices.tolist().index(slot)])
             expected += np.outer(frame.true_channels[(plan.user_id, slot)], pilot_rows[j])
         np.testing.assert_allclose(frame.slots[slot].p, expected, atol=1e-13)
 

@@ -1,11 +1,14 @@
 """Tests for the Monte Carlo harness: sweeps, singleton experiment, CSV."""
 
+import dataclasses
 import os
 
 import numpy as np
 import pytest
 
-from csa_mimo.frame import SystemConfig
+from csa_mimo import montecarlo
+from csa_mimo.cancellation import Algorithm, run_receiver
+from csa_mimo.frame import SystemConfig, make_frame
 from csa_mimo.montecarlo import (
     _BLAS_THREAD_VARS,
     _spawn_pool,
@@ -148,6 +151,120 @@ class TestRunPlrSweep:
         assert frame_stream(5, 100, 7) == frame_stream(5, 100, 7)
         assert frame_stream(5, 100, 7) != frame_stream(5, 100, 8)
         assert frame_stream(5, 101, 7) != frame_stream(5, 100, 7)
+
+
+def algorithm_major_sweep(spec: SweepSpec) -> list[PlrRecord]:
+    """The sweep one (algorithm, k_a) point at a time, each point making its own frames.
+
+    The plain loop the frame-major sweep replaced: frames in index order,
+    stopping once ``min_frames`` have run and ``target_loss_events`` losses
+    have been seen.  Wall time is left at 0.
+    """
+    records = []
+    for algorithm in spec.algorithms:
+        for ka in spec.ka_values:
+            config = dataclasses.replace(spec.config, k_a=ka)
+            frames_run = losses = n_up = n_pa = 0
+            while frames_run < spec.max_frames:
+                frame = make_frame(
+                    config,
+                    frame_stream(spec.base_seed, ka, frames_run),
+                    with_signals=algorithm is not Algorithm.LOGICAL,
+                )
+                report = run_receiver(frame, algorithm, decode_criterion=spec.decode_criterion)
+                frames_run += 1
+                losses += report.lost_count
+                n_up += report.n_up
+                n_pa += report.n_pa
+                if frames_run >= spec.min_frames and losses >= spec.target_loss_events:
+                    break
+            sent = frames_run * ka
+            records.append(PlrRecord(
+                algorithm.value, "baseline", ka, frames_run, sent, losses,
+                losses / sent if sent else 0.0, *wilson_interval(losses, sent),
+                n_up / frames_run, n_pa / frames_run, 0.0,
+            ))
+    return records
+
+
+class TestFrameMajorSweep:
+    """The shared-frame sweep against one point at a time on its own frames."""
+
+    # overloaded at k_a=16 and lightly loaded at k_a=8, so points stop at
+    # different frames; the pool dispatches batches of 8 at 2 workers
+    SPEC = SweepSpec(
+        config=tiny_config(n_p=4),
+        ka_values=(0, 8, 16),
+        algorithms=("snb", "pab", "prce", "logical"),
+        min_frames=4,
+        max_frames=12,
+        target_loss_events=6,
+        base_seed=5,
+    )
+
+    @pytest.fixture(scope="class")
+    def oracle(self):
+        return algorithm_major_sweep(self.SPEC)
+
+    def test_oracle_covers_every_stopping_case(self, oracle):
+        points = {(r.algorithm, r.ka): r for r in oracle}
+        # k_a=0 loses nobody and runs to max_frames
+        assert all(points[a.value, 0].frames_run == 12 for a in self.SPEC.algorithms)
+        # SNB reaches the target at frame 7, inside the first pool batch,
+        # while PAB runs on to max_frames
+        assert points["snb", 8].frames_run == 7
+        assert points["pab", 8].frames_run == 12
+        # SNB passes the target on its first frame but min_frames holds it to 4,
+        # and PRCE runs on alone through the second batch
+        snb = algorithm_major_sweep(
+            dataclasses.replace(self.SPEC, ka_values=(16,), algorithms=("snb",), min_frames=1)
+        )
+        assert snb[0].frames_run == 1
+        assert points["snb", 16].frames_run == 4
+        assert points["prce", 16].frames_run == 12
+
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_records_match_algorithm_major_loop(self, oracle, workers):
+        assert run_plr_sweep(self.SPEC, workers=workers, measure_time=False) == oracle
+
+    def test_wall_time_counts_up_to_the_point_stop(self):
+        records = run_plr_sweep(self.SPEC)
+        wall = {(r.algorithm, r.ka): r.wall_seconds for r in records}
+        assert all(w > 0 for w in wall.values())
+        # a point that stopped earlier on the same frames has used less time
+        assert wall["snb", 8] < wall["pab", 8]
+        assert wall["snb", 16] < wall["prce", 16]
+
+
+class TestFramesMade:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Every (k_a, frame index, with_signals) the sweep asks make_frame for."""
+        seen = []
+
+        def counting_make_frame(config, stream, with_signals=True):
+            seen.append((config.k_a, stream.stream_id & 0xFFFFFFFF, with_signals))
+            return make_frame(config, stream, with_signals=with_signals)
+
+        monkeypatch.setattr(montecarlo, "make_frame", counting_make_frame)
+        return seen
+
+    def test_serial_sweep_makes_each_frame_once_and_none_past_the_last_stop(self, calls):
+        spec = dataclasses.replace(TestFrameMajorSweep.SPEC, algorithms=("snb", "logical"))
+        records = run_plr_sweep(spec, measure_time=False)
+        for ka in spec.ka_values:
+            points = [r for r in records if r.ka == ka]
+            made = [(i, signals) for k, i, signals in calls if k == ka]
+            assert [i for i, _ in made] == list(range(max(r.frames_run for r in points)))
+            snb = next(r for r in points if r.algorithm == "snb")
+            assert [signals for _, signals in made] == [i < snb.frames_run for i, _ in made]
+        # at k_a=8 LOGICAL outlives SNB, so the later frames skip the signals
+        assert (8, 7, False) in calls and (8, 6, True) in calls
+
+    def test_logical_only_sweep_never_asks_for_signals(self, calls):
+        spec = dataclasses.replace(TestFrameMajorSweep.SPEC, algorithms=("logical",))
+        run_plr_sweep(spec, measure_time=False)
+        assert calls and not any(signals for _, _, signals in calls)
 
 
 class TestSingletonExperiment:

@@ -195,6 +195,21 @@ class TestQpsk:
     def test_odd_bit_count_rejected(self):
         with pytest.raises(ValueError):
             qpsk_modulate(np.array([0, 1, 0]))
+        with pytest.raises(ValueError):
+            qpsk_modulate(np.zeros((4, 7), dtype=np.uint8))
+
+    @pytest.mark.parametrize(
+        "shape", [(8,), (5, 32), (3, 4, 16), (0, 2 * 256)], ids=["1d", "2d", "3d", "no-users"]
+    )
+    def test_bitwise_equal_to_two_part_formula(self, shape):
+        # (0, 2 n_d) is the payload batch of a frame with no active users
+        bits = np.random.default_rng(1).integers(0, 2, size=shape, dtype=np.uint8)
+        b0, b1 = bits[..., 0::2], bits[..., 1::2]
+        expected = (1.0 - 2.0 * b0 + 1j * (1.0 - 2.0 * b1)) / np.sqrt(2.0)
+        symbols = qpsk_modulate(bits)
+        assert symbols.shape == shape[:-1] + (shape[-1] // 2,)
+        assert symbols.dtype == np.complex128
+        np.testing.assert_array_equal(symbols.view(np.uint64), expected.view(np.uint64))
 
     @given(st.lists(st.integers(0, 1), min_size=2, max_size=64).filter(lambda b: len(b) % 2 == 0))
     def test_round_trip_identity(self, bits):
