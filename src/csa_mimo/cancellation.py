@@ -308,7 +308,7 @@ def run_receiver(
             state.decoded[user] = True
             subtract(state, user, slot, j, "generator")
             plan = frame.plans[user]
-            for s, pilot in sorted(zip(plan.slot_indices.tolist(), plan.pilot_choices.tolist())):
+            for s, pilot in zip(plan.slot_indices.tolist(), plan.pilot_choices.tolist()):
                 if s != slot:
                     subtract(state, user, s, pilot, "replica")
             new_decodes += 1

@@ -19,6 +19,13 @@ from .signals import (
 )
 
 
+# numpy's Generator.choice(n, r, replace=False) uses Floyd's algorithm unless
+# n > 10000 and r > n // 50, where it shuffles a tail instead.  The plan draw
+# replays Floyd's algorithm only, so configs in the other regime are rejected.
+_FLOYD_MAX_SLOTS = 10_000
+_FLOYD_MIN_SHARE = 50
+
+
 def compute_slot_count(latency_ms: float, symbol_rate: float, n_p: int, n_d: int) -> int:
     """Number of slots that fit the latency budget.
 
@@ -61,6 +68,12 @@ class SystemConfig:
             raise ValueError(f"n_p must be a power of two, got {self.n_p}")
         if self.r > self.n_slots:
             raise ValueError(f"r={self.r} replicas cannot fit in {self.n_slots} slots")
+        if self.n_slots > _FLOYD_MAX_SLOTS and self.r > self.n_slots // _FLOYD_MIN_SHARE:
+            raise ValueError(
+                f"r={self.r} replicas in {self.n_slots} slots: above {_FLOYD_MAX_SLOTS} "
+                f"slots r may be at most n_slots // {_FLOYD_MIN_SHARE} "
+                f"= {self.n_slots // _FLOYD_MIN_SHARE}"
+            )
         if self.noise_var < 0:
             raise ValueError(f"noise_var must be nonnegative, got {self.noise_var}")
         if self.channel_var <= 0:
@@ -111,31 +124,81 @@ class FrameInstance:
     slots: list[SlotSignal] | None = None
 
 
+def _bounded_draws(rng: np.random.Generator, bounds: np.ndarray) -> np.ndarray:
+    """Uniform integers in ``[0, b)`` for every bound ``b > 1``, in row-major order.
+
+    Replays numpy's Lemire sampler: a draw takes the next 32-bit word ``w``
+    and returns ``(w * b) >> 32``, unless the low half of ``w * b`` is below
+    ``2**32 mod b``; then ``w`` is dropped and the following word tried.
+    ``integers(0, 2**32, dtype=uint32)`` takes exactly one word per element,
+    so the generator ends where the same sequence of bounded calls leaves it.
+    """
+    flat = bounds.ravel().astype(np.uint64)
+    thresholds = np.uint64(2**32) % flat
+    words = rng.integers(0, 2**32, size=flat.size, dtype=np.uint32).astype(np.uint64)
+    first = 0
+    while True:
+        low = (words[first:] * flat[first:]) & np.uint64(0xFFFFFFFF)
+        rejected = np.flatnonzero(low < thresholds[first:])
+        if rejected.size == 0:
+            break
+        first += int(rejected[0])
+        extra = rng.integers(0, 2**32, size=1, dtype=np.uint32).astype(np.uint64)
+        words = np.concatenate((words[:first], words[first + 1:], extra))
+    return ((words * flat) >> np.uint64(32)).astype(np.int64).reshape(bounds.shape)
+
+
+def _draw_resources(config: SystemConfig, rng: np.random.Generator):
+    """Every user's ascending slots and its pilot in each, as two (k_a, r) int64 arrays.
+
+    Consumes the stream exactly as one ``rng.choice(n_slots, r, replace=False)``
+    and one ``rng.integers(0, n_p, r)`` per user, in user order, would.  Per
+    user that is Floyd's algorithm (draws with bounds n_slots-r+1 ... n_slots;
+    a value already picked becomes the step's own bound minus one), the r-1
+    draws of choice's final shuffle (bounds r ... 2, ignored here because the
+    slots are sorted), then r pilot draws.  A bound of 1 takes no word.
+    """
+    n, r, k_a = config.n_slots, config.r, config.k_a
+    bounds = np.concatenate(
+        (np.arange(n - r + 1, n + 1), np.arange(r, 1, -1), np.full(r, config.n_p))
+    )
+    drawn = bounds > 1
+    values = np.zeros((k_a, bounds.size), dtype=np.int64)
+    values[:, drawn] = _bounded_draws(rng, np.broadcast_to(bounds[drawn], (k_a, drawn.sum())))
+    slots = values[:, :r]
+    for c in range(1, r):
+        clash = (slots[:, :c] == slots[:, c, None]).any(axis=1)
+        slots[clash, c] = n - r + c
+    return np.sort(slots, axis=1), values[:, 2 * r - 1:]
+
+
 def generate_user_plans(config: SystemConfig, rng: np.random.Generator) -> list[UserPlan]:
     """Draw every user's slots, pilots and payload for one frame.
 
     Slots are chosen uniformly without replacement; the pilot is redrawn
     independently in every chosen slot; payload bits are i.i.d. uniform and
     identical across the user's replicas.
+
+    All users' slots and pilots come from one vectorised draw that replays,
+    word for word, the per-user ``Generator.choice``/``integers`` calls the
+    frames were first defined by, so a stream gives the same frame.  This
+    depends on numpy's samplers; a numpy that changes them fails the golden
+    CSVs (``tests/test_golden.py``) and the oracle test in
+    ``tests/test_frame.py``, which keeps the per-user calls.
     """
-    if config.r > config.n_slots:
-        raise ValueError(f"r={config.r} replicas cannot fit in {config.n_slots} slots")
     all_bits = rng.integers(0, 2, size=(config.k_a, 2 * config.n_d), dtype=np.uint8)
     payloads = qpsk_modulate(all_bits)
-    plans = []
-    for uid in range(config.k_a):
-        slots = np.sort(rng.choice(config.n_slots, size=config.r, replace=False))
-        pilots = rng.integers(0, config.n_p, size=config.r)
-        plans.append(
-            UserPlan(
-                user_id=uid,
-                slot_indices=slots,
-                pilot_choices=pilots,
-                payload_bits=all_bits[uid],
-                payload=payloads[uid],
-            )
+    slots, pilots = _draw_resources(config, rng)
+    return [
+        UserPlan(
+            user_id=uid,
+            slot_indices=slots[uid],
+            pilot_choices=pilots[uid],
+            payload_bits=all_bits[uid],
+            payload=payloads[uid],
         )
-    return plans
+        for uid in range(config.k_a)
+    ]
 
 
 def assemble_frame(

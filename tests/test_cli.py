@@ -136,6 +136,14 @@ class TestErrorPaths:
         ])
         assert code == 2
 
+    def test_choice_tail_shuffle_regime_exit_code(self, tmp_path, capsys):
+        code = run_cli([
+            "--algorithm", "logical", "--ka", "5", "--frames", "1",
+            "--n-slots", "20000", "--r", "401", "--out", str(tmp_path / "x.csv"),
+        ])
+        assert code == 2
+        assert "at most n_slots // 50 = 400" in capsys.readouterr().err
+
     def test_unwritable_output_exit_code(self):
         code = run_cli([
             "--algorithm", "logical", "--ka", "2", "--frames", "1",

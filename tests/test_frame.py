@@ -7,6 +7,7 @@ from scipy.stats import chisquare
 from csa_mimo.frame import (
     FrameInstance,
     SystemConfig,
+    _draw_resources,
     assemble_frame,
     compute_slot_count,
     generate_user_plans,
@@ -19,6 +20,75 @@ def small_config(**overrides) -> SystemConfig:
     base = dict(k_a=30, m=16, n_slots=12, n_p=8, n_d=16, r=3, noise_var=0.1, t=2)
     base.update(overrides)
     return SystemConfig(**base)
+
+
+def per_user_resources(config, rng):
+    """The plan draw as first written: one choice and one integers call per user."""
+    slots, pilots = [], []
+    for _ in range(config.k_a):
+        slots.append(np.sort(rng.choice(config.n_slots, size=config.r, replace=False)))
+        pilots.append(rng.integers(0, config.n_p, size=config.r))
+    return slots, pilots
+
+
+def assert_same_stream_after(rng, oracle_rng):
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+    np.testing.assert_array_equal(
+        rng.integers(0, 2**32, size=4, dtype=np.uint32),
+        oracle_rng.integers(0, 2**32, size=4, dtype=np.uint32),
+    )
+    assert rng.choice(78, size=3, replace=False).tolist() == (
+        oracle_rng.choice(78, size=3, replace=False).tolist()
+    )
+
+
+def assert_plans_match_per_user_calls(config, stream):
+    """``generate_user_plans`` gives the per-user calls' plans and leaves the
+    generator where they leave it."""
+    rng, oracle_rng = stream.generator(), stream.generator()
+    plans = generate_user_plans(config, rng)
+    bits = oracle_rng.integers(0, 2, size=(config.k_a, 2 * config.n_d), dtype=np.uint8)
+    slots, pilots = per_user_resources(config, oracle_rng)
+    assert [plan.user_id for plan in plans] == list(range(config.k_a))
+    for field, expected in (("slot_indices", slots), ("pilot_choices", pilots)):
+        got = [getattr(plan, field) for plan in plans]
+        assert {a.dtype for a in got} == {e.dtype for e in expected}
+        np.testing.assert_array_equal(
+            np.array(got).reshape(config.k_a, config.r),
+            np.array(expected).reshape(config.k_a, config.r),
+        )
+    np.testing.assert_array_equal(
+        np.array([plan.payload_bits for plan in plans]).reshape(bits.shape), bits
+    )
+    assert_same_stream_after(rng, oracle_rng)
+
+
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def generator_starting_with(words, seed=0):
+    """A PCG64 generator whose next 32-bit words are ``words`` (at most three).
+
+    An odd leading word goes in the buffered half-output (``has_uint32``);
+    the next pair is the low and high half of the next 64-bit output, forced
+    by solving PCG64's XSL-RR output and LCG step for the 128-bit state.
+    """
+    rng = np.random.default_rng(seed)
+    state = rng.bit_generator.state
+    state["has_uint32"], state["uinteger"] = 0, 0
+    if len(words) % 2:
+        state["has_uint32"], state["uinteger"] = 1, words[0]
+        words = words[1:]
+    if words:
+        out = words[0] | (words[1] << 32)
+        hi = state["state"]["state"] >> 64
+        rot = hi >> 58
+        lo = (((out << rot) | (out >> (64 - rot))) & (2**64 - 1)) ^ hi
+        after = (hi << 64) | lo
+        inverse = pow(_PCG64_MULTIPLIER, -1, 2**128)
+        state["state"]["state"] = ((after - state["state"]["inc"]) * inverse) % 2**128
+    rng.bit_generator.state = state
+    return rng
 
 
 class TestComputeSlotCount:
@@ -56,6 +126,17 @@ class TestSystemConfig:
         with pytest.raises(ValueError):
             small_config(noise_var=-0.1)
 
+    @pytest.mark.parametrize("n_slots, r", [(10001, 3000), (20000, 401)])
+    def test_choice_tail_shuffle_regime_rejected(self, n_slots, r):
+        # past 10000 slots, choice shuffles a tail when r > n_slots // 50,
+        # which the vectorised plan draw does not replay
+        with pytest.raises(ValueError, match=f"at most n_slots // 50 = {n_slots // 50}"):
+            SystemConfig(k_a=1, n_slots=n_slots, r=r)
+
+    @pytest.mark.parametrize("n_slots, r", [(10000, 3000), (20000, 400)])
+    def test_floyd_regime_boundary_accepted(self, n_slots, r):
+        assert SystemConfig(k_a=1, n_slots=n_slots, r=r).r == r
+
 
 class TestGenerateUserPlans:
     def test_no_users_gives_empty_sequence(self):
@@ -71,6 +152,12 @@ class TestGenerateUserPlans:
             assert np.all(plan.pilot_choices < cfg.n_p)
             assert plan.payload.shape == (cfg.n_d,)
             assert plan.payload_bits.shape == (2 * cfg.n_d,)
+
+    def test_slots_ascending(self):
+        # the receiver visits a decoded user's replicas in this order
+        plans = generate_user_plans(SystemConfig(k_a=900), RandomStream(1, 1).generator())
+        for plan in plans:
+            assert np.all(np.diff(plan.slot_indices) > 0)
 
     def test_full_repetition_uses_every_slot(self):
         cfg = small_config(r=12, n_slots=12)
@@ -115,6 +202,65 @@ class TestGenerateUserPlans:
             for slot in plan.slot_indices:
                 h = frame.true_channels[(plan.user_id, int(slot))]
                 assert h.shape == (cfg.m,)
+
+
+class TestPlanDrawOracle:
+    """The vectorised plan draw against the per-user choice/integers calls."""
+
+    @pytest.mark.slow
+    def test_matches_per_user_calls_on_2000_streams(self):
+        # the slots and pilots alone: the payload draw before them is the
+        # same call on both sides, and the edge cases below cover it
+        cfg = SystemConfig(k_a=900)
+        for i in range(2000):
+            rng, oracle_rng = RandomStream(13, i).generator(), RandomStream(13, i).generator()
+            slots, pilots = _draw_resources(cfg, rng)
+            expected_slots, expected_pilots = per_user_resources(cfg, oracle_rng)
+            np.testing.assert_array_equal(slots, expected_slots)
+            np.testing.assert_array_equal(pilots, expected_pilots)
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    @pytest.mark.parametrize("overrides", [
+        dict(k_a=0),
+        dict(k_a=1, n_d=2),               # one payload word: the slots start mid-output
+        dict(k_a=900),
+        dict(k_a=50, r=1),
+        dict(k_a=50, n_slots=12, r=12),   # Floyd's first bound is 1: no word
+        dict(k_a=50, n_p=1),              # pilot bound 1: no word
+        dict(k_a=50, n_slots=150, r=5),
+        dict(k_a=2, n_slots=10000, r=3000, n_d=8),   # largest Floyd regime at 10000
+        dict(k_a=2, n_slots=20000, r=400, n_d=8),
+    ])
+    def test_edges_match_per_user_calls(self, overrides):
+        cfg = SystemConfig(**overrides)
+        for i in range(5):
+            assert_plans_match_per_user_calls(cfg, RandomStream(14, i))
+
+    @pytest.mark.parametrize("words", [
+        [0],                # the buffered half-output is 0
+        [0, 0],             # both halves of the next output are 0
+        [0, 0, 0],          # three rejections in a row
+        [123456789, 0],     # a rejection after an accepted word
+    ])
+    @pytest.mark.parametrize("overrides", [
+        dict(k_a=4),                     # first bound 76: 2**32 mod 76 = 6
+        dict(k_a=4, n_slots=12, r=12),   # bounds 1, 2, 3, ...: a second 0 is rejected
+        dict(k_a=4, n_slots=7, r=1),     # one draw per user, no shuffle
+    ])
+    def test_rejected_words_are_replaced(self, words, overrides):
+        # a zero word is rejected by every bound b with 2**32 mod b > 0, so
+        # numpy draws the next word instead
+        cfg = SystemConfig(**overrides)
+        probe = generator_starting_with(words)
+        np.testing.assert_array_equal(
+            probe.integers(0, 2**32, size=len(words), dtype=np.uint32), words
+        )
+        rng, oracle_rng = generator_starting_with(words), generator_starting_with(words)
+        slots, pilots = _draw_resources(cfg, rng)
+        expected_slots, expected_pilots = per_user_resources(cfg, oracle_rng)
+        np.testing.assert_array_equal(slots, expected_slots)
+        np.testing.assert_array_equal(pilots, expected_pilots)
+        assert_same_stream_after(rng, oracle_rng)
 
 
 class TestAssembleFrame:
