@@ -8,6 +8,15 @@ with per-entry variance equal to the antenna count, which gives the QPSK
 hard-decision symbol error probability and, through a bounded-distance
 decoder correcting ``t`` errors, the probability that the singleton fails.
 The noise contribution is neglected throughout.
+
+This is the paper's i.i.d. approximation, not the law of the simulator in
+``montecarlo.run_singleton_experiment``.  There the channels are block
+fading: each interferer's cross term is fixed for the whole packet, so
+symbol errors are correlated within a packet, and the Monte Carlo failure
+rate is far above this closed form where the failure curve starts to rise:
+at m = n_d = 256, t = 10, one user per pilot, no noise and the symbol
+criterion, 4000 trials at a_total = 45 fail 3.7 % of the time, against
+0.28 % here.
 """
 from __future__ import annotations
 

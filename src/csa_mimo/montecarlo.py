@@ -31,6 +31,9 @@ _BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS
 
 _WILSON_Z95 = 1.959963984540054
 
+# Trials per chunk of the SNB out-of-pilot payloads modulated at once
+_SNB_CHUNK = 32
+
 
 def wilson_interval(events: int, trials: int, z: float = _WILSON_Z95) -> tuple[float, float]:
     """Wilson score confidence interval for a binomial proportion.
@@ -287,11 +290,13 @@ def run_singleton_experiment(
     A single slot holds ``a_total`` users, ``a_pilot`` of them on the probed
     pilot.  The ``a_pilot - 1`` pilot-sharers are treated as decoded in other
     slots and subtracted in replica mode with the chosen algorithm.  Under
-    PAB, a fraction ``presub_fraction`` of the remaining users is also
-    subtracted in replica mode (worst case: no generator-slot subtractions)
-    before the attempt; under SNB those subtractions only touch the other
-    users' own pilots and leave the probed statistics unchanged, so the
-    outcome is independent of the fraction by construction.
+    PAB, ``n_pre = round(presub_fraction * (a_total - a_pilot))`` of the
+    remaining users are also subtracted in replica mode (worst case: no
+    generator-slot subtractions) before the attempt.  ``round`` takes halves
+    to even, so presub 0.5 subtracts 14 of 29 users and 30 of 59.  Under SNB
+    those subtractions only touch the other users' own pilots and leave the
+    probed statistics unchanged, so the outcome is independent of the
+    fraction by construction.
 
     The SNB attempt depends on the slot only through the combining pair
     (f, g).  Conditional on the probed-pilot estimate, every out-of-pilot
@@ -299,22 +304,23 @@ def run_singleton_experiment(
     variance equal to the squared estimate norm, and so is the filtered
     noise per payload symbol; sampling those scalars directly is
     distribution-exact and avoids materializing the antenna-by-symbol
-    matrices.  The PAB branch keeps explicit residual matrices because its
-    channel re-estimates consume them; pilot orthogonality still removes
-    the need for the pilot-phase matrix (subtracting a user shifts the
-    probed estimate only when it shares the probed pilot).
-    """
-    algorithm = Algorithm(algorithm)
-    if algorithm not in (Algorithm.SNB, Algorithm.PAB):
-        raise ValueError(f"singleton experiment supports SNB and PAB, got {algorithm}")
-    if not 0.0 <= presub_fraction <= 1.0:
-        raise ValueError(f"presub_fraction must lie in [0, 1], got {presub_fraction}")
-    if a_pilot < 1 or a_total < a_pilot:
-        raise ValueError(f"need a_total >= a_pilot >= 1, got {a_total}, {a_pilot}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    check_decode_criterion(decode_criterion)
+    matrices.  The out-of-pilot payloads are modulated a chunk of trials at
+    a time, so the whole batch's payload tensor never exists.
 
+    The PAB branch forms the payload-phase observation y once and never
+    writes it.  With X the payloads of the K subtracted users in order (the
+    pre-subtractions, then the pilot-sharers), the correlations C = y Xᴴ and
+    the Gram matrix G = X Xᴴ give each re-estimate from the residual left
+    by the earlier subtractions, h_k = (C_k - Σ_{i<k} h_i G_ik) / G_kk, and
+    the combining statistic is f = phiᴴ y - (phiᴴ H) X.  In exact
+    arithmetic this is the explicit residual loop.  Pilot orthogonality
+    removes the need for the pilot-phase matrix (subtracting a user shifts
+    the probed estimate only when it shares the probed pilot).
+    """
+    algorithm = _check_singleton_args(
+        m, n_d, t, a_pilot, a_total, presub_fraction, trials, algorithm,
+        n_p, noise_var, decode_criterion,
+    )
     rng = RandomStream(seed, a_total).generator()
     n_out = a_total - a_pilot
     n_pre = int(round(presub_fraction * n_out))
@@ -330,41 +336,45 @@ def run_singleton_experiment(
         b = min(batch_size, trials - done)
         done += b
         bits = rng.integers(0, 2, size=(b, a_total, 2 * n_d), dtype=np.uint8)
-        payloads = qpsk_modulate(bits)
 
         if algorithm is Algorithm.SNB:
+            payloads = qpsk_modulate(bits[:, :a_pilot])
             sharers = complex_normal(rng, (b, a_pilot, m), 1.0)
             phi = sharers.sum(axis=1) + complex_normal(rng, (b, m), noise_var / n_p)
             g = np.einsum("bm,bm->b", phi.conj(), phi).real
             c_shar = np.einsum("bm,bpm->bp", phi.conj(), sharers)
             c_out = np.sqrt(g)[:, None] * complex_normal(rng, (b, n_out), 1.0)
-            f = np.einsum("bp,bpn->bn", c_shar, payloads[:, :a_pilot])
+            f = np.einsum("bp,bpn->bn", c_shar, payloads)
             if n_out:
-                f += np.einsum("bo,bon->bn", c_out, payloads[:, a_pilot:])
+                for s in range(0, b, _SNB_CHUNK):
+                    x_out = qpsk_modulate(bits[s:s + _SNB_CHUNK, a_pilot:])
+                    f[s:s + _SNB_CHUNK] += (c_out[s:s + _SNB_CHUNK, None] @ x_out)[:, 0]
             if noise_var > 0:
                 f += np.sqrt(noise_var * g)[:, None] * complex_normal(rng, (b, n_d), 1.0)
             for k in range(1, a_pilot):
                 f = f - m * payloads[:, k]
                 g = g - m
         else:
+            payloads = qpsk_modulate(bits)
             channels = complex_normal(rng, (b, a_total, m), 1.0)
             phi = channels[:, :a_pilot].sum(axis=1)
             phi = phi + complex_normal(rng, (b, m), noise_var / n_p)
             y = channels.transpose(0, 2, 1) @ payloads
             if noise_var > 0:
                 y += complex_normal(rng, (b, m, n_d), noise_var)
-            # out-of-pilot pre-subtractions first, then the pilot-sharers;
-            # each step re-estimates from the residual of its own trial
-            for k in list(range(a_pilot, a_pilot + n_pre)) + list(range(1, a_pilot)):
-                x_k = payloads[:, k]
-                energy = np.einsum("bn,bn->b", x_k.real, x_k.real) + np.einsum(
-                    "bn,bn->b", x_k.imag, x_k.imag
-                )
-                h_est = (y @ x_k.conj()[..., None])[..., 0] / energy[:, None]
-                y -= h_est[:, :, None] * x_k[:, None, :]
-                if k < a_pilot:
-                    phi = phi - h_est
-            f = np.einsum("bm,bmn->bn", phi.conj(), y)
+            order = list(range(a_pilot, a_pilot + n_pre)) + list(range(1, a_pilot))
+            x = payloads[:, order]
+            x_h = x.conj().transpose(0, 2, 1)
+            corr = y @ x_h
+            gram = x @ x_h
+            h = np.empty_like(corr)
+            for k, user in enumerate(order):
+                earlier = (h[:, :, :k] @ gram[:, :k, k, None])[..., 0]
+                h[:, :, k] = (corr[:, :, k] - earlier) / gram[:, k, k, None].real
+                if user < a_pilot:
+                    phi = phi - h[:, :, k]
+            phi_h = phi.conj()[:, None]
+            f = (phi_h @ y - (phi_h @ h) @ x)[:, 0]
             g = np.einsum("bm,bm->b", phi.conj(), phi).real
 
         usable = g > m * RELATIVE_GAIN_FLOOR
@@ -384,6 +394,31 @@ def run_singleton_experiment(
         ci_low=ci_low,
         ci_high=ci_high,
     )
+
+
+def _check_singleton_args(
+    m, n_d, t, a_pilot, a_total, presub_fraction, trials, algorithm,
+    n_p, noise_var, decode_criterion,
+) -> Algorithm:
+    """Reject a singleton experiment's bad input; return its algorithm."""
+    algorithm = Algorithm(algorithm)
+    if algorithm not in (Algorithm.SNB, Algorithm.PAB):
+        raise ValueError(f"singleton experiment supports SNB and PAB, got {algorithm}")
+    for name, value in (("m", m), ("n_d", n_d), ("n_p", n_p)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+    if t < 0:
+        raise ValueError(f"t must be nonnegative, got {t}")
+    if noise_var < 0:
+        raise ValueError(f"noise_var must be nonnegative, got {noise_var}")
+    if not 0.0 <= presub_fraction <= 1.0:
+        raise ValueError(f"presub_fraction must lie in [0, 1], got {presub_fraction}")
+    if a_pilot < 1 or a_total < a_pilot:
+        raise ValueError(f"need a_total >= a_pilot >= 1, got {a_total}, {a_pilot}")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    check_decode_criterion(decode_criterion)
+    return algorithm
 
 
 def _singleton_point(kwargs) -> SingletonRecord:
@@ -409,9 +444,15 @@ def run_singleton_sweep(
     """Run the singleton experiment over a grid of slot loads."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    a_values = [int(a) for a in a_values]
+    for a in a_values:  # before any worker starts
+        _check_singleton_args(
+            m, n_d, t, a_pilot, a, presub_fraction, trials, algorithm,
+            n_p, noise_var, decode_criterion,
+        )
     tasks = [
         dict(
-            m=m, n_d=n_d, t=t, a_pilot=a_pilot, a_total=int(a),
+            m=m, n_d=n_d, t=t, a_pilot=a_pilot, a_total=a,
             presub_fraction=presub_fraction, trials=trials,
             algorithm=Algorithm(algorithm), n_p=n_p, noise_var=noise_var,
             seed=seed, decode_criterion=decode_criterion,

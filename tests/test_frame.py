@@ -13,7 +13,7 @@ from csa_mimo.frame import (
     generate_user_plans,
     make_frame,
 )
-from csa_mimo.signals import RandomStream, build_hadamard_pilots
+from csa_mimo.signals import RandomStream, build_hadamard_pilots, qpsk_modulate
 
 
 def small_config(**overrides) -> SystemConfig:
@@ -193,15 +193,24 @@ class TestGenerateUserPlans:
         assert pvalue > 0.01
 
     def test_replica_payload_identity(self):
-        # every replica of a user carries the same symbols by construction:
-        # the plan holds one payload used in all its slots
-        cfg = small_config()
+        # every replica of a user carries the plan's one payload: on a
+        # noiseless frame, each slot's observations are the true channels
+        # times the plan's pilots and that payload, summed over the slot
+        cfg = small_config(noise_var=0.0)
         frame = make_frame(cfg, RandomStream(5, 0))
         pilot_rows = build_hadamard_pilots(cfg.n_p).sequences.astype(float)
-        for plan in frame.plans[:5]:
-            for slot in plan.slot_indices:
+        p = np.zeros((cfg.n_slots, cfg.m, cfg.n_p), dtype=complex)
+        y = np.zeros((cfg.n_slots, cfg.m, cfg.n_d), dtype=complex)
+        for plan in frame.plans:
+            np.testing.assert_array_equal(plan.payload, qpsk_modulate(plan.payload_bits))
+            for slot, j in zip(plan.slot_indices, plan.pilot_choices):
                 h = frame.true_channels[(plan.user_id, int(slot))]
-                assert h.shape == (cfg.m,)
+                p[slot] += np.outer(h, pilot_rows[j])
+                y[slot] += np.outer(h, plan.payload)
+        assert len(frame.true_channels) == cfg.k_a * cfg.r
+        for slot, signal in enumerate(frame.slots):
+            np.testing.assert_allclose(signal.p, p[slot], rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(signal.y, y[slot], rtol=1e-12, atol=1e-12)
 
 
 class TestPlanDrawOracle:

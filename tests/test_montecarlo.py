@@ -1,13 +1,14 @@
 """Tests for the Monte Carlo harness: sweeps, singleton experiment, CSV."""
 
 import dataclasses
+import itertools
 import os
 
 import numpy as np
 import pytest
 
 from csa_mimo import montecarlo
-from csa_mimo.cancellation import Algorithm, run_receiver
+from csa_mimo.cancellation import RELATIVE_GAIN_FLOOR, Algorithm, run_receiver
 from csa_mimo.frame import SystemConfig, make_frame
 from csa_mimo.montecarlo import (
     _BLAS_THREAD_VARS,
@@ -25,6 +26,8 @@ from csa_mimo.montecarlo import (
     tabulate_singleton_failure,
     wilson_interval,
 )
+from csa_mimo.receiver import count_errors
+from csa_mimo.signals import RandomStream, complex_normal, qpsk_hard_demodulate, qpsk_modulate
 
 
 def tiny_config(**overrides) -> SystemConfig:
@@ -267,6 +270,99 @@ class TestFramesMade:
         assert calls and not any(signals for _, _, signals in calls)
 
 
+def explicit_residual_singleton_failures(
+    m, n_d, t, a_pilot, a_total, presub_fraction, trials, algorithm,
+    *, n_p, noise_var, seed, decode_criterion,
+) -> int:
+    """The singleton experiment as first written: PAB subtracts each user from
+    an explicit residual ``y -= h xᵀ``, SNB modulates the whole payload tensor.
+
+    Same draws, in the same order and batches, as ``run_singleton_experiment``.
+    """
+    rng = RandomStream(seed, a_total).generator()
+    n_out = a_total - a_pilot
+    n_pre = int(round(presub_fraction * n_out))
+    failures = 0
+    if algorithm == "snb":
+        batch_size = max(1, 2**24 // max(1, a_total * n_d))
+    else:
+        batch_size = max(1, min(128, 2**27 // max(1, m * n_d)))
+    done = 0
+    while done < trials:
+        b = min(batch_size, trials - done)
+        done += b
+        bits = rng.integers(0, 2, size=(b, a_total, 2 * n_d), dtype=np.uint8)
+        payloads = qpsk_modulate(bits)
+        if algorithm == "snb":
+            sharers = complex_normal(rng, (b, a_pilot, m), 1.0)
+            phi = sharers.sum(axis=1) + complex_normal(rng, (b, m), noise_var / n_p)
+            g = np.einsum("bm,bm->b", phi.conj(), phi).real
+            c_shar = np.einsum("bm,bpm->bp", phi.conj(), sharers)
+            c_out = np.sqrt(g)[:, None] * complex_normal(rng, (b, n_out), 1.0)
+            f = np.einsum("bp,bpn->bn", c_shar, payloads[:, :a_pilot])
+            if n_out:
+                f += np.einsum("bo,bon->bn", c_out, payloads[:, a_pilot:])
+            if noise_var > 0:
+                f += np.sqrt(noise_var * g)[:, None] * complex_normal(rng, (b, n_d), 1.0)
+            for k in range(1, a_pilot):
+                f = f - m * payloads[:, k]
+                g = g - m
+        else:
+            channels = complex_normal(rng, (b, a_total, m), 1.0)
+            phi = channels[:, :a_pilot].sum(axis=1)
+            phi = phi + complex_normal(rng, (b, m), noise_var / n_p)
+            y = channels.transpose(0, 2, 1) @ payloads
+            if noise_var > 0:
+                y += complex_normal(rng, (b, m, n_d), noise_var)
+            for k in list(range(a_pilot, a_pilot + n_pre)) + list(range(1, a_pilot)):
+                x_k = payloads[:, k]
+                energy = np.einsum("bn,bn->b", x_k.real, x_k.real) + np.einsum(
+                    "bn,bn->b", x_k.imag, x_k.imag
+                )
+                h_est = (y @ x_k.conj()[..., None])[..., 0] / energy[:, None]
+                y -= h_est[:, :, None] * x_k[:, None, :]
+                if k < a_pilot:
+                    phi = phi - h_est
+            f = np.einsum("bm,bmn->bn", phi.conj(), y)
+            g = np.einsum("bm,bm->b", phi.conj(), phi).real
+        usable = g > m * RELATIVE_GAIN_FLOOR
+        x_hat = np.where(usable[:, None], f, 1.0) / np.where(usable, g, 1.0)[:, None]
+        errors = count_errors(qpsk_hard_demodulate(x_hat), bits[:, 0], decode_criterion)
+        failures += int(np.count_nonzero(~usable | (errors > t)))
+    return failures
+
+
+class TestSingletonMatchesExplicitResidual:
+    """The C/G recursion and the chunked SNB payloads against the explicit loop.
+
+    Float summation differs, so the gate is the failure count.  Noiseless PAB
+    with one subtracted interferer leaves a statistic with rational entries
+    (e.g. x0 - ρ x1 with ρ = x0·x1*/n_d), which can have an exactly zero
+    quadrature; such a tie is decided by rounding in either code.  At
+    n_d = 8 and t = 0 a tie flipped 4 of 1728 counts, so every set here has
+    n_d >= 16 and t >= 1.
+    """
+
+    DIMS = (dict(m=8, n_d=16, n_p=4, t=1), dict(m=16, n_d=32, n_p=8, t=1),
+            dict(m=32, n_d=32, n_p=16, t=2))
+
+    @pytest.mark.parametrize("a_pilot", [1, 2, 3])
+    @pytest.mark.parametrize("algorithm", ["snb", "pab"])
+    def test_failures_match(self, algorithm, a_pilot):
+        grid = itertools.product(
+            (0, 1, 4, 9), (0.0, 0.5, 1.0), (0.0, 0.1), ("bit", "symbol"), self.DIMS, (0, 1)
+        )
+        counts = []
+        for extra, presub, noise_var, criterion, dims, seed in grid:
+            kwargs = dict(dims, a_pilot=a_pilot, a_total=a_pilot + extra,
+                          presub_fraction=presub, trials=80, algorithm=algorithm,
+                          noise_var=noise_var, seed=seed, decode_criterion=criterion)
+            expected = explicit_residual_singleton_failures(**kwargs)
+            assert run_singleton_experiment(**kwargs).failures == expected, kwargs
+            counts.append(expected)
+        assert 0 < np.median(counts) < 80  # the grid sits mostly between 0 and all
+
+
 class TestSingletonExperiment:
     def test_lone_user_noiseless_never_fails(self):
         rec = run_singleton_experiment(
@@ -315,7 +411,25 @@ class TestSingletonExperiment:
         with pytest.raises(ValueError):
             run_singleton_experiment(m=16, n_d=16, t=1, a_pilot=1, a_total=2,
                                      presub_fraction=0.0, trials=1, algorithm="prce")
+        bad = [("m", dict(m=0)), ("n_d", dict(n_d=0)), ("n_p", dict(n_p=0)),
+               ("n_p", dict(n_p=-4)), ("t", dict(t=-1)), ("noise_var", dict(noise_var=-0.1))]
+        for name, override in bad:
+            for algorithm in ("snb", "pab"):
+                args = dict(kwargs, trials=1, algorithm=algorithm, **override)
+                with pytest.raises(ValueError, match=rf"^{name} "):
+                    run_singleton_experiment(**args)
 
+    def test_sweep_rejects_bad_input_before_starting_workers(self, monkeypatch):
+        def no_pool(workers):
+            raise AssertionError("pool started")
+
+        monkeypatch.setattr(montecarlo, "_spawn_pool", no_pool)
+        with pytest.raises(ValueError, match="^n_d "):
+            run_singleton_sweep(m=16, n_d=0, t=1, a_pilot=1, a_values=[2, 4],
+                                presub_fraction=0.0, trials=1, algorithm="snb", workers=2)
+        with pytest.raises(ValueError, match="a_total >= a_pilot"):
+            run_singleton_sweep(m=16, n_d=16, t=1, a_pilot=2, a_values=iter([4, 1]),
+                                presub_fraction=0.0, trials=1, algorithm="pab", workers=2)
 
     def test_sweep_worker_count_below_one_rejected(self):
         with pytest.raises(ValueError, match="workers"):
