@@ -19,7 +19,6 @@ from .frame import (
     FrameInstance,
     SlotSignal,
     SystemConfig,
-    UserPlan,
     assemble_frame,
     compute_slot_count,
     generate_user_plans,
@@ -44,7 +43,6 @@ from .receiver import (
     estimate_all_pilot_channels,
 )
 from .signals import (
-    PilotSet,
     RandomStream,
     build_hadamard_pilots,
     complex_normal,

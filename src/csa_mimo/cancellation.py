@@ -6,8 +6,9 @@ Four interchangeable algorithms share one sweep loop:
   interfering term from the combining statistics of the user's pilot --
   ``f -= ||h||^2 x`` and ``g -= ||h||^2`` -- leaving the received matrices
   untouched.  The squared channel norm is taken as the measured combining
-  gain in the generator slot and as the antenna count in replica slots
-  (the normalized norm concentrates at 1 for large arrays).
+  gain in the generator slot and as its mean, the antenna count times the
+  channel variance, in replica slots (``||h||^2 / m`` concentrates at
+  ``channel_var`` for large arrays).
 * ``PAB``  (payload aided): subtract the user's full contribution from the
   residual matrices.  The generator slot uses the matched-filter channel
   estimate captured at decode time; replica slots re-estimate the channel
@@ -29,7 +30,7 @@ other copies):
 =========  ==============================  ==============================
 algorithm  generator slot                  replica slot
 =========  ==============================  ==============================
-SNB        ``||h||^2 = g[slot][j]``        ``||h||^2 = m``
+SNB        ``||h||^2 = g[slot][j]``        ``||h||^2 = m channel_var``
 PAB        ``h = phi[slot][:, j]``         ``h = pab_channel_estimate``
 PRCE       ``h = true_channels[(u, s)]``   ``h = true_channels[(u, s)]``
 LOGICAL    none, removal is perfect        none, removal is perfect
@@ -66,10 +67,11 @@ from .receiver import (
     count_errors,
     estimate_all_pilot_channels,
 )
-from .signals import build_hadamard_pilots, qpsk_hard_demodulate
+from .signals import qpsk_hard_demodulate
 
-# Combining gains at or below m * RELATIVE_GAIN_FLOOR are treated as unused
-# pilots; a lone user's expected gain is m, so this only rejects noise.
+# Combining gains at or below m * channel_var * RELATIVE_GAIN_FLOOR are treated
+# as unused pilots; a lone user's expected gain is m * channel_var, so this only
+# rejects noise.
 RELATIVE_GAIN_FLOOR = 1e-6
 
 
@@ -133,19 +135,16 @@ class ReceiverState:
             return
         if frame.slots is None:
             raise ValueError("frame was generated without signals")
-        self.min_gain = cfg.m * RELATIVE_GAIN_FLOOR
-        pilots = build_hadamard_pilots(cfg.n_p)
+        self.min_gain = cfg.m * cfg.channel_var * RELATIVE_GAIN_FLOOR
         self.y = [s.y for s in frame.slots]
-        self.phi = [estimate_all_pilot_channels(s.p, pilots) for s in frame.slots]
+        self.phi = [estimate_all_pilot_channels(s.p, cfg.n_p) for s in frame.slots]
         if self.algorithm is Algorithm.SNB:
             stats = [compute_combining_statistics(phi, y) for phi, y in zip(self.phi, self.y)]
             self.f = [f for f, _ in stats]
             self.g = [g for _, g in stats]
         else:
             self.g = [combining_gains(phi) for phi in self.phi]
-            occupancy = np.zeros(cfg.n_slots, dtype=np.int64)
-            for plan in frame.plans:
-                occupancy[plan.slot_indices] += 1  # a user's slots are distinct
+            occupancy = np.bincount(frame.slot_indices.ravel(), minlength=cfg.n_slots)
             self.n_subtracted = np.zeros(cfg.n_slots, dtype=np.int64)
             self.subtracted_h = [np.empty((k, cfg.m), dtype=complex) for k in occupancy]
             self.subtracted_x = [np.empty((k, cfg.n_d), dtype=complex) for k in occupancy]
@@ -223,10 +222,11 @@ def subtract(state: ReceiverState, user: int, slot: int, j: int, mode: str) -> N
         state.stale[slot] = True
         return
 
-    plan = state.frame.plans[user]
+    cfg = state.config
+    payload = state.frame.payloads[user]
     if state.algorithm is Algorithm.SNB:
-        norm_sq = float(state.g[slot][j]) if generator else float(state.config.m)
-        state.f[slot][j] -= norm_sq * plan.payload
+        norm_sq = float(state.g[slot][j]) if generator else float(cfg.m * cfg.channel_var)
+        state.f[slot][j] -= norm_sq * payload
         state.g[slot][j] -= norm_sq
         state.stale[slot, j] = True
         return
@@ -235,11 +235,11 @@ def subtract(state: ReceiverState, user: int, slot: int, j: int, mode: str) -> N
     elif generator:
         h_est = state.phi[slot][:, j]
     else:
-        h_est = pab_channel_estimate(state.y[slot], plan.payload, *state.subtracted(slot))
+        h_est = pab_channel_estimate(state.y[slot], payload, *state.subtracted(slot))
     k = state.n_subtracted[slot]
     h = state.subtracted_h[slot][k]
     h[:] = h_est  # a copy, so the update below cannot alias a phi column
-    state.subtracted_x[slot][k] = plan.payload
+    state.subtracted_x[slot][k] = payload
     state.n_subtracted[slot] = k + 1
     phi = state.phi[slot]
     phi[:, j] -= h
@@ -258,7 +258,7 @@ def _decode_attempt(
         return None
     bits_hat = qpsk_hard_demodulate(state.numerator(slot, j) / g)
     for user in candidates:
-        bits = state.frame.plans[user].payload_bits
+        bits = state.frame.payload_bits[user]
         if count_errors(bits_hat, bits, criterion) <= state.config.t:
             return user
     return None
@@ -285,10 +285,11 @@ def run_receiver(
         return DecodeReport(np.zeros(0, dtype=bool), 0, 0, 0)
 
     state = ReceiverState(frame, algorithm)
+    slots_of, pilots_of = frame.slot_indices.tolist(), frame.pilot_choices.tolist()
     users_by_resource: dict[tuple[int, int], list[int]] = {}  # user ids, ascending
-    for plan in frame.plans:
-        for res in zip(plan.slot_indices.tolist(), plan.pilot_choices.tolist()):
-            users_by_resource.setdefault(res, []).append(plan.user_id)
+    for user, (slots, pilots) in enumerate(zip(slots_of, pilots_of)):
+        for res in zip(slots, pilots):
+            users_by_resource.setdefault(res, []).append(user)
     resources = sorted(users_by_resource)
 
     while True:
@@ -307,8 +308,7 @@ def run_receiver(
                 continue
             state.decoded[user] = True
             subtract(state, user, slot, j, "generator")
-            plan = frame.plans[user]
-            for s, pilot in zip(plan.slot_indices.tolist(), plan.pilot_choices.tolist()):
+            for s, pilot in zip(slots_of[user], pilots_of[user]):
                 if s != slot:
                     subtract(state, user, s, pilot, "replica")
             new_decodes += 1

@@ -160,9 +160,12 @@ def _system_config(opts: dict) -> SystemConfig:
                   "latency_ms", "symbol_rate")
         if k in opts
     }
-    if "n_slots" in fields:
-        return SystemConfig(**fields)
-    return SystemConfig.from_latency(**fields)
+    if "n_slots" not in fields:
+        return SystemConfig.from_latency(**fields)
+    for budget in ("latency_ms", "symbol_rate"):
+        if budget in fields:
+            raise ValueError(f"give n_slots or the latency budget, not both (got {budget})")
+    return SystemConfig(**fields)
 
 
 def _a_values(args) -> list[int]:

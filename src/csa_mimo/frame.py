@@ -89,17 +89,6 @@ class SystemConfig:
         return replace(base, n_slots=n)
 
 
-@dataclass(frozen=True)
-class UserPlan:
-    """One user's transmission schedule and payload for a frame."""
-
-    user_id: int
-    slot_indices: np.ndarray    # (r,) distinct slots, ascending
-    pilot_choices: np.ndarray   # (r,) pilot index used in each slot
-    payload_bits: np.ndarray    # (2*n_d,) uint8
-    payload: np.ndarray         # (n_d,) complex QPSK symbols
-
-
 @dataclass
 class SlotSignal:
     """The received pilot-phase and payload-phase matrices of one slot."""
@@ -112,14 +101,17 @@ class SlotSignal:
 class FrameInstance:
     """One frame's ground truth plus the assembled per-slot observations.
 
-    ``true_channels[(user_id, slot)]`` holds the fading vector of each
-    transmitted replica; channels of the same user in different slots are
-    independent draws.  ``slots`` is None when the frame was generated for
-    collision-structure-only processing.
+    User u is row u of the four per-user arrays.  ``true_channels[(u, slot)]``
+    holds the fading vector of each transmitted replica; channels of the
+    same user in different slots are independent draws.  ``slots`` is None
+    when the frame was generated for collision-structure-only processing.
     """
 
     config: SystemConfig
-    plans: list[UserPlan]
+    slot_indices: np.ndarray    # (k_a, r) int64, distinct slots ascending per row
+    pilot_choices: np.ndarray   # (k_a, r) int64, the pilot used in each slot
+    payload_bits: np.ndarray    # (k_a, 2*n_d) uint8
+    payloads: np.ndarray        # (k_a, n_d) complex QPSK symbols
     true_channels: dict = field(default_factory=dict)
     slots: list[SlotSignal] | None = None
 
@@ -172,10 +164,12 @@ def _draw_resources(config: SystemConfig, rng: np.random.Generator):
     return np.sort(slots, axis=1), values[:, 2 * r - 1:]
 
 
-def generate_user_plans(config: SystemConfig, rng: np.random.Generator) -> list[UserPlan]:
+def generate_user_plans(config: SystemConfig, rng: np.random.Generator):
     """Draw every user's slots, pilots and payload for one frame.
 
-    Slots are chosen uniformly without replacement; the pilot is redrawn
+    Returns ``(slot_indices, pilot_choices, payload_bits, payloads)``, the
+    per-user arrays of ``FrameInstance`` in its field order.  Slots are
+    chosen uniformly without replacement; the pilot is redrawn
     independently in every chosen slot; payload bits are i.i.d. uniform and
     identical across the user's replicas.
 
@@ -186,51 +180,40 @@ def generate_user_plans(config: SystemConfig, rng: np.random.Generator) -> list[
     CSVs (``tests/test_golden.py``) and the oracle test in
     ``tests/test_frame.py``, which keeps the per-user calls.
     """
-    all_bits = rng.integers(0, 2, size=(config.k_a, 2 * config.n_d), dtype=np.uint8)
-    payloads = qpsk_modulate(all_bits)
+    bits = rng.integers(0, 2, size=(config.k_a, 2 * config.n_d), dtype=np.uint8)
+    payloads = qpsk_modulate(bits)
     slots, pilots = _draw_resources(config, rng)
-    return [
-        UserPlan(
-            user_id=uid,
-            slot_indices=slots[uid],
-            pilot_choices=pilots[uid],
-            payload_bits=all_bits[uid],
-            payload=payloads[uid],
-        )
-        for uid in range(config.k_a)
-    ]
+    return slots, pilots, bits, payloads
 
 
-def assemble_frame(
-    plans: list[UserPlan], config: SystemConfig, rng: np.random.Generator
-) -> FrameInstance:
+def assemble_frame(plans, config: SystemConfig, rng: np.random.Generator) -> FrameInstance:
     """Superimpose every replica through a fresh fading draw, then add noise.
 
-    Per slot, the pilot-phase observation is the sum of channel x pilot outer
-    products and the payload-phase observation the sum of channel x payload
-    outer products.  Draw order (slot-major, user-ascending, then the slot's
-    two noise matrices) is fixed so a given stream always yields the same frame.
+    ``plans`` is the tuple of per-user arrays ``generate_user_plans``
+    returns.  Per slot, the pilot-phase observation is the sum of channel x
+    pilot outer products and the payload-phase observation the sum of
+    channel x payload outer products.  Draw order (slot-major,
+    user-ascending, then the slot's two noise matrices) is fixed so a given
+    stream always yields the same frame.
     """
-    pilot_rows = build_hadamard_pilots(config.n_p).sequences.astype(float)
-    frame = FrameInstance(config=config, plans=plans, slots=[])
-
-    occupants = [[] for _ in range(config.n_slots)]
-    for plan in plans:
-        for s, j in zip(plan.slot_indices, plan.pilot_choices):
-            occupants[int(s)].append((plan.user_id, int(j)))
+    pilot_rows = build_hadamard_pilots(config.n_p).astype(float)
+    frame = FrameInstance(config, *plans, slots=[])
 
     for slot in range(config.n_slots):
-        users = sorted(occupants[slot])
+        users, replicas = np.nonzero(frame.slot_indices == slot)  # users ascending
         p = np.zeros((config.m, config.n_p), dtype=complex)
         y = np.zeros((config.m, config.n_d), dtype=complex)
-        if users:
-            channels = complex_normal(rng, (len(users), config.m), config.channel_var)
-            s_rows = pilot_rows[[j for _, j in users]]
-            x_rows = np.stack([plans[uid].payload for uid, _ in users])
+        if users.size:
+            channels = complex_normal(rng, (users.size, config.m), config.channel_var)
+            # named, so each is freed only when the next slot's rows replace it:
+            # freed at once, they let malloc hand the heap top back to the OS
+            # after every slot, which cost a k_a=900 frame about 40 k more page
+            # faults in a process that makes frame after frame
+            s_rows = pilot_rows[frame.pilot_choices[users, replicas]]
+            x_rows = frame.payloads[users]
             p += channels.T @ s_rows
             y += channels.T @ x_rows
-            for (uid, _), h in zip(users, channels):
-                frame.true_channels[(uid, slot)] = h
+            frame.true_channels.update(zip([(u, slot) for u in users.tolist()], channels))
         if config.noise_var > 0:
             p += complex_normal(rng, (config.m, config.n_p), config.noise_var)
             y += complex_normal(rng, (config.m, config.n_d), config.noise_var)
@@ -251,5 +234,5 @@ def make_frame(
     rng = stream.generator()
     plans = generate_user_plans(config, rng)
     if not with_signals:
-        return FrameInstance(config=config, plans=plans, slots=None)
+        return FrameInstance(config, *plans)
     return assemble_frame(plans, config, rng)

@@ -23,24 +23,22 @@ from __future__ import annotations
 
 import numpy as np
 
-from .signals import PilotSet, walsh_hadamard_transform
+from .signals import walsh_hadamard_transform
 
 DECODE_CRITERIA = ("bit", "symbol")
 
 
-def estimate_all_pilot_channels(p: np.ndarray, pilots: PilotSet) -> np.ndarray:
-    """Matched-filter channel estimates for every pilot.
+def estimate_all_pilot_channels(p: np.ndarray, n_p: int) -> np.ndarray:
+    """Matched-filter channel estimates for every one of the ``n_p`` Hadamard pilots.
 
     Returns an (m, n_p) array whose column j is the pilot-j estimate
     ``p @ s_j^H / ||s_j||^2``: the sum of the channels of all users on pilot
     j plus noise with per-entry variance ``noise_var / n_p``.  Computed as a
     Walsh-Hadamard transform, which is exact for pilot-aligned inputs.
     """
-    if p.shape[1] != pilots.length:
-        raise ValueError(
-            f"pilot phase has {p.shape[1]} symbols, pilot length is {pilots.length}"
-        )
-    return walsh_hadamard_transform(p) / pilots.length
+    if p.shape[1] != n_p:
+        raise ValueError(f"pilot phase has {p.shape[1]} symbols, pilot length is {n_p}")
+    return walsh_hadamard_transform(p) / n_p
 
 
 def compute_combining_statistics(phi: np.ndarray, y: np.ndarray):

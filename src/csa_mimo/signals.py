@@ -29,10 +29,14 @@ class RandomStream:
     seed: int
     stream_id: int = 0
 
+    def __post_init__(self):
+        for name in ("seed", "stream_id"):
+            if not 0 <= getattr(self, name) < 2**64:
+                raise ValueError(f"{name} must be in [0, 2**64), got {getattr(self, name)}")
+
     def generator(self) -> np.random.Generator:
         """Create a fresh generator positioned at the start of the stream."""
-        entropy = (self.seed & 0xFFFFFFFFFFFFFFFF, self.stream_id & 0xFFFFFFFFFFFFFFFF)
-        return np.random.default_rng(np.random.SeedSequence(entropy))
+        return np.random.default_rng(np.random.SeedSequence((self.seed, self.stream_id)))
 
 
 def complex_normal(rng: np.random.Generator, shape, var: float) -> np.ndarray:
@@ -50,36 +54,19 @@ def complex_normal(rng: np.random.Generator, shape, var: float) -> np.ndarray:
     return z
 
 
-@dataclass(frozen=True)
-class PilotSet:
-    """Mutually orthogonal +/-1 pilot sequences, one per row.
-
-    Rows are in Sylvester order, so the matched filter against all pilots
-    at once is the Walsh-Hadamard transform (see ``walsh_hadamard_transform``).
-    """
-
-    sequences: np.ndarray  # (count, count) int entries, +/-1
-
-    @property
-    def count(self) -> int:
-        return self.sequences.shape[0]
-
-    @property
-    def length(self) -> int:
-        return self.sequences.shape[1]
-
-
-def build_hadamard_pilots(n_p: int) -> PilotSet:
-    """Construct ``n_p`` orthogonal pilot sequences of length ``n_p``.
+def build_hadamard_pilots(n_p: int) -> np.ndarray:
+    """The read-only (n_p, n_p) matrix of ``n_p`` orthogonal +/-1 pilots, one per row.
 
     ``n_p`` must be a power of two (Sylvester construction).  All rows,
-    including the all-ones row, are usable pilots.
+    including the all-ones row, are usable pilots.  Rows are in Sylvester
+    order, so the matched filter against all pilots at once is the
+    Walsh-Hadamard transform (see ``walsh_hadamard_transform``).
     """
     if n_p < 1 or (n_p & (n_p - 1)) != 0:
         raise ValueError(f"pilot count must be a power of two, got {n_p}")
     seqs = hadamard(n_p, dtype=np.int64)
     seqs.setflags(write=False)
-    return PilotSet(sequences=seqs)
+    return seqs
 
 
 def walsh_hadamard_transform(x: np.ndarray) -> np.ndarray:

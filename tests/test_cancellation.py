@@ -16,7 +16,8 @@ from csa_mimo.cancellation import (
     run_receiver,
     subtract,
 )
-from csa_mimo.frame import FrameInstance, SystemConfig, UserPlan, assemble_frame, make_frame
+from csa_mimo.frame import FrameInstance, SystemConfig, assemble_frame, make_frame
+from csa_mimo.montecarlo import wilson_interval
 from csa_mimo.receiver import compute_combining_statistics, estimate_all_pilot_channels
 from csa_mimo.signals import (
     RandomStream,
@@ -32,25 +33,17 @@ ALL_ALGORITHMS = (Algorithm.SNB, Algorithm.PAB, Algorithm.PRCE, Algorithm.LOGICA
 def manual_frame(assignments, *, m=16, n_slots=4, n_p=4, n_d=16, noise_var=0.0, t=2, seed=0):
     """Frame with hand-picked (slot, pilot) assignments per user.
 
-    ``assignments`` is a list (one entry per user) of [(slot, pilot), ...].
+    ``assignments`` is a list (one entry per user) of r [(slot, pilot), ...]
+    pairs, the same r for every user.
     """
+    resources = np.array(assignments, dtype=np.int64)  # (k_a, r, 2)
     cfg = SystemConfig(
         k_a=len(assignments), m=m, n_slots=n_slots, n_p=n_p, n_d=n_d,
-        r=max(len(a) for a in assignments), noise_var=noise_var, t=t,
+        r=resources.shape[1], noise_var=noise_var, t=t,
     )
     rng = RandomStream(seed, 0).generator()
-    plans = []
-    for uid, placement in enumerate(assignments):
-        bits = rng.integers(0, 2, size=2 * n_d, dtype=np.uint8)
-        plans.append(
-            UserPlan(
-                user_id=uid,
-                slot_indices=np.array([s for s, _ in placement]),
-                pilot_choices=np.array([j for _, j in placement]),
-                payload_bits=bits,
-                payload=qpsk_modulate(bits),
-            )
-        )
+    bits = rng.integers(0, 2, size=(cfg.k_a, 2 * n_d), dtype=np.uint8)
+    plans = (resources[..., 0], resources[..., 1], bits, qpsk_modulate(bits))
     return assemble_frame(plans, cfg, rng)
 
 
@@ -73,9 +66,9 @@ def _explicit_residuals(state):
     return state.p_res, state.y_res
 
 
-def pilot_of(plan, slot):
-    """The pilot a user's plan picked in one of its slots."""
-    return int(plan.pilot_choices[plan.slot_indices.tolist().index(slot)])
+def pilot_of(frame, user, slot):
+    """The pilot a user picked in one of its slots."""
+    return int(frame.pilot_choices[user][frame.slot_indices[user].tolist().index(slot)])
 
 
 def full_recompute_subtract(state, user, slot, j, mode):
@@ -84,23 +77,23 @@ def full_recompute_subtract(state, user, slot, j, mode):
     Keeps explicit residual pilot- and payload-phase matrices on the side,
     removes ``h s_j^T`` and ``h x^T`` from them, then re-estimates every
     pilot of the slot and its gain.  The pilot j the caller passes must be
-    the one the user's plan picked in the slot.
+    the one the user picked in the slot.
     """
     p_res, y_res = _explicit_residuals(state)
-    plan = state.frame.plans[user]
-    assert j == pilot_of(plan, slot)
+    payload = state.frame.payloads[user]
+    assert j == pilot_of(state.frame, user, slot)
     if state.algorithm is Algorithm.PRCE:
         h = state.frame.true_channels[(user, slot)]
     elif mode == "generator":
         h = state.phi[slot][:, j]
     else:
-        h = pab_channel_estimate(y_res[slot], plan.payload)
+        h = pab_channel_estimate(y_res[slot], payload)
     state.n_up += mode == "generator"
     state.n_pa += mode == "replica"
     pilots = build_hadamard_pilots(state.config.n_p)
-    p_res[slot] -= np.outer(h, pilots.sequences[j].astype(float))
-    y_res[slot] -= np.outer(h, plan.payload)
-    state.phi[slot] = estimate_all_pilot_channels(p_res[slot], pilots)
+    p_res[slot] -= np.outer(h, pilots[j].astype(float))
+    y_res[slot] -= np.outer(h, payload)
+    state.phi[slot] = estimate_all_pilot_channels(p_res[slot], state.config.n_p)
     state.g[slot] = compute_combining_statistics(state.phi[slot], y_res[slot])[1]
     state.stale[slot] = True
 
@@ -115,24 +108,28 @@ def explicit_residual(state, slot):
     return _explicit_residuals(state)[1][slot]
 
 
+# users A, B and C on pilot 0 in slots (0, 1), (1, 2) and (2, 3): A is a
+# singleton in slot 0, and subtracting its replica clears slot 1 for B, whose
+# replica clears slot 2 for C, all within the first sweep
+CHAIN = [[(0, 0), (1, 0)], [(1, 0), (2, 0)], [(2, 0), (3, 0)]]
+
+
 class TestHandTracedPeeling:
-    # user A repeats in slots 1 and 2, user B sits only in slot 1, all on
-    # pilot 0: A is a singleton in slot 2, subtracting its replica clears
-    # slot 1, then B decodes
     @pytest.mark.parametrize("algorithm", ALL_ALGORITHMS)
-    def test_two_user_chain_decodes_fully(self, algorithm):
-        frame = manual_frame([[(1, 0), (2, 0)], [(1, 0)]])
+    def test_three_user_chain_decodes_fully(self, algorithm):
+        frame = manual_frame(CHAIN)
         report = run_receiver(frame, algorithm)
-        assert report.decoded_count == 2
+        assert report.decoded_count == 3
         assert report.lost_count == 0
         assert report.decoded.all()
 
     def test_subtraction_counters_on_the_chain(self):
-        frame = manual_frame([[(1, 0), (2, 0)], [(1, 0)]])
+        frame = manual_frame(CHAIN)
         report = run_receiver(frame, Algorithm.PAB)
-        # A: generator slot 2 + replica slot 1; B: generator slot 1 only
-        assert report.n_up == 2
-        assert report.n_pa == 1
+        # A, B, C each: a generator slot, then one replica slot ahead of the sweep
+        assert report.sweep_count == 1
+        assert report.n_up == 3
+        assert report.n_pa == 3
 
     @pytest.mark.parametrize("algorithm", ALL_ALGORITHMS)
     def test_collision_free_frame_decodes_in_one_sweep(self, algorithm):
@@ -161,7 +158,7 @@ class TestHandTracedPeeling:
 
     @pytest.mark.parametrize("algorithm", ALL_ALGORITHMS)
     def test_unknown_decode_criterion_rejected(self, algorithm):
-        frame = manual_frame([[(1, 0), (2, 0)], [(1, 0)]])
+        frame = manual_frame(CHAIN)
         with pytest.raises(ValueError, match="decode criterion"):
             run_receiver(frame, algorithm, decode_criterion="nonsense")
 
@@ -199,9 +196,9 @@ def set_based_peel(frame):
     Returns ``(decoded, sweep_count, n_up, n_pa)``.
     """
     occupants = {}
-    for plan in frame.plans:
-        for s, j in zip(plan.slot_indices, plan.pilot_choices):
-            occupants.setdefault((int(s), int(j)), set()).add(plan.user_id)
+    for user, (slots, pilots) in enumerate(zip(frame.slot_indices, frame.pilot_choices)):
+        for s, j in zip(slots, pilots):
+            occupants.setdefault((int(s), int(j)), set()).add(user)
     resources = sorted(occupants)
     decoded = np.zeros(frame.config.k_a, dtype=bool)
     n_up = n_pa = sweeps = 0
@@ -214,8 +211,7 @@ def set_based_peel(frame):
             user = next(iter(occupants[res]))
             decoded[user] = True
             n_up += 1
-            plan = frame.plans[user]
-            for s, j in zip(plan.slot_indices, plan.pilot_choices):
+            for s, j in zip(frame.slot_indices[user], frame.pilot_choices[user]):
                 occupants[(int(s), int(j))].discard(user)
                 n_pa += (int(s), int(j)) != res
             new_decodes += 1
@@ -257,6 +253,24 @@ class TestLogicalOracles:
                 lossy += report.lost_count > 0
                 lossless += report.lost_count == 0
         assert lossy >= 5 and lossless >= 5
+
+    def test_two_user_stopping_set_rate(self):
+        # two users with r=2 of 3 slots and 2 pilots: peeling loses both
+        # exactly when they share both (slot, pilot) resources, which has
+        # probability 1 / (C(3, 2) * 2**2) = 1/12, and loses nobody otherwise
+        cfg = SystemConfig(k_a=2, n_slots=3, n_p=2, r=2)
+        frames = 4000
+        stuck = 0
+        for i in range(frames):
+            frame = make_frame(cfg, RandomStream(31, i), with_signals=False)
+            shared = bool(
+                np.array_equal(frame.slot_indices[0], frame.slot_indices[1])
+                and np.array_equal(frame.pilot_choices[0], frame.pilot_choices[1])
+            )
+            assert run_receiver(frame, Algorithm.LOGICAL).lost_count == 2 * shared
+            stuck += shared
+        low, high = wilson_interval(stuck, frames)
+        assert low <= 1 / 12 <= high
 
     def test_density_evolution_values(self):
         assert density_evolution_plr(0.7, 3) < 1e-9
@@ -332,7 +346,7 @@ class TestSnbSubtraction:
             subtract(state, 0, 0, 1, mode="replica")
 
     def test_other_pilot_statistics_untouched(self):
-        frame = manual_frame([[(0, 1), (1, 2)], [(0, 3)]], noise_var=0.1)
+        frame = manual_frame([[(0, 1), (1, 2)], [(0, 3), (2, 0)]], noise_var=0.1)
         state = ReceiverState(frame, Algorithm.SNB)
         f_other = state.f[0][3].copy()
         g_other = state.g[0][3]
@@ -375,7 +389,7 @@ class TestPabChannelEstimate:
     def test_noiseless_single_user_recovers_channel(self):
         frame = manual_frame([[(0, 1), (1, 1)]], noise_var=0.0, n_d=64)
         h = frame.true_channels[(0, 0)]
-        h_hat = pab_channel_estimate(frame.slots[0].y, frame.plans[0].payload)
+        h_hat = pab_channel_estimate(frame.slots[0].y, frame.payloads[0])
         np.testing.assert_allclose(h_hat, h, rtol=1e-12)
 
     def test_error_variance_matches_interference_count(self):
@@ -415,22 +429,22 @@ class TestPrceSubtraction:
         # removing a decoded user with its true channels must leave exactly
         # the other users' contributions, to machine precision
         frame = manual_frame(
-            [[(0, 1), (1, 2)], [(0, 1)], [(0, 3), (1, 3)]], noise_var=0.0
+            [[(0, 1), (1, 2)], [(0, 1), (2, 0)], [(0, 3), (1, 3)]], noise_var=0.0
         )
         cfg = frame.config
         state = ReceiverState(frame, Algorithm.PRCE)
         subtract(state, 0, 0, 1, mode="generator")
         subtract(state, 0, 1, 2, mode="replica")
-        pilot_rows = build_hadamard_pilots(cfg.n_p).sequences.astype(float)
+        pilot_rows = build_hadamard_pilots(cfg.n_p).astype(float)
         for slot in (0, 1):
             expected_p = np.zeros_like(frame.slots[slot].p)
             expected_y = np.zeros_like(frame.slots[slot].y)
-            for plan in frame.plans[1:]:
-                if slot not in plan.slot_indices:
+            for user in range(1, cfg.k_a):
+                if slot not in frame.slot_indices[user]:
                     continue
-                h = frame.true_channels[(plan.user_id, slot)]
-                expected_p += np.outer(h, pilot_rows[pilot_of(plan, slot)])
-                expected_y += np.outer(h, plan.payload)
+                h = frame.true_channels[(user, slot)]
+                expected_p += np.outer(h, pilot_rows[pilot_of(frame, user, slot)])
+                expected_y += np.outer(h, frame.payloads[user])
             scale = max(np.abs(frame.slots[slot].p).max(), 1.0)
             assert np.abs(state.phi[slot] - expected_phi(expected_p)).max() < 1e-12 * scale
             assert np.abs(implied_residual(state, slot) - expected_y).max() < 1e-12 * scale
@@ -485,9 +499,11 @@ class TestRank1Update:
         scale = {name: max(np.abs(a).max() for a in arrays) for name, arrays in initial.items()}
         compare()
         replicas = [
-            (plan.user_id, int(s), int(j))
-            for plan in frame.plans
-            for s, j in zip(plan.slot_indices, plan.pilot_choices)
+            (user, s, j)
+            for user, (slots, pilots) in enumerate(
+                zip(frame.slot_indices.tolist(), frame.pilot_choices.tolist())
+            )
+            for s, j in zip(slots, pilots)
         ]
         order = data.draw(st.permutations(replicas))
         count = data.draw(st.integers(1, len(replicas)))
@@ -516,6 +532,23 @@ class TestRank1Update:
 
 
 class TestSweepInvariants:
+    def test_power_scale_leaves_reports_unchanged(self):
+        # channel_var 4 and noise_var 0.4 make every received matrix exactly
+        # twice that of the (1, 0.1) frame on the same stream, so a receiver
+        # that scales its assumed powers with channel_var decides the same
+        base = SystemConfig(k_a=60, m=32, n_slots=10, n_p=8, n_d=32, r=3, noise_var=0.1, t=3)
+        scaled_cfg = dataclasses.replace(base, channel_var=4.0, noise_var=0.4)
+        for i in range(20):
+            frame = make_frame(base, RandomStream(1, i))
+            scaled = make_frame(scaled_cfg, RandomStream(1, i))
+            for a, b in zip(frame.slots, scaled.slots):
+                np.testing.assert_array_equal(2 * a.p, b.p)
+                np.testing.assert_array_equal(2 * a.y, b.y)
+            for algorithm in ALL_ALGORITHMS:
+                a, b = run_receiver(frame, algorithm), run_receiver(scaled, algorithm)
+                np.testing.assert_array_equal(a.decoded, b.decoded)
+                assert (a.sweep_count, a.n_up, a.n_pa) == (b.sweep_count, b.n_up, b.n_pa)
+
     @pytest.mark.parametrize("algorithm", ALL_ALGORITHMS)
     def test_termination_within_user_count_sweeps(self, algorithm):
         cfg = SystemConfig(k_a=40, m=32, n_slots=8, n_p=8, n_d=32, r=2, noise_var=0.1, t=3)

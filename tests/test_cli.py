@@ -173,8 +173,10 @@ class TestErrorPaths:
         ("singleton", ["--ka-range", "5:10:5", "--a-total", "10"]),
         ("plr", ["--ka", "5", "--a-total", "3"]),
         ("plr", ["--ka", "5", "--a-range", "2:4:2"]),
+        ("plr", ["--ka", "5", "--latency-ms", "1"]),
+        ("plr", ["--ka", "5", "--symbol-rate", "1e6"]),
     ], ids=["ka", "a_total", "ka_outside_plr", "ka_range_outside_plr", "a_total_under_plr",
-            "a_range_under_plr"])
+            "a_range_under_plr", "n_slots_with_latency_ms", "n_slots_with_symbol_rate"])
     def test_contradictory_load_flags_exit_code(self, experiment, flags, tmp_path):
         out = tmp_path / "load.csv"
         code = run_cli([
@@ -190,6 +192,24 @@ class TestErrorPaths:
                   "--m", "8", "--n-pilots", "8", "--n-d", "8", "--t", "1"]
         assert run_cli(common + ["--trials", "-5"]) == 2
         assert run_cli(common + ["--trials", "10", "--workers", "0"]) == 2
+        assert run_cli(common + ["--trials", "10", "--seed", "-1"]) == 2
+
+    @pytest.mark.parametrize("file_keys, flags", [
+        ("latency_ms = 1\n", ["--n-slots", "10"]),
+        ("n_slots = 10\nsymbol_rate = 1e6\n", []),
+    ], ids=["latency_in_file", "both_in_file"])
+    def test_slot_count_with_latency_budget_from_config_exit_code(
+        self, file_keys, flags, tmp_path
+    ):
+        cfg = tmp_path / "slots.cfg"
+        cfg.write_text(file_keys)
+        out = tmp_path / "slots.csv"
+        code = run_cli([
+            "--config", str(cfg), "--algorithm", "logical", "--ka", "5", "--frames", "1",
+            "--out", str(out),
+        ] + flags)
+        assert code == 2
+        assert not out.exists()
 
     def test_bad_config_key_exit_code(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -46,20 +46,15 @@ def assert_plans_match_per_user_calls(config, stream):
     """``generate_user_plans`` gives the per-user calls' plans and leaves the
     generator where they leave it."""
     rng, oracle_rng = stream.generator(), stream.generator()
-    plans = generate_user_plans(config, rng)
-    bits = oracle_rng.integers(0, 2, size=(config.k_a, 2 * config.n_d), dtype=np.uint8)
-    slots, pilots = per_user_resources(config, oracle_rng)
-    assert [plan.user_id for plan in plans] == list(range(config.k_a))
-    for field, expected in (("slot_indices", slots), ("pilot_choices", pilots)):
-        got = [getattr(plan, field) for plan in plans]
-        assert {a.dtype for a in got} == {e.dtype for e in expected}
-        np.testing.assert_array_equal(
-            np.array(got).reshape(config.k_a, config.r),
-            np.array(expected).reshape(config.k_a, config.r),
-        )
-    np.testing.assert_array_equal(
-        np.array([plan.payload_bits for plan in plans]).reshape(bits.shape), bits
-    )
+    slots, pilots, bits, payloads = generate_user_plans(config, rng)
+    expected_bits = oracle_rng.integers(0, 2, size=(config.k_a, 2 * config.n_d), dtype=np.uint8)
+    expected_slots, expected_pilots = per_user_resources(config, oracle_rng)
+    for got, expected in ((slots, expected_slots), (pilots, expected_pilots)):
+        assert got.shape == (config.k_a, config.r)
+        assert all(e.dtype == got.dtype for e in expected)
+        np.testing.assert_array_equal(got, np.array(expected).reshape(got.shape))
+    np.testing.assert_array_equal(bits, expected_bits)
+    np.testing.assert_array_equal(payloads, qpsk_modulate(expected_bits))
     assert_same_stream_after(rng, oracle_rng)
 
 
@@ -140,30 +135,29 @@ class TestSystemConfig:
 
 class TestGenerateUserPlans:
     def test_no_users_gives_empty_sequence(self):
-        plans = generate_user_plans(small_config(k_a=0), RandomStream(0, 0).generator())
-        assert plans == []
+        cfg = small_config(k_a=0)
+        arrays = generate_user_plans(cfg, RandomStream(0, 0).generator())
+        assert [a.shape for a in arrays] == [(0, cfg.r), (0, cfg.r), (0, 2 * cfg.n_d), (0, cfg.n_d)]
 
     def test_slots_distinct_and_pilots_in_range(self):
         cfg = small_config()
-        plans = generate_user_plans(cfg, RandomStream(1, 0).generator())
-        for plan in plans:
-            assert len(set(plan.slot_indices.tolist())) == cfg.r
-            assert np.all(plan.pilot_choices >= 0)
-            assert np.all(plan.pilot_choices < cfg.n_p)
-            assert plan.payload.shape == (cfg.n_d,)
-            assert plan.payload_bits.shape == (2 * cfg.n_d,)
+        slots, pilots, bits, payloads = generate_user_plans(cfg, RandomStream(1, 0).generator())
+        assert slots.shape == pilots.shape == (cfg.k_a, cfg.r)
+        assert all(len(set(row)) == cfg.r for row in slots.tolist())
+        assert np.all(pilots >= 0)
+        assert np.all(pilots < cfg.n_p)
+        assert payloads.shape == (cfg.k_a, cfg.n_d)
+        assert bits.shape == (cfg.k_a, 2 * cfg.n_d)
 
     def test_slots_ascending(self):
         # the receiver visits a decoded user's replicas in this order
-        plans = generate_user_plans(SystemConfig(k_a=900), RandomStream(1, 1).generator())
-        for plan in plans:
-            assert np.all(np.diff(plan.slot_indices) > 0)
+        slots = generate_user_plans(SystemConfig(k_a=900), RandomStream(1, 1).generator())[0]
+        assert np.all(np.diff(slots, axis=1) > 0)
 
     def test_full_repetition_uses_every_slot(self):
         cfg = small_config(r=12, n_slots=12)
-        plans = generate_user_plans(cfg, RandomStream(2, 0).generator())
-        for plan in plans:
-            assert sorted(plan.slot_indices.tolist()) == list(range(12))
+        slots = generate_user_plans(cfg, RandomStream(2, 0).generator())[0]
+        np.testing.assert_array_equal(slots, np.broadcast_to(np.arange(12), slots.shape))
 
     def test_slot_occupancy_statistics(self):
         # occupancy of a fixed slot is Binomial(k_a, r / n_slots); check the
@@ -172,8 +166,8 @@ class TestGenerateUserPlans:
         frames = 400
         occupancy = np.zeros(frames)
         for i in range(frames):
-            plans = generate_user_plans(cfg, RandomStream(3, i).generator())
-            occupancy[i] = sum(0 in plan.slot_indices for plan in plans)
+            slots = generate_user_plans(cfg, RandomStream(3, i).generator())[0]
+            occupancy[i] = np.count_nonzero(slots == 0)
         p = cfg.r / cfg.n_slots
         expected = cfg.k_a * p
         sigma = np.sqrt(cfg.k_a * p * (1 - p) / frames)
@@ -184,29 +178,27 @@ class TestGenerateUserPlans:
         cfg = small_config(k_a=4000, n_p=8)
         counts = np.zeros(cfg.n_p)
         for i in range(9):
-            plans = generate_user_plans(cfg, RandomStream(4, i).generator())
-            for plan in plans:
-                for j in plan.pilot_choices:
-                    counts[j] += 1
+            pilots = generate_user_plans(cfg, RandomStream(4, i).generator())[1]
+            counts += np.bincount(pilots.ravel(), minlength=cfg.n_p)
         assert counts.sum() >= 100_000
         _, pvalue = chisquare(counts)
         assert pvalue > 0.01
 
     def test_replica_payload_identity(self):
-        # every replica of a user carries the plan's one payload: on a
+        # every replica of a user carries the user's one payload: on a
         # noiseless frame, each slot's observations are the true channels
-        # times the plan's pilots and that payload, summed over the slot
+        # times the users' pilots and that payload, summed over the slot
         cfg = small_config(noise_var=0.0)
         frame = make_frame(cfg, RandomStream(5, 0))
-        pilot_rows = build_hadamard_pilots(cfg.n_p).sequences.astype(float)
+        pilot_rows = build_hadamard_pilots(cfg.n_p).astype(float)
         p = np.zeros((cfg.n_slots, cfg.m, cfg.n_p), dtype=complex)
         y = np.zeros((cfg.n_slots, cfg.m, cfg.n_d), dtype=complex)
-        for plan in frame.plans:
-            np.testing.assert_array_equal(plan.payload, qpsk_modulate(plan.payload_bits))
-            for slot, j in zip(plan.slot_indices, plan.pilot_choices):
-                h = frame.true_channels[(plan.user_id, int(slot))]
+        np.testing.assert_array_equal(frame.payloads, qpsk_modulate(frame.payload_bits))
+        for user in range(cfg.k_a):
+            for slot, j in zip(frame.slot_indices[user], frame.pilot_choices[user]):
+                h = frame.true_channels[(user, int(slot))]
                 p[slot] += np.outer(h, pilot_rows[j])
-                y[slot] += np.outer(h, plan.payload)
+                y[slot] += np.outer(h, frame.payloads[user])
         assert len(frame.true_channels) == cfg.k_a * cfg.r
         for slot, signal in enumerate(frame.slots):
             np.testing.assert_allclose(signal.p, p[slot], rtol=1e-12, atol=1e-12)
@@ -276,17 +268,16 @@ class TestAssembleFrame:
     def test_single_user_noiseless_outer_products(self):
         cfg = small_config(k_a=1, noise_var=0.0)
         frame = make_frame(cfg, RandomStream(6, 0))
-        plan = frame.plans[0]
-        pilot_rows = build_hadamard_pilots(cfg.n_p).sequences.astype(float)
-        for slot, j in zip(plan.slot_indices, plan.pilot_choices):
-            h = frame.true_channels[(plan.user_id, int(slot))]
+        pilot_rows = build_hadamard_pilots(cfg.n_p).astype(float)
+        for slot, j in zip(frame.slot_indices[0], frame.pilot_choices[0]):
+            h = frame.true_channels[(0, int(slot))]
             sig = frame.slots[int(slot)]
             # pilot symbols are +/-1 so the products are exact; the payload
             # products may differ from np.outer by one rounding (FMA in the
             # matrix product), hence the 1-ulp relative tolerance
             np.testing.assert_array_equal(sig.p, np.outer(h, pilot_rows[j]))
-            np.testing.assert_allclose(sig.y, np.outer(h, plan.payload), rtol=1e-15)
-        empty = [s for s in range(cfg.n_slots) if s not in plan.slot_indices]
+            np.testing.assert_allclose(sig.y, np.outer(h, frame.payloads[0]), rtol=1e-15)
+        empty = [s for s in range(cfg.n_slots) if s not in frame.slot_indices[0]]
         for s in empty:
             np.testing.assert_array_equal(frame.slots[s].p, 0)
 
@@ -305,14 +296,14 @@ class TestAssembleFrame:
         # alone; with zero noise the residual vanishes to machine precision
         cfg = small_config(k_a=25, noise_var=0.0)
         frame = make_frame(cfg, RandomStream(8, 0))
-        pilot_rows = build_hadamard_pilots(cfg.n_p).sequences.astype(float)
+        pilot_rows = build_hadamard_pilots(cfg.n_p).astype(float)
         residual_p = [s.p.copy() for s in frame.slots]
         residual_y = [s.y.copy() for s in frame.slots]
-        for plan in frame.plans:
-            for slot, j in zip(plan.slot_indices, plan.pilot_choices):
-                h = frame.true_channels[(plan.user_id, int(slot))]
+        for user in range(cfg.k_a):
+            for slot, j in zip(frame.slot_indices[user], frame.pilot_choices[user]):
+                h = frame.true_channels[(user, int(slot))]
                 residual_p[int(slot)] -= np.outer(h, pilot_rows[j])
-                residual_y[int(slot)] -= np.outer(h, plan.payload)
+                residual_y[int(slot)] -= np.outer(h, frame.payloads[user])
         scale = max(np.abs(s.p).max() for s in frame.slots)
         for rp, ry in zip(residual_p, residual_y):
             assert np.abs(rp).max() < 1e-12 * scale
@@ -321,12 +312,12 @@ class TestAssembleFrame:
     def test_two_users_same_slot_noiseless_sum(self):
         cfg = small_config(k_a=2, n_slots=2, r=2, noise_var=0.0)
         frame = make_frame(cfg, RandomStream(9, 0))
-        pilot_rows = build_hadamard_pilots(cfg.n_p).sequences.astype(float)
+        pilot_rows = build_hadamard_pilots(cfg.n_p).astype(float)
         slot = 0
         expected = np.zeros_like(frame.slots[slot].p)
-        for plan in frame.plans:
-            j = int(plan.pilot_choices[plan.slot_indices.tolist().index(slot)])
-            expected += np.outer(frame.true_channels[(plan.user_id, slot)], pilot_rows[j])
+        for user in range(cfg.k_a):
+            j = int(frame.pilot_choices[user][frame.slot_indices[user].tolist().index(slot)])
+            expected += np.outer(frame.true_channels[(user, slot)], pilot_rows[j])
         np.testing.assert_allclose(frame.slots[slot].p, expected, atol=1e-13)
 
     def test_same_stream_reproduces_frame_bitwise(self):
@@ -342,14 +333,11 @@ class TestAssembleFrame:
         with_sig = make_frame(cfg, RandomStream(11, 0), with_signals=True)
         without = make_frame(cfg, RandomStream(11, 0), with_signals=False)
         assert without.slots is None
-        for a, b in zip(with_sig.plans, without.plans):
-            np.testing.assert_array_equal(a.slot_indices, b.slot_indices)
-            np.testing.assert_array_equal(a.pilot_choices, b.pilot_choices)
-            np.testing.assert_array_equal(a.payload_bits, b.payload_bits)
+        for name in ("slot_indices", "pilot_choices", "payload_bits", "payloads"):
+            np.testing.assert_array_equal(getattr(with_sig, name), getattr(without, name))
 
     def test_channels_independent_across_slots(self):
         cfg = small_config(k_a=1, noise_var=0.0)
         frame = make_frame(cfg, RandomStream(12, 0))
-        plan = frame.plans[0]
-        chans = [frame.true_channels[(0, int(s))] for s in plan.slot_indices]
+        chans = [frame.true_channels[(0, int(s))] for s in frame.slot_indices[0]]
         assert not np.array_equal(chans[0], chans[1])

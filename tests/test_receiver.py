@@ -5,7 +5,7 @@ import pytest
 
 from csa_mimo.analysis import InterferenceScenario, singleton_failure_probability
 from csa_mimo.cancellation import Algorithm, run_receiver
-from csa_mimo.frame import SystemConfig, UserPlan, assemble_frame, make_frame
+from csa_mimo.frame import SystemConfig, assemble_frame, make_frame
 from csa_mimo.receiver import (
     compute_combining_statistics,
     count_errors,
@@ -32,8 +32,8 @@ class TestPilotChannelEstimation:
         rng = RandomStream(0, 0).generator()
         h = complex_normal(rng, m, 1.0)
         j = 5
-        p = np.outer(h, pilots.sequences[j].astype(float))
-        phi = estimate_all_pilot_channels(p, pilots)
+        p = np.outer(h, pilots[j].astype(float))
+        phi = estimate_all_pilot_channels(p, n_p)
         np.testing.assert_array_equal(phi[:, j], h)
         others = np.delete(phi, j, axis=1)
         np.testing.assert_array_equal(others, np.zeros_like(others))
@@ -45,19 +45,18 @@ class TestPilotChannelEstimation:
         h1 = complex_normal(rng, m, 1.0)
         h2 = complex_normal(rng, m, 1.0)
         j = 3
-        p = np.outer(h1 + h2, pilots.sequences[j].astype(float))
-        phi = estimate_all_pilot_channels(p, pilots)
+        p = np.outer(h1 + h2, pilots[j].astype(float))
+        phi = estimate_all_pilot_channels(p, n_p)
         np.testing.assert_array_equal(phi[:, j], h1 + h2)
 
     def test_noise_only_matched_filter_gain(self):
         # per-entry variance of the estimate is noise_var / n_p
         m, n_p, noise_var = 64, 16, 0.1
-        pilots = build_hadamard_pilots(n_p)
         rng = RandomStream(2, 0).generator()
         samples = []
         for _ in range(300):
             p = complex_normal(rng, (m, n_p), noise_var)
-            samples.append(estimate_all_pilot_channels(p, pilots).ravel())
+            samples.append(estimate_all_pilot_channels(p, n_p).ravel())
         samples = np.concatenate(samples)
         measured = np.mean(np.abs(samples) ** 2)
         expected = noise_var / n_p
@@ -65,9 +64,8 @@ class TestPilotChannelEstimation:
         assert abs(measured - expected) < 3 * se
 
     def test_dimension_mismatch_rejected(self):
-        pilots = build_hadamard_pilots(16)
-        with pytest.raises(ValueError):
-            estimate_all_pilot_channels(np.zeros((4, 8), dtype=complex), pilots)
+        with pytest.raises(ValueError, match="pilot length is 16"):
+            estimate_all_pilot_channels(np.zeros((4, 8), dtype=complex), 16)
 
 
 class TestCombiningStatistics:
@@ -150,8 +148,8 @@ class TestMrcPayloadEstimate:
         # "decode" the user; the gain floor must skip the attempt instead
         cfg = SystemConfig(k_a=1, m=8, n_slots=2, n_p=4, n_d=8, r=1, noise_var=0.0, t=0)
         bits = np.zeros(2 * cfg.n_d, dtype=np.uint8)
-        plan = UserPlan(0, np.array([0]), np.array([1]), bits, qpsk_modulate(bits))
-        frame = assemble_frame([plan], cfg, RandomStream(0, 0).generator())
+        plans = (np.array([[0]]), np.array([[1]]), bits[None], qpsk_modulate(bits)[None])
+        frame = assemble_frame(plans, cfg, RandomStream(0, 0).generator())
         for slot in frame.slots:
             slot.p[:] = 0.0
             slot.y[:] = 0.0
@@ -246,10 +244,9 @@ class TestDeterminism:
     def test_statistics_recomputation_idempotent(self):
         cfg = SystemConfig(k_a=10, m=16, n_slots=8, n_p=8, n_d=16, r=2, noise_var=0.1, t=2)
         frame = make_frame(cfg, RandomStream(11, 0))
-        pilots = build_hadamard_pilots(cfg.n_p)
         slot = frame.slots[0]
-        phi1 = estimate_all_pilot_channels(slot.p, pilots)
-        phi2 = estimate_all_pilot_channels(slot.p, pilots)
+        phi1 = estimate_all_pilot_channels(slot.p, cfg.n_p)
+        phi2 = estimate_all_pilot_channels(slot.p, cfg.n_p)
         np.testing.assert_array_equal(phi1, phi2)
         f1, g1 = compute_combining_statistics(phi1, slot.y)
         f2, g2 = compute_combining_statistics(phi2, slot.y)

@@ -29,6 +29,17 @@ class TestRandomStream:
         b = RandomStream(7, 1).generator().standard_normal(64)
         assert not np.array_equal(a, b)
 
+    @pytest.mark.parametrize("seed, stream_id", [(-1, 0), (2**64, 0), (0, -1), (0, 2**64)])
+    def test_seed_and_stream_id_outside_64_bits_rejected(self, seed, stream_id):
+        with pytest.raises(ValueError, match=r"must be in \[0, 2\*\*64\)"):
+            RandomStream(seed, stream_id)
+
+    def test_largest_64_bit_seed_and_stream_id_accepted(self):
+        top = 2**64 - 1
+        a = RandomStream(top, top).generator().standard_normal(8)
+        b = np.random.default_rng(np.random.SeedSequence((top, top))).standard_normal(8)
+        np.testing.assert_array_equal(a, b)
+
     def test_distinct_streams_uncorrelated(self):
         n = 200_000
         a = RandomStream(7, 0).generator().standard_normal(n)
@@ -128,16 +139,17 @@ class TestNoiseDraws:
 class TestHadamardPilots:
     def test_sylvester_base_case(self):
         pilots = build_hadamard_pilots(2)
-        np.testing.assert_array_equal(pilots.sequences, [[1, 1], [1, -1]])
+        np.testing.assert_array_equal(pilots, [[1, 1], [1, -1]])
+        assert not pilots.flags.writeable
 
     def test_orthogonality_is_exact_for_64(self):
         # integer arithmetic: every distinct-row inner product is exactly 0
-        seqs = build_hadamard_pilots(64).sequences
+        seqs = build_hadamard_pilots(64)
         gram = seqs @ seqs.T
         np.testing.assert_array_equal(gram, 64 * np.eye(64, dtype=np.int64))
 
     def test_unit_symbol_energy(self):
-        seqs = build_hadamard_pilots(16).sequences
+        seqs = build_hadamard_pilots(16)
         np.testing.assert_array_equal(np.abs(seqs), np.ones((16, 16)))
 
     def test_non_power_of_two_rejected(self):
@@ -150,7 +162,7 @@ class TestHadamardPilots:
 class TestWalshHadamardTransform:
     def test_matches_direct_matrix_product(self):
         rng = RandomStream(10, 0).generator()
-        seqs = build_hadamard_pilots(32).sequences.astype(float)
+        seqs = build_hadamard_pilots(32).astype(float)
         x = complex_normal(rng, (7, 32), 1.0)
         np.testing.assert_allclose(
             walsh_hadamard_transform(x), x @ seqs, rtol=1e-13, atol=1e-13
@@ -160,7 +172,7 @@ class TestWalshHadamardTransform:
         # a vector proportional to pilot row j concentrates on bin j with no
         # floating-point residue in the other bins
         rng = RandomStream(11, 0).generator()
-        seqs = build_hadamard_pilots(64).sequences
+        seqs = build_hadamard_pilots(64)
         h = complex_normal(rng, 1, 1.0)[0]
         x = h * seqs[23].astype(float)
         out = walsh_hadamard_transform(x)
