@@ -14,8 +14,8 @@ import numpy as np
 from .signals import (
     RandomStream,
     build_hadamard_pilots,
-    complex_normal,
     qpsk_modulate,
+    standard_normal_segments,
 )
 
 
@@ -195,28 +195,43 @@ def assemble_frame(plans, config: SystemConfig, rng: np.random.Generator) -> Fra
     channel x payload outer products.  Draw order (slot-major,
     user-ascending, then the slot's two noise matrices) is fixed so a given
     stream always yields the same frame.
-    """
-    pilot_rows = build_hadamard_pilots(config.n_p).astype(float)
-    frame = FrameInstance(config, *plans, slots=[])
 
-    for slot in range(config.n_slots):
-        users, replicas = np.nonzero(frame.slot_indices == slot)  # users ascending
-        p = np.zeros((config.m, config.n_p), dtype=complex)
-        y = np.zeros((config.m, config.n_d), dtype=complex)
+    The whole frame is one ``standard_normal_segments`` draw.  Per slot its
+    segments are the channels (occupancy x m complex entries), then the
+    pilot noise (m x n_p) and the payload noise (m x n_d), the two noise
+    segments only when ``noise_var > 0``.  Each slot's channel rows, ``p``
+    and ``y`` are views into that draw, scaled in place as
+    ``complex_normal`` scales, and the outer products are added into the
+    noise views: ``noise + products`` has the bits of ``(0 + products) +
+    noise``.
+    """
+    m, n_p, n_d = config.m, config.n_p, config.n_d
+    pilot_rows = build_hadamard_pilots(n_p).astype(float)
+    frame = FrameInstance(config, *plans, slots=[])
+    occupants = [np.nonzero(frame.slot_indices == slot) for slot in range(config.n_slots)]
+    noisy = config.noise_var > 0
+    sizes = []
+    for users, _ in occupants:
+        sizes += [2 * users.size * m] + ([2 * m * n_p, 2 * m * n_d] if noisy else [])
+    segments = iter(standard_normal_segments(rng, sizes))
+    channel_scale = np.sqrt(config.channel_var / 2.0)
+    noise_scale = np.sqrt(config.noise_var / 2.0)
+
+    for slot, (users, replicas) in enumerate(occupants):  # users ascending
+        channels = next(segments).view(complex).reshape(users.size, m)
+        channels *= channel_scale
+        if noisy:
+            p = next(segments).view(complex).reshape(m, n_p)
+            y = next(segments).view(complex).reshape(m, n_d)
+            p *= noise_scale
+            y *= noise_scale
+        else:
+            p = np.zeros((m, n_p), dtype=complex)
+            y = np.zeros((m, n_d), dtype=complex)
         if users.size:
-            channels = complex_normal(rng, (users.size, config.m), config.channel_var)
-            # named, so each is freed only when the next slot's rows replace it:
-            # freed at once, they let malloc hand the heap top back to the OS
-            # after every slot, which cost a k_a=900 frame about 40 k more page
-            # faults in a process that makes frame after frame
-            s_rows = pilot_rows[frame.pilot_choices[users, replicas]]
-            x_rows = frame.payloads[users]
-            p += channels.T @ s_rows
-            y += channels.T @ x_rows
+            p += channels.T @ pilot_rows[frame.pilot_choices[users, replicas]]
+            y += channels.T @ frame.payloads[users]
             frame.true_channels.update(zip([(u, slot) for u in users.tolist()], channels))
-        if config.noise_var > 0:
-            p += complex_normal(rng, (config.m, config.n_p), config.noise_var)
-            y += complex_normal(rng, (config.m, config.n_d), config.noise_var)
         frame.slots.append(SlotSignal(p=p, y=y))
     return frame
 

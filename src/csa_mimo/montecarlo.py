@@ -19,6 +19,7 @@ from multiprocessing import get_context
 
 import numpy as np
 
+from . import signals
 from .analysis import InterferenceScenario, singleton_failure_probability, symbol_error_probability
 from .cancellation import RELATIVE_GAIN_FLOOR, Algorithm, run_receiver
 from .frame import SystemConfig, make_frame
@@ -150,23 +151,29 @@ def frame_stream(base_seed: int, ka: int, frame_idx: int) -> RandomStream:
 
 
 def _spawn_pool(workers: int):
-    """Start a spawn pool whose workers each run one BLAS thread.
+    """Start a spawn pool whose workers each run one BLAS thread and draw
+    each frame's normals on one thread.
 
     Spawned workers read the BLAS thread variables when they import numpy,
     so the variables are set to 1 while the workers start and the parent's
     own values are put back afterwards.  Unpinned, every worker would start
-    one BLAS thread per core and the pool would oversubscribe the machine.
+    one BLAS thread (and one draw thread) per core and the pool would
+    oversubscribe the machine.
     """
     saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
     os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
     try:
-        return get_context("spawn").Pool(processes=workers)
+        return get_context("spawn").Pool(processes=workers, initializer=_draw_on_one_thread)
     finally:
         for name, value in saved.items():
             if value is None:
                 del os.environ[name]
             else:
                 os.environ[name] = value
+
+
+def _draw_on_one_thread() -> None:
+    signals.draw_threads = 1
 
 
 def _run_frame(task) -> list[tuple[int, int, int]]:
@@ -241,7 +248,8 @@ def _run_load(spec: SweepSpec, ka: int, pool, workers: int) -> list[_Point]:
     t0 = time.perf_counter()
     config = dataclasses.replace(spec.config, k_a=ka)
     points = running = [_Point(algorithm) for algorithm in spec.algorithms]
-    batch_size = 1 if pool is None else max(8, 4 * workers)
+    # one frame per worker: a pool makes at most workers - 1 past a stop
+    batch_size = 1 if pool is None else workers
     start = 0
     while running and start < spec.max_frames:
         stop = min(start + batch_size, spec.max_frames)

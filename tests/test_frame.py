@@ -1,9 +1,12 @@
 """Tests for frame generation: slot budgeting, plans, signal assembly."""
 
+import itertools
+
 import numpy as np
 import pytest
 from scipy.stats import chisquare
 
+from csa_mimo import signals
 from csa_mimo.frame import (
     FrameInstance,
     SystemConfig,
@@ -13,7 +16,7 @@ from csa_mimo.frame import (
     generate_user_plans,
     make_frame,
 )
-from csa_mimo.signals import RandomStream, build_hadamard_pilots, qpsk_modulate
+from csa_mimo.signals import RandomStream, build_hadamard_pilots, complex_normal, qpsk_modulate
 
 
 def small_config(**overrides) -> SystemConfig:
@@ -84,6 +87,50 @@ def generator_starting_with(words, seed=0):
         state["state"]["state"] = ((after - state["state"]["inc"]) * inverse) % 2**128
     rng.bit_generator.state = state
     return rng
+
+
+def per_slot_assembly(plans, config, rng):
+    """The signal assembly as first written: one ``complex_normal`` call per
+    slot's channels and per noise matrix.  Returns ``(true_channels, [(p, y)])``."""
+    slot_indices, pilot_choices, _, payloads = plans
+    pilot_rows = build_hadamard_pilots(config.n_p).astype(float)
+    true_channels, slots = {}, []
+    for slot in range(config.n_slots):
+        users, replicas = np.nonzero(slot_indices == slot)
+        p = np.zeros((config.m, config.n_p), dtype=complex)
+        y = np.zeros((config.m, config.n_d), dtype=complex)
+        if users.size:
+            channels = complex_normal(rng, (users.size, config.m), config.channel_var)
+            p += channels.T @ pilot_rows[pilot_choices[users, replicas]]
+            y += channels.T @ payloads[users]
+            true_channels.update(zip([(u, slot) for u in users.tolist()], channels))
+        if config.noise_var > 0:
+            p += complex_normal(rng, (config.m, config.n_p), config.noise_var)
+            y += complex_normal(rng, (config.m, config.n_d), config.noise_var)
+        slots.append((p, y))
+    return true_channels, slots
+
+
+def assert_same_bytes(got, expected):
+    assert got.shape == expected.shape and got.dtype == expected.dtype
+    assert got.tobytes() == expected.tobytes()
+
+
+def assert_assembly_matches_oracle(config, stream):
+    """``assemble_frame`` gives the per-slot loop's channels (values and dict
+    order), ``p`` and ``y`` byte for byte, and leaves the stream where it does."""
+    rng, oracle_rng = stream.generator(), stream.generator()
+    frame = assemble_frame(generate_user_plans(config, rng), config, rng)
+    true_channels, slots = per_slot_assembly(
+        generate_user_plans(config, oracle_rng), config, oracle_rng)
+    assert list(frame.true_channels) == list(true_channels)
+    for key, h in true_channels.items():
+        assert_same_bytes(frame.true_channels[key], h)
+    assert len(frame.slots) == len(slots)
+    for signal, (p, y) in zip(frame.slots, slots):
+        assert_same_bytes(signal.p, p)
+        assert_same_bytes(signal.y, y)
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 class TestComputeSlotCount:
@@ -341,3 +388,42 @@ class TestAssembleFrame:
         frame = make_frame(cfg, RandomStream(12, 0))
         chans = [frame.true_channels[(0, int(s))] for s in frame.slot_indices[0]]
         assert not np.array_equal(chans[0], chans[1])
+
+
+class TestAssemblyOracle:
+    """The one-draw frame assembly against the per-slot ``complex_normal`` loop."""
+
+    @pytest.mark.parametrize("config", [
+        SystemConfig(k_a=0),
+        SystemConfig(k_a=1),
+        SystemConfig(k_a=100),
+        SystemConfig(k_a=900),
+        small_config(k_a=2),                      # most slots empty
+        SystemConfig(k_a=900, noise_var=0.0),
+        SystemConfig(k_a=300, channel_var=2.5, noise_var=0.37),
+        small_config(channel_var=0.3, noise_var=0.0),
+    ], ids=lambda config: f"ka{config.k_a}-m{config.m}-ch{config.channel_var}-n{config.noise_var}")
+    def test_byte_identical_to_per_slot_draws(self, config):
+        for i in range(2 if config.m < 256 else 1):
+            assert_assembly_matches_oracle(config, RandomStream(15, i))
+
+    @pytest.mark.parametrize("noise_var", (0.1, 0.0))
+    def test_small_frames_split_into_parts(self, monkeypatch, noise_var):
+        # the frames above split only at the reference size on a host with
+        # more than one CPU; one normal per part and three threads split these
+        monkeypatch.setattr(signals, "_MIN_PART", 1)
+        monkeypatch.setattr(signals, "draw_threads", 3)
+        for i in range(4):
+            assert_assembly_matches_oracle(small_config(noise_var=noise_var), RandomStream(17, i))
+
+    @pytest.mark.parametrize("noise_var", (0.1, 0.0))
+    def test_no_two_slots_share_memory(self, noise_var):
+        config = SystemConfig(k_a=100, noise_var=noise_var)
+        frame = make_frame(config, RandomStream(16, 0))
+        arrays = [
+            (slot, a) for slot, signal in enumerate(frame.slots) for a in (signal.p, signal.y)
+        ]
+        arrays += [(slot, h) for (_, slot), h in frame.true_channels.items()]
+        for (slot_a, a), (slot_b, b) in itertools.combinations(arrays, 2):
+            if slot_a != slot_b:
+                assert not np.shares_memory(a, b)

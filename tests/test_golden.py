@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from csa_mimo import signals
 from csa_mimo.cli import main
 
 DATA = Path(__file__).resolve().parent / "data" / "golden"
@@ -38,6 +39,15 @@ def test_cli_reproduces_golden_csv(name, tmp_path):
     out = tmp_path / name
     assert main(CASES[name] + DIMS + ["--out", str(out)]) == 0
     assert out.read_bytes() == (DATA / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", ["plr_bit.csv", "plr_symbol.csv"])
+def test_frames_drawn_in_parts_reproduce_golden_csv(name, tmp_path, monkeypatch):
+    # these frames are far below _MIN_PART normals, so they are drawn on one
+    # thread above; one normal per part splits each into three
+    monkeypatch.setattr(signals, "_MIN_PART", 1)
+    monkeypatch.setattr(signals, "draw_threads", 3)
+    test_cli_reproduces_golden_csv(name, tmp_path)
 
 
 if __name__ == "__main__":

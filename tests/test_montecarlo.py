@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from csa_mimo import montecarlo
+from csa_mimo import montecarlo, signals
 from csa_mimo.cancellation import RELATIVE_GAIN_FLOOR, Algorithm, run_receiver
 from csa_mimo.frame import SystemConfig, make_frame
 from csa_mimo.montecarlo import (
@@ -264,6 +264,48 @@ class TestFramesMade:
         # at k_a=8 LOGICAL outlives SNB, so the later frames skip the signals
         assert (8, 7, False) in calls and (8, 6, True) in calls
 
+    @pytest.fixture
+    def dispatched(self, monkeypatch):
+        """Every (k_a, frame index, with_signals) a pool sweep hands its workers,
+        one list per batch."""
+        batches = []
+
+        class RecordingPool:
+            def __init__(self, pool):
+                self.pool = pool
+
+            def map(self, fn, tasks, chunksize=1):
+                batches.append([
+                    (config.k_a, stream.stream_id & 0xFFFFFFFF,
+                     any(a is not Algorithm.LOGICAL for a in algorithms))
+                    for config, algorithms, stream, _ in tasks
+                ])
+                return self.pool.map(fn, tasks, chunksize=chunksize)
+
+            def close(self):
+                self.pool.close()
+
+            def join(self):
+                self.pool.join()
+
+        monkeypatch.setattr(
+            montecarlo, "_spawn_pool", lambda workers: RecordingPool(_spawn_pool(workers)))
+        return batches
+
+    def test_pool_makes_fewer_than_workers_signal_frames_past_the_last_stop(self, dispatched):
+        workers = 2
+        spec = dataclasses.replace(TestFrameMajorSweep.SPEC, algorithms=("snb", "logical"))
+        records = run_plr_sweep(spec, workers=workers, measure_time=False)
+        assert records == run_plr_sweep(spec, measure_time=False)
+        made = [task for batch in dispatched for task in batch]
+        for ka in spec.ka_values:
+            indices = [i for k, i, _ in made if k == ka]
+            assert indices == list(range(len(indices)))
+            signal_frames = sum(with_signals for k, _, with_signals in made if k == ka)
+            stop = next(r.frames_run for r in records if (r.algorithm, r.ka) == ("snb", ka))
+            assert stop <= signal_frames <= stop + workers - 1
+        assert all(len(batch) <= workers for batch in dispatched)
+
     def test_logical_only_sweep_never_asks_for_signals(self, calls):
         spec = dataclasses.replace(TestFrameMajorSweep.SPEC, algorithms=("logical",))
         run_plr_sweep(spec, measure_time=False)
@@ -450,6 +492,16 @@ class TestWorkerPool:
             pool.close()
             pool.join()
         assert seen == ["1"] * (2 * len(_BLAS_THREAD_VARS))
+
+    def test_workers_draw_frames_on_one_thread(self):
+        pool = _spawn_pool(2)
+        try:
+            parts = pool.map(signals._part_count, [1 << 40] * 2, chunksize=1)
+        finally:
+            pool.close()
+            pool.join()
+        assert parts == [1, 1]
+        assert signals.draw_threads is None
 
 
 class TestCsvEmission:

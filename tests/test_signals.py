@@ -1,10 +1,13 @@
 """Tests for streams, fading/noise draws, pilots, and QPSK mapping."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from csa_mimo import signals
 from csa_mimo.frame import SystemConfig
 from csa_mimo.signals import (
     RandomStream,
@@ -12,6 +15,7 @@ from csa_mimo.signals import (
     complex_normal,
     qpsk_hard_demodulate,
     qpsk_modulate,
+    standard_normal_segments,
     walsh_hadamard_transform,
 )
 
@@ -134,6 +138,132 @@ class TestNoiseDraws:
         for field in ("m", "n_p", "n_d"):
             with pytest.raises(ValueError):
                 SystemConfig(**{field: 0})
+
+
+def assert_segments_match_serial_draw(make_rng, sizes):
+    """``standard_normal_segments`` gives the serial draw's values, cut at
+    ``sizes``, and leaves the generator in the serial draw's state."""
+    rng, oracle_rng = make_rng(), make_rng()
+    segments = standard_normal_segments(rng, sizes)
+    expected = oracle_rng.standard_normal(sum(sizes))
+    assert [segment.shape for segment in segments] == [(size,) for size in sizes]
+    assert all(segment.dtype == np.float64 for segment in segments)
+    drawn = np.concatenate(segments) if segments else np.empty(0)
+    assert drawn.tobytes() == expected.tobytes()
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+    np.testing.assert_array_equal(
+        rng.integers(0, 2**32, size=3, dtype=np.uint32),
+        oracle_rng.integers(0, 2**32, size=3, dtype=np.uint32),
+    )
+
+
+def split_into(monkeypatch, parts: int) -> None:
+    """Split every later draw into up to ``parts`` parts, however small."""
+    monkeypatch.setattr(signals, "draw_threads", parts)
+    monkeypatch.setattr(signals, "_MIN_PART", 1)
+
+
+class TestStandardNormalSegments:
+    """The threaded segment draw against one ``standard_normal`` call."""
+
+    SIZES = [
+        [],
+        [0],
+        [1],
+        [0, 1, 0],
+        [5, 0, 7],
+        [1, 1, 1, 1, 1],
+        [100_000],
+        [40_000, 1, 0, 80_000, 3, 25_000],
+    ]
+
+    @pytest.mark.parametrize("parts", (1, 2, 3, 4))
+    @pytest.mark.parametrize("sizes", SIZES)
+    def test_matches_serial_draw(self, monkeypatch, sizes, parts):
+        split_into(monkeypatch, parts)
+        for seed in range(3):
+            assert_segments_match_serial_draw(lambda: RandomStream(21, seed).generator(), sizes)
+
+    @pytest.mark.parametrize("parts", (2, 3, 4))
+    def test_matches_serial_draw_on_many_seeds(self, monkeypatch, parts):
+        split_into(monkeypatch, parts)
+        for seed in range(20):
+            sizes = np.random.default_rng(seed).integers(0, 30_000, size=12).tolist()
+            assert_segments_match_serial_draw(lambda: RandomStream(22, seed).generator(), sizes)
+
+    @pytest.mark.parametrize("parts", (1, 3))
+    def test_buffered_uint32_half_survives(self, monkeypatch, parts):
+        split_into(monkeypatch, parts)
+
+        def rng_holding_half():
+            rng = RandomStream(23, 0).generator()
+            rng.integers(0, 2**32, dtype=np.uint32)
+            assert rng.bit_generator.state["has_uint32"] == 1
+            return rng
+        assert_segments_match_serial_draw(rng_holding_half, [30_000, 20_000, 10_000])
+
+    def test_default_part_count_matches_serial_draw(self):
+        # enough normals for one part per CPU on hosts with up to 3 CPUs
+        sizes = [2 * 64 * 256] * (3 * signals._MIN_PART // (2 * 64 * 256) + 1)
+        assert_segments_match_serial_draw(lambda: RandomStream(24, 0).generator(), sizes)
+
+    def test_part_count(self, monkeypatch):
+        monkeypatch.setattr(signals.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        assert signals.draw_threads is None
+        assert [signals._part_count(n * signals._MIN_PART) for n in (0, 1, 2, 3, 9)] == [
+            1, 1, 2, 3, 3]
+        monkeypatch.setattr(signals, "draw_threads", 1)
+        assert signals._part_count(9 * signals._MIN_PART) == 1
+
+    @pytest.fixture
+    def located(self, monkeypatch):
+        """What every boundary search returned: a match, or None for a miss."""
+        results = []
+        locate = signals._locate
+
+        def recording_locate(probe, window):
+            results.append(locate(probe, window))
+            return results[-1]
+
+        monkeypatch.setattr(signals, "_locate", recording_locate)
+        return results
+
+    def test_guess_is_matched(self, monkeypatch, located):
+        split_into(monkeypatch, 4)
+        assert_segments_match_serial_draw(lambda: RandomStream(26, 0).generator(), [50_000] * 4)
+        assert len(located) == 3 and None not in located
+
+    @pytest.mark.parametrize("words_per_normal", (0.5, 2.0))
+    def test_missed_guess_falls_back_to_serial_redraw(
+        self, monkeypatch, located, words_per_normal
+    ):
+        # a guess far before or past the part's start leaves nothing to match
+        monkeypatch.setattr(signals, "_WORDS_PER_NORMAL", words_per_normal)
+        split_into(monkeypatch, 4)
+        assert_segments_match_serial_draw(lambda: RandomStream(27, 0).generator(), [50_000] * 4)
+        assert located == [None, None, None]
+
+    def test_worker_exception_reaches_caller(self, monkeypatch):
+        rng = RandomStream(28, 0).generator()
+        fill = signals._fill
+
+        def failing_fill(gen, out):
+            if gen is not rng:
+                raise RuntimeError("part failed")
+            fill(gen, out)
+
+        monkeypatch.setattr(signals, "_fill", failing_fill)
+        split_into(monkeypatch, 2)
+        with pytest.raises(RuntimeError, match="part failed"):
+            standard_normal_segments(rng, [10_000, 10_000])
+
+    def test_segments_are_views_of_disjoint_memory(self, monkeypatch):
+        split_into(monkeypatch, 2)
+        segments = standard_normal_segments(
+            RandomStream(29, 0).generator(), [30_000, 20_000, 10_000, 5_000])
+        assert all(segment.base is not None for segment in segments)
+        for a, b in itertools.combinations(segments, 2):
+            assert not np.shares_memory(a, b)
 
 
 class TestHadamardPilots:
