@@ -27,14 +27,14 @@ estimate ``subtract`` uses for a decoded user on pilot j of a slot (the
 generator slot is where the user was decoded, replica slots hold its
 other copies):
 
-=========  ==============================  ==============================
+=========  ==============================  ===========================================
 algorithm  generator slot                  replica slot
-=========  ==============================  ==============================
+=========  ==============================  ===========================================
 SNB        ``||h||^2 = g[slot][j]``        ``||h||^2 = m channel_var``
-PAB        ``h = phi[slot][:, j]``         ``h = pab_channel_estimate``
+PAB        ``h = phi[slot][:, j]``         ``h = (C[:, u] - H^T G[sub, u]) / G[u, u]``
 PRCE       ``h = true_channels[(u, s)]``   ``h = true_channels[(u, s)]``
 LOGICAL    none, removal is perfect        none, removal is perfect
-=========  ==============================  ==============================
+=========  ==============================  ===========================================
 
 Each signal receiver keeps, per slot, the pilot estimates ``phi`` (estimated
 once from the pilot phase) and the combining gains ``g``; the received payload
@@ -47,10 +47,19 @@ matrix ``y`` is the frame's own and is never written:
   is ``y - H^T X`` without ever being formed.  The pilots are orthogonal,
   so removing ``h s_j^T`` from the pilot phase only moves ``phi[:, j]`` by
   ``-h``: a subtraction appends ``(h, x)``, updates that column and its
-  gain, O(m) work.  The two products of the residual the receiver needs
-  are formed on demand: the PAB replica estimate ``y x* - H^T (X x*)`` and
-  a decode attempt's numerator ``f_j = phi_j^H y - (H phi_j*)^T X``, each
-  O(m n_d + k (m + n_d)) with k at most the slot's occupancy.
+  gain, O(m) work.  A decode attempt's numerator
+  ``f_j = phi_j^H y - (H phi_j*)^T X`` is formed on demand, O(m n_d + k (m +
+  n_d)) with k at most the slot's occupancy.
+* PAB also keeps, per slot, two Gram products over the slot's occupants
+  (the users who sent a replica there, ascending, with payloads ``X_s``):
+  ``C = y X_s^H`` (m x occupancy) and ``G = X_s X_s^H``, each one product
+  when the receiver starts.  The replica estimate of occupant u is the
+  matched filter ``(y - H^T X) x_u* / ||x_u||^2`` of the residual, and with
+  ``sub`` the occupants already subtracted, in order, it is
+  ``(C[:, u] - H^T G[sub, u]) / G[u, u]`` (``pab_channel_estimate``): O(m k)
+  work, and no pass over ``y``.  Column u of C is read only while u is not
+  yet subtracted, so C is kept transposed in the rows of H not yet filled,
+  one row per occupant not yet subtracted, and takes no memory of its own.
 """
 from __future__ import annotations
 
@@ -117,7 +126,14 @@ class ReceiverState:
     numerators ``f``.  PAB and PRCE hold instead the first
     ``n_subtracted[s]`` rows of ``subtracted_h[s]`` and ``subtracted_x[s]``,
     the (estimate, payload) pairs removed from slot s, buffers sized to the
-    slot's occupancy; ``numerator`` forms ``f_j`` from them.
+    slot's occupancy; ``numerator`` forms ``f_j`` from them.  PAB also holds
+    the Gram products of slot s over its occupants, in ascending user order:
+    ``gram[s]`` (``G = X X^H``) and the correlations ``C = y X^H``, whose
+    rows of ``C^T`` fill the rows of ``subtracted_h[s]`` past
+    ``n_subtracted[s]``.  ``occupant_index[(u, s)]`` is user u's index among
+    the occupants, ``row_owner[s][r]`` the occupant whose estimate or, past
+    ``n_subtracted[s]``, whose correlation row r holds, and ``row_of[s]``
+    its inverse.  A replica estimate reads them instead of ``y``.
     """
 
     def __init__(self, frame: FrameInstance, algorithm: Algorithm | str):
@@ -148,6 +164,22 @@ class ReceiverState:
             self.n_subtracted = np.zeros(cfg.n_slots, dtype=np.int64)
             self.subtracted_h = [np.empty((k, cfg.m), dtype=complex) for k in occupancy]
             self.subtracted_x = [np.empty((k, cfg.n_d), dtype=complex) for k in occupancy]
+        if self.algorithm is Algorithm.PAB:
+            by_slot = np.argsort(frame.slot_indices.ravel(), kind="stable") // cfg.r
+            occupants = np.split(by_slot, np.cumsum(occupancy)[:-1])  # users ascending
+            self.occupant_index = {
+                (u, s): i
+                for s, users in enumerate(occupants)
+                for i, u in enumerate(users.tolist())
+            }
+            self.row_owner = [np.arange(k) for k in occupancy]
+            self.row_of = [np.arange(k) for k in occupancy]
+            self.gram = []
+            for rows, y, users in zip(self.subtracted_h, self.y, occupants):
+                x = frame.payloads[users]
+                x_conj = x.conj()
+                np.matmul(x_conj, y.T, out=rows)  # C^T: row i is y x_i^*
+                self.gram.append(x @ x_conj.T)
 
     def subtracted(self, slot: int) -> tuple[np.ndarray, np.ndarray]:
         """The (estimates, payloads) removed from a PAB/PRCE slot so far."""
@@ -168,27 +200,23 @@ class ReceiverState:
 
 
 def pab_channel_estimate(
-    y: np.ndarray,
-    payload: np.ndarray,
-    h_sub: np.ndarray | None = None,
-    x_sub: np.ndarray | None = None,
+    correlation: np.ndarray, h_sub: np.ndarray, gram: np.ndarray, energy
 ) -> np.ndarray:
-    """Estimate a user's channel from the residual payload phase.
+    """Estimate a user's channel from the residual payload phase, by Gram products.
 
-    ``h_hat = y_res x^* / ||x||^2`` for the known payload ``x``, where the
-    residual ``y_res = y - h_sub^T x_sub`` is the received matrix minus the
-    (estimate, payload) rows already subtracted from it (none by default);
-    the residual itself is never formed.  Accuracy improves as other users'
-    contributions are subtracted before the estimate is taken.
+    The estimate is the matched filter ``y_res x^* / ||x||^2`` of the known
+    payload ``x``, where the residual ``y_res = y - H X`` is the received
+    matrix ``y`` minus the k estimates already subtracted, the columns of
+    ``h_sub`` (m x k), times their payloads, the rows of X.  It takes the
+    products with ``x^*`` instead of the residual: ``correlation = y x^*``
+    (m,), ``gram = X x^*`` (k,) and ``energy = ||x||^2``, and returns
+    ``(correlation - h_sub gram) / energy``, O(m k) work.  Leading axes
+    broadcast, so one call serves a batch of slots.  Accuracy improves as
+    other users' contributions are subtracted before the estimate is taken.
     """
-    x_conj = payload.conj()
-    energy = float(np.real(x_conj @ payload))
-    if energy <= 0:
+    if np.any(energy <= 0):
         raise ValueError("payload has zero energy")
-    correlation = y @ x_conj
-    if h_sub is not None:
-        correlation -= h_sub.T @ (x_sub @ x_conj)
-    return correlation / energy
+    return (correlation - (h_sub @ gram[..., None])[..., 0]) / energy
 
 
 def subtract(state: ReceiverState, user: int, slot: int, j: int, mode: str) -> None:
@@ -201,7 +229,9 @@ def subtract(state: ReceiverState, user: int, slot: int, j: int, mode: str) -> N
     user's pilot and marks that resource stale.  PAB and PRCE append the
     (estimate ``h``, payload ``x``) pair to the slot's subtracted rows, do
     ``phi[:, j] -= h`` and recompute ``g[j]`` from the updated column; the
-    received matrices are not touched.  Every pilot of the slot is marked
+    received matrices are not touched.  Under PAB the pair's row held the
+    correlation of some occupant not yet subtracted, which moves to the row
+    the user's own correlation leaves.  Every pilot of the slot is marked
     stale, since every numerator ``f_j`` of the residual changed.  LOGICAL
     only counts the subtraction and marks the whole slot stale: a
     re-attempt on a resource whose undecoded users did not change repeats
@@ -230,13 +260,23 @@ def subtract(state: ReceiverState, user: int, slot: int, j: int, mode: str) -> N
         state.g[slot][j] -= norm_sq
         state.stale[slot, j] = True
         return
+    k = state.n_subtracted[slot]
     if state.algorithm is Algorithm.PRCE:
         h_est = state.frame.true_channels[key]
-    elif generator:
-        h_est = state.phi[slot][:, j]
     else:
-        h_est = pab_channel_estimate(state.y[slot], payload, *state.subtracted(slot))
-    k = state.n_subtracted[slot]
+        rows, owner, row_of = state.subtracted_h[slot], state.row_owner[slot], state.row_of[slot]
+        u = state.occupant_index[key]
+        r = row_of[u]  # the row holding C[:, u]
+        if generator:
+            h_est = state.phi[slot][:, j]
+        else:
+            gram = state.gram[slot]
+            h_est = pab_channel_estimate(rows[r], rows[:k].T, gram[owner[:k], u], gram[u, u].real)
+        # row k is about to hold u's estimate, so the correlation in it moves to row r
+        v = owner[k]
+        rows[r] = rows[k]
+        owner[r], row_of[v] = v, r
+        owner[k], row_of[u] = u, k
     h = state.subtracted_h[slot][k]
     h[:] = h_est  # a copy, so the update below cannot alias a phi column
     state.subtracted_x[slot][k] = payload

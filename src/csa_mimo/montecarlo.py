@@ -21,7 +21,7 @@ import numpy as np
 
 from . import signals
 from .analysis import InterferenceScenario, singleton_failure_probability, symbol_error_probability
-from .cancellation import RELATIVE_GAIN_FLOOR, Algorithm, run_receiver
+from .cancellation import RELATIVE_GAIN_FLOOR, Algorithm, pab_channel_estimate, run_receiver
 from .frame import SystemConfig, make_frame
 from .receiver import check_decode_criterion, count_errors
 from .signals import RandomStream, complex_normal, qpsk_hard_demodulate, qpsk_modulate
@@ -319,7 +319,8 @@ def run_singleton_experiment(
     writes it.  With X the payloads of the K subtracted users in order (the
     pre-subtractions, then the pilot-sharers), the correlations C = y Xᴴ and
     the Gram matrix G = X Xᴴ give each re-estimate from the residual left
-    by the earlier subtractions, h_k = (C_k - Σ_{i<k} h_i G_ik) / G_kk, and
+    by the earlier subtractions, h_k = (C_k - Σ_{i<k} h_i G_ik) / G_kk
+    (``cancellation.pab_channel_estimate``, the frame receiver's own), and
     the combining statistic is f = phiᴴ y - (phiᴴ H) X.  In exact
     arithmetic this is the explicit residual loop.  Pilot orthogonality
     removes the need for the pilot-phase matrix (subtracting a user shifts
@@ -377,8 +378,8 @@ def run_singleton_experiment(
             gram = x @ x_h
             h = np.empty_like(corr)
             for k, user in enumerate(order):
-                earlier = (h[:, :, :k] @ gram[:, :k, k, None])[..., 0]
-                h[:, :, k] = (corr[:, :, k] - earlier) / gram[:, k, k, None].real
+                h[:, :, k] = pab_channel_estimate(
+                    corr[:, :, k], h[:, :, :k], gram[:, :k, k], gram[:, k, k, None].real)
                 if user < a_pilot:
                     phi = phi - h[:, :, k]
             phi_h = phi.conj()[:, None]

@@ -35,10 +35,16 @@ def estimate_all_pilot_channels(p: np.ndarray, n_p: int) -> np.ndarray:
     ``p @ s_j^H / ||s_j||^2``: the sum of the channels of all users on pilot
     j plus noise with per-entry variance ``noise_var / n_p``.  Computed as a
     Walsh-Hadamard transform, which is exact for pilot-aligned inputs.
+
+    The transform's result is in Fortran order; the division writes a new
+    C-order array, because BLAS may sum an operand of another layout in
+    another order, and the combining products keep their bits on this one.
+    The result shares no memory with ``p``, as PAB and PRCE update it in
+    place.
     """
     if p.shape[1] != n_p:
         raise ValueError(f"pilot phase has {p.shape[1]} symbols, pilot length is {n_p}")
-    return walsh_hadamard_transform(p) / n_p
+    return np.divide(walsh_hadamard_transform(p), n_p, order="C")
 
 
 def compute_combining_statistics(phi: np.ndarray, y: np.ndarray):

@@ -31,6 +31,10 @@ _MATCH = 8               # equal consecutive normals taken as the same stream po
 # on.  Pool workers set 1, as they run one BLAS thread: the pool fills the CPUs.
 draw_threads = None
 
+# The cgroup-v2 CPU limit, "<quota> <period>" or "max <period>", where a
+# container sees the limit of its own cgroup
+_CPU_MAX = "/sys/fs/cgroup/cpu.max"
+
 
 @dataclass(frozen=True)
 class RandomStream:
@@ -151,11 +155,27 @@ def standard_normal_segments(rng: np.random.Generator, sizes) -> list:
 
 def _part_count(total: int) -> int:
     """Parts a draw of ``total`` normals is split into: one per thread it may
-    use, and fewer, down to one, below ``_MIN_PART`` normals per part."""
+    use, and fewer, down to one, below ``_MIN_PART`` normals per part.
+    Unless ``draw_threads`` is set, a draw may use one thread per CPU it may
+    run on, but no more than the cgroup CPU quota allows."""
     threads = draw_threads
     if threads is None:
         threads = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+        quota = _cpu_quota()
+        if quota is not None:
+            threads = min(threads, quota)
     return max(1, min(threads, total // _MIN_PART))
+
+
+def _cpu_quota():
+    """``ceil(quota / period)`` from the cgroup-v2 ``cpu.max`` file, or None when
+    the file is missing or unreadable or sets no quota (``max``)."""
+    try:
+        with open(_CPU_MAX) as fh:
+            quota, period = fh.read().split()
+        return None if quota == "max" else math.ceil(int(quota) / int(period))
+    except (OSError, ValueError):
+        return None
 
 
 def _fill(gen: np.random.Generator, out: np.ndarray) -> None:
@@ -194,19 +214,32 @@ def walsh_hadamard_transform(x: np.ndarray) -> np.ndarray:
     same order, but computed with radix-2 butterflies.  The butterfly tree
     sums every element exactly once per stage, so pilot-aligned inputs
     cancel or accumulate exactly in floating point.
+
+    Layout: the stages run along a leading axis, so that each ``a + b`` and
+    ``a - b`` reads and writes whole contiguous rows.  The input is copied
+    once as C-order (..., n, m), its last two axes swapped (a 1-D input as
+    (n, 1)), and the stages alternate between that copy and one spare
+    buffer; every element gets the same adds and subtracts in the same
+    order as along the last axis, so the bits are the same.  The result is
+    a view of the last buffer with the axes swapped back: the input's
+    shape, Fortran order over its last two axes, sharing no memory with
+    ``x``.
     """
     n = x.shape[-1]
     if n < 1 or (n & (n - 1)) != 0:
         raise ValueError(f"transform length must be a power of two, got {n}")
-    y = x.copy()
+    rows = np.swapaxes(np.atleast_2d(x), -1, -2).copy()
+    lead, width = rows.shape[:-2], rows.shape[-1]
+    spare = np.empty_like(rows)
     length = 1
     while length < n:
-        y = y.reshape(x.shape[:-1] + (n // (2 * length), 2, length))
-        top = y[..., 0, :] + y[..., 1, :]
-        bot = y[..., 0, :] - y[..., 1, :]
-        y = np.stack((top, bot), axis=-2)
+        shape = lead + (n // (2 * length), 2, length, width)
+        pairs, sums = rows.reshape(shape), spare.reshape(shape)
+        np.add(pairs[..., 0, :, :], pairs[..., 1, :, :], out=sums[..., 0, :, :])
+        np.subtract(pairs[..., 0, :, :], pairs[..., 1, :, :], out=sums[..., 1, :, :])
+        rows, spare = spare, rows
         length *= 2
-    return y.reshape(x.shape)
+    return np.swapaxes(rows, -1, -2).reshape(x.shape)
 
 
 def qpsk_modulate(bits) -> np.ndarray:

@@ -52,6 +52,47 @@ def expected_phi(p):
     return walsh_hadamard_transform(p) / p.shape[1]
 
 
+def gemv_channel_estimate(y, payload, h_sub=None, x_sub=None):
+    """The PAB replica estimate by one pass over ``y``: the Gram products' oracle.
+
+    ``y_res x^* / ||x||^2`` with the residual ``y_res = y - h_sub^T x_sub``
+    (no rows subtracted by default) taken as ``y x^* - h_sub^T (x_sub x^*)``.
+    """
+    x_conj = payload.conj()
+    energy = float(np.real(x_conj @ payload))
+    if energy <= 0:
+        raise ValueError("payload has zero energy")
+    correlation = y @ x_conj
+    if h_sub is not None:
+        correlation -= h_sub.T @ (x_sub @ x_conj)
+    return correlation / energy
+
+
+def gram_channel_estimate(y, payload, h_sub=None, x_sub=None):
+    """``gemv_channel_estimate``'s arguments, estimated by ``pab_channel_estimate``."""
+    m, n_d = y.shape
+    h_sub = np.zeros((0, m), dtype=complex) if h_sub is None else h_sub
+    x_sub = np.zeros((0, n_d), dtype=complex) if x_sub is None else x_sub
+    x_conj = payload.conj()
+    return pab_channel_estimate(y @ x_conj, h_sub.T, x_sub @ x_conj, np.real(x_conj @ payload))
+
+
+_production_subtract = cancellation.subtract
+
+
+def gemv_subtract(state, user, slot, j, mode):
+    """``subtract``, with the PAB replica estimate taken by the gemv oracle."""
+    if state.algorithm is not Algorithm.PAB or mode == "generator":
+        return _production_subtract(state, user, slot, j, mode)
+    h = gemv_channel_estimate(state.y[slot], state.frame.payloads[user], *state.subtracted(slot))
+    production_estimate = cancellation.pab_channel_estimate
+    cancellation.pab_channel_estimate = lambda *args: h
+    try:
+        _production_subtract(state, user, slot, j, mode)
+    finally:
+        cancellation.pab_channel_estimate = production_estimate
+
+
 def implied_residual(state, slot):
     """The residual ``y - H^T X`` a PAB/PRCE state holds implicitly for a slot."""
     h_sub, x_sub = state.subtracted(slot)
@@ -87,7 +128,7 @@ def full_recompute_subtract(state, user, slot, j, mode):
     elif mode == "generator":
         h = state.phi[slot][:, j]
     else:
-        h = pab_channel_estimate(y_res[slot], payload)
+        h = gemv_channel_estimate(y_res[slot], payload)
     state.n_up += mode == "generator"
     state.n_pa += mode == "replica"
     pilots = build_hadamard_pilots(state.config.n_p)
@@ -308,6 +349,35 @@ class TestReceiverState:
             for slot, signal in enumerate(frame.slots):
                 assert state.y[slot] is signal.y
 
+    def test_pab_gram_products_cover_each_slots_occupants(self):
+        frame = make_frame(SystemConfig(k_a=40, m=16, n_slots=6, n_p=4, n_d=16), RandomStream(3))
+        state = ReceiverState(frame, Algorithm.PAB)
+        occupants = []
+        for slot, signal in enumerate(frame.slots):
+            users = np.nonzero((frame.slot_indices == slot).any(axis=1))[0]
+            assert [state.occupant_index[(u, slot)] for u in users] == list(range(users.size))
+            x = frame.payloads[users]
+            np.testing.assert_allclose(state.gram[slot], x @ x.conj().T, rtol=1e-12, atol=1e-12)
+            occupants.append(users)
+        assert len(state.occupant_index) == frame.slot_indices.size
+
+        def assert_unfilled_rows_hold_correlations():
+            for slot, users in enumerate(occupants):
+                k, owner = state.n_subtracted[slot], state.row_owner[slot]
+                assert sorted(owner) == list(range(users.size))
+                np.testing.assert_array_equal(state.row_of[slot][owner], np.arange(users.size))
+                c_t = frame.payloads[users[owner[k:]]].conj() @ frame.slots[slot].y.T
+                np.testing.assert_allclose(
+                    state.subtracted_h[slot][k:], c_t, rtol=1e-12, atol=1e-12)
+
+        assert_unfilled_rows_hold_correlations()
+        # subtract the last occupant of every slot first, in both modes, so rows move
+        for slot, users in enumerate(occupants):
+            for mode, user in zip(("replica", "generator"), users[::-1][:2].tolist()):
+                subtract(state, user, slot, pilot_of(frame, user, slot), mode)
+            assert list(state.row_owner[slot][:2]) == list(range(users.size))[::-1][:2]
+        assert_unfilled_rows_hold_correlations()
+
     @pytest.mark.parametrize("algorithm", (Algorithm.SNB, Algorithm.PAB, Algorithm.PRCE))
     def test_never_touches_received_matrices(self, algorithm):
         cfg = SystemConfig(k_a=30, m=32, n_slots=8, n_p=8, n_d=32, r=3, noise_var=0.1, t=3)
@@ -389,7 +459,7 @@ class TestPabChannelEstimate:
     def test_noiseless_single_user_recovers_channel(self):
         frame = manual_frame([[(0, 1), (1, 1)]], noise_var=0.0, n_d=64)
         h = frame.true_channels[(0, 0)]
-        h_hat = pab_channel_estimate(frame.slots[0].y, frame.payloads[0])
+        h_hat = gram_channel_estimate(frame.slots[0].y, frame.payloads[0])
         np.testing.assert_allclose(h_hat, h, rtol=1e-12)
 
     def test_error_variance_matches_interference_count(self):
@@ -401,7 +471,7 @@ class TestPabChannelEstimate:
             channels = complex_normal(rng, (a_total, m), 1.0)
             payloads = qpsk_modulate(rng.integers(0, 2, (a_total, 2 * n_d), dtype=np.uint8))
             y = channels.T @ payloads
-            h_hat = pab_channel_estimate(y, payloads[0])
+            h_hat = gram_channel_estimate(y, payloads[0])
             errs.append(h_hat - channels[0])
         measured = np.mean(np.abs(np.concatenate(errs)) ** 2)
         expected = (a_total - 1) / n_d
@@ -415,13 +485,38 @@ class TestPabChannelEstimate:
             h = complex_normal(rng, m, 1.0)
             x = qpsk_modulate(rng.integers(0, 2, 2 * n_d, dtype=np.uint8))
             y = np.outer(h, x) + complex_normal(rng, (m, n_d), noise_var)
-            errs.append(pab_channel_estimate(y, x) - h)
+            errs.append(gram_channel_estimate(y, x) - h)
         measured = np.mean(np.abs(np.concatenate(errs)) ** 2)
         assert measured == pytest.approx(noise_var / n_d, rel=0.1)
 
+    def test_matches_gemv_oracle_after_subtractions(self):
+        m, n_d, k = 32, 64, 5
+        rng = RandomStream(8, 0).generator()
+        y = complex_normal(rng, (m, n_d), 1.0)
+        h_sub = complex_normal(rng, (k, m), 1.0)
+        x_sub = qpsk_modulate(rng.integers(0, 2, (k, 2 * n_d), dtype=np.uint8))
+        x = qpsk_modulate(rng.integers(0, 2, 2 * n_d, dtype=np.uint8))
+        for rows in range(k + 1):
+            args = (y, x, h_sub[:rows], x_sub[:rows])
+            np.testing.assert_allclose(
+                gram_channel_estimate(*args), gemv_channel_estimate(*args), rtol=1e-12, atol=1e-13
+            )
+
+    def test_batch_matches_one_call_per_slot(self):
+        b, m, k = 4, 8, 3
+        rng = RandomStream(9, 0).generator()
+        correlation = complex_normal(rng, (b, m), 1.0)
+        h_sub = complex_normal(rng, (b, m, k), 1.0)
+        gram = complex_normal(rng, (b, k), 1.0)
+        energy = rng.uniform(1.0, 2.0, (b, 1))
+        batch = pab_channel_estimate(correlation, h_sub, gram, energy)
+        for i in range(b):
+            one = pab_channel_estimate(correlation[i], h_sub[i], gram[i], energy[i, 0])
+            np.testing.assert_allclose(batch[i], one, rtol=1e-14, atol=1e-14)
+
     def test_zero_energy_payload_rejected(self):
         with pytest.raises(ValueError):
-            pab_channel_estimate(np.ones((4, 4), dtype=complex), np.zeros(4, dtype=complex))
+            gram_channel_estimate(np.ones((4, 4), dtype=complex), np.zeros(4, dtype=complex))
 
 
 class TestPrceSubtraction:
@@ -527,6 +622,20 @@ class TestRank1Update:
         slow = [run_receiver(frame, algorithm) for frame in frames]
         assert sum(report.lost_count > 0 for report in fast) >= 2
         for a, b in zip(fast, slow):
+            np.testing.assert_array_equal(a.decoded, b.decoded)
+            assert (a.sweep_count, a.n_up, a.n_pa) == (b.sweep_count, b.n_up, b.n_pa)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("k_a", (500, 700, 900))
+    def test_reference_frames_decode_as_gemv_estimates(self, k_a, monkeypatch):
+        # the Gram products and the gemv over y sum in different orders, so
+        # the gate at the reference size is the paired frames' reports
+        frames = [make_frame(SystemConfig(k_a=k_a), RandomStream(17, i)) for i in range(2)]
+        gram = [run_receiver(frame, Algorithm.PAB) for frame in frames]
+        monkeypatch.setattr(cancellation, "subtract", gemv_subtract)
+        gemv = [run_receiver(frame, Algorithm.PAB) for frame in frames]
+        for a, b in zip(gram, gemv):
+            assert b.n_pa > 0
             np.testing.assert_array_equal(a.decoded, b.decoded)
             assert (a.sweep_count, a.n_up, a.n_pa) == (b.sweep_count, b.n_up, b.n_pa)
 

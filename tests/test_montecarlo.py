@@ -493,6 +493,21 @@ class TestWorkerPool:
             pool.join()
         assert seen == ["1"] * (2 * len(_BLAS_THREAD_VARS))
 
+    @pytest.mark.slow
+    def test_reference_frames_decode_alike_in_process_and_in_workers(self):
+        # at the reference size the receivers' products are large enough for
+        # BLAS to thread in this process, while pool workers run one thread
+        algorithms = (Algorithm.SNB, Algorithm.PAB, Algorithm.PRCE)
+        tasks = [(SystemConfig(k_a=900), algorithms, frame_stream(0, 900, i), "bit")
+                 for i in range(2)]
+        pool = _spawn_pool(2)
+        try:
+            in_workers = pool.map(montecarlo._run_frame, tasks, chunksize=1)
+        finally:
+            pool.close()
+            pool.join()
+        assert in_workers == [montecarlo._run_frame(task) for task in tasks]
+
     def test_workers_draw_frames_on_one_thread(self):
         pool = _spawn_pool(2)
         try:

@@ -248,6 +248,9 @@ class TestDeterminism:
         phi1 = estimate_all_pilot_channels(slot.p, cfg.n_p)
         phi2 = estimate_all_pilot_channels(slot.p, cfg.n_p)
         np.testing.assert_array_equal(phi1, phi2)
+        # PAB and PRCE update phi in place, so it must not alias the frame's p
+        assert not np.shares_memory(phi1, slot.p)
+        assert phi1.flags.c_contiguous
         f1, g1 = compute_combining_statistics(phi1, slot.y)
         f2, g2 = compute_combining_statistics(phi2, slot.y)
         np.testing.assert_array_equal(f1, f2)

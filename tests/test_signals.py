@@ -207,13 +207,31 @@ class TestStandardNormalSegments:
         sizes = [2 * 64 * 256] * (3 * signals._MIN_PART // (2 * 64 * 256) + 1)
         assert_segments_match_serial_draw(lambda: RandomStream(24, 0).generator(), sizes)
 
-    def test_part_count(self, monkeypatch):
+    def test_part_count(self, monkeypatch, tmp_path):
         monkeypatch.setattr(signals.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        monkeypatch.setattr(signals, "_CPU_MAX", str(tmp_path / "missing"))
         assert signals.draw_threads is None
         assert [signals._part_count(n * signals._MIN_PART) for n in (0, 1, 2, 3, 9)] == [
             1, 1, 2, 3, 3]
         monkeypatch.setattr(signals, "draw_threads", 1)
         assert signals._part_count(9 * signals._MIN_PART) == 1
+
+    @pytest.mark.parametrize("cpu_max, threads", [
+        ("max 100000\n", 3),        # no quota
+        ("150000 100000\n", 2),     # 1.5 CPUs: a second thread for the half
+        ("50000 100000\n", 1),
+        ("400000 100000\n", 3),     # a quota above the affinity mask
+        (None, 3),                  # no cpu.max file
+    ])
+    def test_part_count_honours_cgroup_cpu_quota(self, monkeypatch, tmp_path, cpu_max, threads):
+        monkeypatch.setattr(signals.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        path = tmp_path / "cpu.max"
+        if cpu_max is not None:
+            path.write_text(cpu_max)
+        monkeypatch.setattr(signals, "_CPU_MAX", str(path))
+        assert signals._part_count(9 * signals._MIN_PART) == threads
+        monkeypatch.setattr(signals, "draw_threads", 3)  # an explicit count is kept
+        assert signals._part_count(9 * signals._MIN_PART) == 3
 
     @pytest.fixture
     def located(self, monkeypatch):
@@ -289,7 +307,38 @@ class TestHadamardPilots:
             build_hadamard_pilots(0)
 
 
+def stacked_butterfly_wht(x):
+    """The transform as butterflies along the last axis, each stage stacked anew:
+    the bit-level oracle of the leading-axis stages."""
+    n = x.shape[-1]
+    y = x.copy()
+    length = 1
+    while length < n:
+        y = y.reshape(x.shape[:-1] + (n // (2 * length), 2, length))
+        top = y[..., 0, :] + y[..., 1, :]
+        bot = y[..., 0, :] - y[..., 1, :]
+        y = np.stack((top, bot), axis=-2)
+        length *= 2
+    return y.reshape(x.shape)
+
+
 class TestWalshHadamardTransform:
+    @pytest.mark.parametrize("shape", [(1,), (64,), (256, 1), (256, 64), (5, 3, 16), (2, 1)])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_bit_identical_to_stacked_butterfly(self, shape, dtype):
+        rng = RandomStream(12, len(shape)).generator()
+        x = complex_normal(rng, shape, 1.0)
+        x = x if dtype is complex else x.real.copy()
+        out = walsh_hadamard_transform(x)
+        assert out.shape == x.shape and out.dtype == x.dtype
+        assert np.array_equal(out, stacked_butterfly_wht(x))
+        assert not np.shares_memory(out, x)
+
+    def test_strided_input(self):
+        rng = RandomStream(13, 0).generator()
+        x = complex_normal(rng, (64, 40), 1.0)[::2, 4:36]
+        assert np.array_equal(walsh_hadamard_transform(x), stacked_butterfly_wht(x))
+
     def test_matches_direct_matrix_product(self):
         rng = RandomStream(10, 0).generator()
         seqs = build_hadamard_pilots(32).astype(float)
