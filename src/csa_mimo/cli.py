@@ -4,11 +4,13 @@ Three experiments are exposed: ``plr`` (packet-loss-rate sweep over the
 active-user count), ``singleton`` (single-slot singleton decode failure
 versus slot load), and ``analysis`` (closed-form failure curve).  Options
 may come from a flat ``key = value`` config file; command-line flags
-override file values.
+override file values.  A flag the chosen experiment does not read is an
+error; a config-file key is not, as a file may be shared.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from .cancellation import Algorithm
@@ -25,14 +27,21 @@ from .montecarlo import (
 )
 from .receiver import DECODE_CRITERIA
 
-_CONFIG_KEYS = {
-    "k_a": int, "m": int, "n_slots": int, "n_p": int, "n_d": int, "r": int,
-    "noise_var": float, "channel_var": float, "t": int,
-    "latency_ms": float, "symbol_rate": float,
-    "ka_values": "int_list", "algorithms": "str_list",
-    "min_frames": int, "max_frames": int, "target_loss_events": int,
-    "base_seed": int, "decode_criterion": str,
-}
+
+def _split_list(text: str) -> list[str]:
+    entries = [v.strip() for v in text.split(",")]
+    if "" in entries:
+        raise ValueError(f"empty entry in comma-separated list {text!r}")
+    return entries
+
+
+# every config key with the parser of its value: the SystemConfig fields,
+# each typed by its default, and the SweepSpec fields
+_SYSTEM_KEYS = {f.name: type(f.default) for f in dataclasses.fields(SystemConfig)}
+_SWEEP_KEYS = {"ka_values": lambda text: [int(v) for v in _split_list(text)],
+               "algorithms": _split_list, "min_frames": int, "max_frames": int,
+               "target_loss_events": int, "base_seed": int, "decode_criterion": str}
+_CONFIG_KEYS = _SYSTEM_KEYS | _SWEEP_KEYS
 
 
 def parse_config_file(path: str) -> dict:
@@ -47,27 +56,15 @@ def parse_config_file(path: str) -> dict:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
             key, _, val = line.partition("=")
             key = key.strip()
-            val = val.strip()
             if key not in _CONFIG_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            kind = _CONFIG_KEYS[key]
-            if kind == "int_list":
-                values[key] = [int(v) for v in val.split(",") if v.strip()]
-            elif kind == "str_list":
-                values[key] = [v.strip() for v in val.split(",") if v.strip()]
-            else:
-                values[key] = kind(val)
+            if key in values:
+                raise ValueError(f"{path}:{lineno}: repeated config key {key!r}")
+            try:
+                values[key] = _CONFIG_KEYS[key](val.strip())
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: config key {key!r}: {exc}") from exc
     return values
-
-
-def _parse_range(text: str) -> list[int]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"expected start:stop:step, got {text!r}")
-    start, stop, step = (int(p) for p in parts)
-    if step <= 0 or start > stop:
-        raise ValueError(f"range needs start <= stop and a positive step, got {text!r}")
-    return list(range(start, stop + 1, step))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -76,24 +73,29 @@ def build_parser() -> argparse.ArgumentParser:
         description="Monte Carlo simulator for coded slotted ALOHA over a "
         "massive-MIMO uplink with successive interference subtraction.",
     )
+    # a flag that sets a config key stores to it, with the flag's name as metavar
     par.add_argument("--experiment", choices=("plr", "singleton", "analysis"),
                      default="plr")
     par.add_argument("--config", help="flat key = value config file")
-    par.add_argument("--algorithm",
+    par.add_argument("--algorithm", dest="algorithms", metavar="ALGORITHM",
                      help="comma-separated subset of snb,pab,prce,logical")
     par.add_argument("--ka", type=int, help="single active-user count")
     par.add_argument("--ka-range", metavar="START:STOP:STEP",
                      help="inclusive active-user grid")
-    par.add_argument("--frames", type=int, help="frame cap per sweep point")
+    par.add_argument("--frames", type=int, dest="max_frames", metavar="FRAMES",
+                     help="frame cap per sweep point")
     par.add_argument("--min-frames", type=int, help="frames to run before the "
                      "loss-event stopping rule may fire")
-    par.add_argument("--target-losses", type=int,
+    par.add_argument("--target-losses", type=int, dest="target_loss_events",
+                     metavar="TARGET_LOSSES",
                      help="loss events after which a sweep point stops")
-    par.add_argument("--seed", type=int, help="base seed for all streams")
+    par.add_argument("--seed", type=int, dest="base_seed", metavar="SEED",
+                     help="base seed for all streams")
     par.add_argument("--m", type=int, help="receive antennas")
     par.add_argument("--n-slots", type=int,
                      help="slots per frame (default: derived from latency)")
-    par.add_argument("--n-pilots", type=int, help="orthogonal pilot count")
+    par.add_argument("--n-pilots", type=int, dest="n_p", metavar="N_PILOTS",
+                     help="orthogonal pilot count")
     par.add_argument("--n-d", type=int, help="payload symbols per replica")
     par.add_argument("--r", type=int, help="replicas per user")
     par.add_argument("--t", type=int, help="correctable errors per packet")
@@ -102,64 +104,68 @@ def build_parser() -> argparse.ArgumentParser:
     par.add_argument("--symbol-rate", type=float, help="symbols per second")
     par.add_argument("--decode-criterion", choices=DECODE_CRITERIA)
     par.add_argument("--out", help="output CSV path (default: stdout)")
-    par.add_argument("--workers", type=int, default=1,
-                     help="parallel worker processes")
+    par.add_argument("--workers", type=int, help="parallel worker processes")
     par.add_argument("--no-timing", action="store_true",
                      help="zero the wall-clock column for byte-stable output")
     par.add_argument("--a-total", type=int,
                      help="users in the probed slot (singleton/analysis)")
     par.add_argument("--a-range", metavar="START:STOP:STEP",
                      help="inclusive slot-load grid (singleton/analysis)")
-    par.add_argument("--a-pilot", type=int, default=1,
-                     help="users sharing the probed pilot")
-    par.add_argument("--presub-fraction", type=float, default=0.0,
+    par.add_argument("--a-pilot", type=int, help="users sharing the probed pilot")
+    par.add_argument("--presub-fraction", type=float,
                      help="fraction of out-of-pilot users subtracted before "
                      "the singleton attempt (PAB only)")
-    par.add_argument("--trials", type=int, default=10000,
-                     help="trials per singleton point")
+    par.add_argument("--trials", type=int, help="trials per singleton point")
     return par
 
 
-# the load flags each experiment reads
-_LOAD_FLAGS = {"plr": ("ka", "ka_range"), "singleton": ("a_total", "a_range"),
-               "analysis": ("a_total", "a_range")}
+# the flags outside SystemConfig that each experiment reads, by dest; the
+# others are rejected.  --config, --out and --no-timing apply to all three.
+_EXPERIMENT_FLAGS = {
+    "plr": {"algorithms", "ka", "ka_range", "min_frames", "max_frames",
+            "target_loss_events", "base_seed", "decode_criterion", "workers"},
+    "singleton": {"algorithms", "a_total", "a_range", "a_pilot", "presub_fraction",
+                  "trials", "base_seed", "decode_criterion", "workers"},
+    "analysis": {"a_total", "a_range", "a_pilot"},
+}
+
+
+def _reject_unread_flags(args, parser: argparse.ArgumentParser) -> None:
+    unread = set().union(*_EXPERIMENT_FLAGS.values()) - _EXPERIMENT_FLAGS[args.experiment]
+    for action in parser._actions:
+        if action.dest in unread and getattr(args, action.dest) is not None:
+            raise ValueError(f"{action.option_strings[0]} does not apply to the "
+                             f"{args.experiment} experiment")
+
+
+def _load_values(value, grid, flags: tuple[str, str]) -> list[int] | None:
+    """One load or an inclusive START:STOP:STEP grid; None if neither is given."""
+    if value is not None and grid is not None:
+        raise ValueError(f"give {flags[0]} or {flags[1]}, not both")
+    if grid is None:
+        return None if value is None else [value]
+    parts = grid.split(":")
+    if len(parts) != 3:
+        raise ValueError(f"expected start:stop:step, got {grid!r}")
+    start, stop, step = (int(p) for p in parts)
+    if step <= 0 or start > stop:
+        raise ValueError(f"range needs start <= stop and a positive step, got {grid!r}")
+    return list(range(start, stop + 1, step))
 
 
 def _merged_options(args) -> dict:
-    for name in ("ka", "ka_range", "a_total", "a_range"):
-        if getattr(args, name) is not None and name not in _LOAD_FLAGS[args.experiment]:
-            flag = "--" + name.replace("_", "-")
-            raise ValueError(f"{flag} does not apply to the {args.experiment} experiment")
-    opts = dict(parse_config_file(args.config)) if args.config else {}
-    overrides = {
-        "m": args.m, "n_slots": args.n_slots, "n_p": args.n_pilots,
-        "n_d": args.n_d, "r": args.r, "t": args.t,
-        "noise_var": args.noise_var, "latency_ms": args.latency_ms,
-        "symbol_rate": args.symbol_rate, "min_frames": args.min_frames,
-        "max_frames": args.frames, "target_loss_events": args.target_losses,
-        "base_seed": args.seed, "decode_criterion": args.decode_criterion,
-    }
-    for key, val in overrides.items():
-        if val is not None:
-            opts[key] = val
-    if args.algorithm is not None:
-        opts["algorithms"] = [a.strip() for a in args.algorithm.split(",")]
-    if args.ka is not None and args.ka_range is not None:
-        raise ValueError("give --ka or --ka-range, not both")
-    if args.ka_range is not None:
-        opts["ka_values"] = _parse_range(args.ka_range)
-    if args.ka is not None:
-        opts["ka_values"] = [args.ka]
+    opts = parse_config_file(args.config) if args.config else {}
+    # the key's parser passes a typed flag through and splits --algorithm
+    opts |= {k: _CONFIG_KEYS[k](v) for k, v in vars(args).items()
+             if k in _CONFIG_KEYS and v is not None}
+    ka_values = _load_values(args.ka, args.ka_range, ("--ka", "--ka-range"))
+    if ka_values is not None:
+        opts["ka_values"] = ka_values
     return opts
 
 
 def _system_config(opts: dict) -> SystemConfig:
-    fields = {
-        k: opts[k]
-        for k in ("m", "n_slots", "n_p", "n_d", "r", "noise_var", "channel_var", "t",
-                  "latency_ms", "symbol_rate")
-        if k in opts
-    }
+    fields = {k: opts[k] for k in _SYSTEM_KEYS if k in opts}
     if "n_slots" not in fields:
         return SystemConfig.from_latency(**fields)
     for budget in ("latency_ms", "symbol_rate"):
@@ -168,51 +174,41 @@ def _system_config(opts: dict) -> SystemConfig:
     return SystemConfig(**fields)
 
 
-def _a_values(args) -> list[int]:
-    if args.a_total is not None and args.a_range is not None:
-        raise ValueError("give --a-total or --a-range, not both")
-    if args.a_range is not None:
-        return _parse_range(args.a_range)
-    if args.a_total is not None:
-        return [args.a_total]
-    raise ValueError("provide --a-total or --a-range for this experiment")
-
-
-def _run(args) -> list:
+def _run(args, parser: argparse.ArgumentParser) -> list:
+    _reject_unread_flags(args, parser)
     opts = _merged_options(args)
     config = _system_config(opts)
+    workers = 1 if args.workers is None else args.workers
+    a_pilot = 1 if args.a_pilot is None else args.a_pilot
 
     if args.experiment == "plr":
-        spec = SweepSpec(
-            config=config,
-            ka_values=opts.get("ka_values", [opts.get("k_a", config.k_a)]),
-            algorithms=opts.get("algorithms", ["pab"]),
-            min_frames=opts.get("min_frames", 1),
-            max_frames=opts.get("max_frames", 100),
-            target_loss_events=opts.get("target_loss_events", 100),
-            base_seed=opts.get("base_seed", 0),
-            decode_criterion=opts.get("decode_criterion", "bit"),
-        )
-        return run_plr_sweep(spec, workers=args.workers,
+        sweep = {"ka_values": [config.k_a], "algorithms": ["pab"], "max_frames": 100}
+        sweep |= {k: opts[k] for k in _SWEEP_KEYS if k in opts}
+        return run_plr_sweep(SweepSpec(config=config, **sweep), workers=workers,
                              measure_time=not args.no_timing)
 
-    if args.experiment == "singleton":
-        algos = opts.get("algorithms", ["snb"])
-        if len(algos) != 1:
-            raise ValueError("singleton experiment takes exactly one algorithm")
-        return run_singleton_sweep(
-            m=config.m, n_d=config.n_d, t=config.t, a_pilot=args.a_pilot,
-            a_values=_a_values(args), presub_fraction=args.presub_fraction,
-            trials=args.trials, algorithm=Algorithm(algos[0]),
-            n_p=config.n_p, noise_var=config.noise_var,
-            seed=opts.get("base_seed", 0),
-            decode_criterion=opts.get("decode_criterion", "bit"),
-            workers=args.workers,
+    a_values = _load_values(args.a_total, args.a_range, ("--a-total", "--a-range"))
+    if a_values is None:
+        raise ValueError("provide --a-total or --a-range for this experiment")
+    if args.experiment == "analysis":
+        return tabulate_singleton_failure(
+            m=config.m, n_d=config.n_d, t=config.t, a_pilot=a_pilot, a_values=a_values,
         )
 
-    return tabulate_singleton_failure(
-        m=config.m, n_d=config.n_d, t=config.t, a_pilot=args.a_pilot,
-        a_values=_a_values(args),
+    algos = opts.get("algorithms", ["snb"])
+    if len(algos) != 1:
+        raise ValueError("singleton experiment takes exactly one algorithm")
+    if config.channel_var != 1.0:
+        raise ValueError("the singleton experiment models unit channel variance, "
+                         f"got channel_var={config.channel_var}")
+    return run_singleton_sweep(
+        m=config.m, n_d=config.n_d, t=config.t, a_pilot=a_pilot, a_values=a_values,
+        presub_fraction=0.0 if args.presub_fraction is None else args.presub_fraction,
+        trials=10000 if args.trials is None else args.trials,
+        algorithm=Algorithm(algos[0]), n_p=config.n_p, noise_var=config.noise_var,
+        seed=opts.get("base_seed", 0),
+        decode_criterion=opts.get("decode_criterion", "bit"),
+        workers=workers,
     )
 
 
@@ -221,9 +217,10 @@ _RECORD_TYPES = {"plr": PlrRecord, "singleton": SingletonRecord,
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
-        records = _run(args)
+        records = _run(args, parser)
         target = args.out if args.out else sys.stdout
         emit_csv(records, target, record_type=_RECORD_TYPES[args.experiment])
     except (ValueError, OSError) as exc:

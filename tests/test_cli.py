@@ -2,7 +2,8 @@
 
 import pytest
 
-from csa_mimo.cli import main, parse_config_file
+from csa_mimo.cli import _CONFIG_KEYS, _system_config, build_parser, main, parse_config_file
+from csa_mimo.frame import SystemConfig
 from csa_mimo.montecarlo import AnalysisRecord, PlrRecord, SingletonRecord, read_csv_records
 
 
@@ -42,6 +43,95 @@ class TestConfigFile:
         path.write_text("m 8\n")
         with pytest.raises(ValueError, match="key = value"):
             parse_config_file(str(path))
+
+    @pytest.mark.parametrize("text, message", [
+        ("# antennas\nm = abc\n", r"bad\.cfg:2: config key 'm': invalid literal for int"),
+        ("m = 8\nn_d = 8\nm = 16\n", r"bad\.cfg:3: repeated config key 'm'"),
+        ("algorithms = snb,\n", r"bad\.cfg:1: config key 'algorithms': empty entry"),
+        ("ka_values = 3,,5\n", r"bad\.cfg:1: config key 'ka_values': empty entry"),
+    ], ids=["bad_value", "repeated_key", "empty_algorithm", "empty_load"])
+    def test_error_names_file_line_and_key(self, text, message, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            parse_config_file(str(path))
+
+    def test_algorithm_flag_and_key_share_one_list_rule(self, tmp_path, capsys):
+        # entries are stripped, and an empty entry is an error in both places
+        cfg = tmp_path / "algos.cfg"
+        cfg.write_text("algorithms = snb,\n")
+        common = ["--ka", "5", "--frames", "1", "--m", "8", "--n-slots", "6",
+                  "--n-pilots", "8", "--n-d", "8", "--r", "2", "--t", "1"]
+        assert run_cli(["--config", str(cfg)] + common) == 2
+        assert run_cli(["--algorithm", "snb,"] + common) == 2
+        assert "empty entry" in capsys.readouterr().err
+        out = tmp_path / "plr.csv"
+        assert run_cli(["--algorithm", " logical , snb"] + common + ["--out", str(out)]) == 0
+        assert [r.algorithm for r in read_csv_records(out, PlrRecord)] == ["logical", "snb"]
+
+    def test_config_keys_pinned(self):
+        lists = {"ka_values", "algorithms"}
+        assert {k: v for k, v in _CONFIG_KEYS.items() if k not in lists} == {
+            "k_a": int, "m": int, "n_slots": int, "n_p": int, "n_d": int, "r": int,
+            "noise_var": float, "channel_var": float, "t": int,
+            "latency_ms": float, "symbol_rate": float,
+            "min_frames": int, "max_frames": int, "target_loss_events": int,
+            "base_seed": int, "decode_criterion": str,
+        }
+        assert lists <= set(_CONFIG_KEYS)
+        assert _CONFIG_KEYS["ka_values"](" 3, 5") == [3, 5]
+        assert _CONFIG_KEYS["algorithms"](" snb, pab") == ["snb", "pab"]
+
+    def test_option_strings_and_config_key_flags_pinned(self):
+        actions = build_parser()._actions
+        assert {s for a in actions for s in a.option_strings} == {
+            "-h", "--help", "--experiment", "--config", "--algorithm", "--ka", "--ka-range",
+            "--frames", "--min-frames", "--target-losses", "--seed", "--m", "--n-slots",
+            "--n-pilots", "--n-d", "--r", "--t", "--noise-var", "--latency-ms",
+            "--symbol-rate", "--decode-criterion", "--out", "--workers", "--no-timing",
+            "--a-total", "--a-range", "--a-pilot", "--presub-fraction", "--trials",
+        }
+        # every flag that sets a config key stores to that key
+        assert {a.option_strings[0]: a.dest for a in actions if a.dest in _CONFIG_KEYS} == {
+            "--algorithm": "algorithms", "--frames": "max_frames", "--min-frames": "min_frames",
+            "--target-losses": "target_loss_events", "--seed": "base_seed", "--m": "m",
+            "--n-slots": "n_slots", "--n-pilots": "n_p", "--n-d": "n_d", "--r": "r",
+            "--t": "t", "--noise-var": "noise_var", "--latency-ms": "latency_ms",
+            "--symbol-rate": "symbol_rate", "--decode-criterion": "decode_criterion",
+        }
+
+    @pytest.mark.parametrize("budget, expected", [
+        ("n_slots = 40\n", dict(n_slots=40)),
+        # 20 ms at 2 Msps is 40000 symbols, 416 slots of 2 * (16 + 32)
+        ("latency_ms = 20\nsymbol_rate = 2e6\n",
+         dict(n_slots=416, latency_ms=20.0, symbol_rate=2e6)),
+    ], ids=["n_slots", "latency_budget"])
+    def test_every_system_field_round_trips(self, budget, expected, tmp_path):
+        path = tmp_path / "system.cfg"
+        path.write_text("k_a = 7\nm = 16\nn_p = 16\nn_d = 32\nr = 4\nnoise_var = 0.25\n"
+                        "channel_var = 2.5\nt = 3\n" + budget)
+        config = _system_config(parse_config_file(str(path)))
+        assert config == SystemConfig(k_a=7, m=16, n_p=16, n_d=32, r=4, noise_var=0.25,
+                                      channel_var=2.5, t=3, **expected)
+
+    @pytest.mark.parametrize("experiment, flags", [
+        ("plr", ["--algorithm", "logical", "--ka", "5", "--frames", "1"]),
+        ("singleton", ["--algorithm", "snb", "--a-total", "6", "--trials", "10"]),
+        ("analysis", ["--a-total", "6"]),
+    ])
+    def test_shared_file_and_output_flags_accepted_by_every_experiment(
+        self, experiment, flags, tmp_path
+    ):
+        cfg = tmp_path / "shared.cfg"
+        cfg.write_text("m = 8\nn_slots = 6\nn_p = 8\nn_d = 8\nr = 2\nt = 1\n"
+                       "channel_var = 1\nka_values = 5\nalgorithms = snb\nmin_frames = 1\n"
+                       "max_frames = 1\ntarget_loss_events = 5\nbase_seed = 4\n"
+                       "decode_criterion = symbol\n")
+        out = tmp_path / "out.csv"
+        code = run_cli(["--experiment", experiment, "--config", str(cfg), "--no-timing",
+                        "--out", str(out)] + flags)
+        assert code == 0
+        assert out.exists()
 
 
 class TestPlrExperiment:
@@ -175,8 +265,12 @@ class TestErrorPaths:
         ("plr", ["--ka", "5", "--a-range", "2:4:2"]),
         ("plr", ["--ka", "5", "--latency-ms", "1"]),
         ("plr", ["--ka", "5", "--symbol-rate", "1e6"]),
+        ("plr", ["--ka", "5", "--trials", "5"]),
+        ("plr", ["--ka", "5", "--a-pilot", "2"]),
+        ("plr", ["--ka", "5", "--presub-fraction", "0.5"]),
     ], ids=["ka", "a_total", "ka_outside_plr", "ka_range_outside_plr", "a_total_under_plr",
-            "a_range_under_plr", "n_slots_with_latency_ms", "n_slots_with_symbol_rate"])
+            "a_range_under_plr", "n_slots_with_latency_ms", "n_slots_with_symbol_rate",
+            "trials_under_plr", "a_pilot_under_plr", "presub_fraction_under_plr"])
     def test_contradictory_load_flags_exit_code(self, experiment, flags, tmp_path):
         out = tmp_path / "load.csv"
         code = run_cli([
@@ -186,6 +280,50 @@ class TestErrorPaths:
         ] + flags)
         assert code == 2
         assert not out.exists()
+
+    # the base command of each experiment runs; each case adds one fault
+    @pytest.mark.parametrize("experiment, flags, message", [
+        ("analysis", ["--algorithm", "prce"], "--algorithm does not apply to the analysis"),
+        ("analysis", ["--seed", "3"], "--seed does not apply to the analysis"),
+        ("analysis", ["--frames", "9"], "--frames does not apply to the analysis"),
+        ("analysis", ["--min-frames", "1"], "--min-frames does not apply to the analysis"),
+        ("analysis", ["--target-losses", "5"], "--target-losses does not apply to the analysis"),
+        ("analysis", ["--decode-criterion", "bit"], "--decode-criterion does not apply"),
+        ("analysis", ["--workers", "1"], "--workers does not apply to the analysis"),
+        ("analysis", ["--trials", "5"], "--trials does not apply to the analysis"),
+        ("analysis", ["--presub-fraction", "0.5"], "--presub-fraction does not apply"),
+        ("analysis", ["--a-range", "20:30:10"], "give --a-total or --a-range, not both"),
+        ("singleton", ["--frames", "9"], "--frames does not apply to the singleton"),
+        ("singleton", ["--min-frames", "1"], "--min-frames does not apply to the singleton"),
+        ("singleton", ["--target-losses", "5"], "--target-losses does not apply to the singleton"),
+        ("singleton", ["--ka", "5"], "--ka does not apply to the singleton"),
+        ("singleton", ["--a-range", "20:30:10"], "give --a-total or --a-range, not both"),
+    ])
+    def test_fault_named_in_error(self, experiment, flags, message, tmp_path, capsys):
+        base = {"analysis": [], "singleton": ["--algorithm", "snb", "--trials", "10"]}
+        command = ["--experiment", experiment, "--a-total", "6", "--m", "8", "--n-pilots", "8",
+                   "--n-d", "8", "--t", "1", "--no-timing"] + base[experiment]
+        assert run_cli(command + ["--out", str(tmp_path / "base.csv")]) == 0
+        out = tmp_path / "fault.csv"
+        assert run_cli(command + flags + ["--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_analysis_empty_load_grid_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "empty.csv"
+        assert run_cli(["--experiment", "analysis", "--a-range", "5:1:1", "--out", str(out)]) == 2
+        assert "start <= stop" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_singleton_rejects_channel_variance_other_than_one(self, tmp_path, capsys):
+        # the singleton experiment draws unit-variance channels
+        cfg = tmp_path / "var.cfg"
+        cfg.write_text("channel_var = 4\n")
+        code = run_cli(["--experiment", "singleton", "--config", str(cfg), "--a-total", "6",
+                        "--trials", "10", "--m", "8", "--n-pilots", "8", "--n-d", "8",
+                        "--t", "1", "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "unit channel variance, got channel_var=4.0" in capsys.readouterr().err
 
     def test_out_of_range_counts_exit_code(self):
         common = ["--experiment", "singleton", "--algorithm", "snb", "--a-range", "2:4:2",

@@ -6,6 +6,7 @@ import os
 
 import numpy as np
 import pytest
+from scipy import integrate, stats
 
 from csa_mimo import montecarlo, signals
 from csa_mimo.cancellation import RELATIVE_GAIN_FLOOR, Algorithm, run_receiver
@@ -477,6 +478,45 @@ class TestSingletonExperiment:
         with pytest.raises(ValueError, match="workers"):
             run_singleton_sweep(m=16, n_d=16, t=1, a_pilot=1, a_values=[2, 4],
                                 presub_fraction=0.0, trials=1, algorithm="snb", workers=0)
+
+
+def block_fading_snb_failure(m: int, n_d: int, t: int, a_total: int) -> float:
+    """Failure probability of a noiseless SNB singleton with a lone pilot user.
+
+    With no noise and nobody else on the pilot, the estimate is the user's
+    channel h.  Given h, each of the n_out = a_total - 1 other users adds
+    c_k x_k to ‖h‖ x, with c_k = hᴴ h_k / ‖h‖ ~ CN(0, 1), so the SIR
+    ‖h‖² / Σ|c_k|² is a ratio of Gamma(m) and Gamma(n_out) variables,
+    (m / n_out) F(2m, 2 n_out).  Treating the interference as Gaussian, each
+    quadrature errs with q = Q(√SIR), a symbol with 2q - q², and the packet
+    fails when more than t of its n_d symbols err.
+    """
+    n_out = a_total - 1
+    sir = stats.f(2 * m, 2 * n_out)
+
+    def tail(x):
+        q = stats.norm.sf(np.sqrt(m / n_out * x))
+        return sir.pdf(x) * stats.binom.sf(t, n_d, 2 * q - q * q)
+
+    return integrate.quad(tail, *sir.ppf([1e-12, 1 - 1e-12]))[0]
+
+
+class TestSingletonBlockFadingOracle:
+    @pytest.mark.parametrize("a_total", (40, 50, 70))
+    def test_snb_matches_block_fading_oracle(self, a_total):
+        # the paper's closed form is off by about 10x at the waterfall onset;
+        # this oracle averages over the channels instead.  It reads high by
+        # up to about one Wilson half-width (0.0085 / 0.0115 at a_total 40),
+        # probably because it treats the sum of QPSK interferers as Gaussian
+        trials = 4000
+        rec = run_singleton_experiment(
+            m=256, n_d=256, t=10, a_pilot=1, a_total=a_total, presub_fraction=0.0,
+            trials=trials, algorithm="snb", noise_var=0.0, seed=0,
+            decode_criterion="symbol",
+        )
+        low, high = wilson_interval(rec.failures, trials)
+        oracle = block_fading_snb_failure(256, 256, 10, a_total)
+        assert abs(rec.fail_prob - oracle) <= 3 * (high - low) / 2
 
 
 class TestWorkerPool:
