@@ -130,10 +130,11 @@ class ReceiverState:
     the Gram products of slot s over its occupants, in ascending user order:
     ``gram[s]`` (``G = X X^H``) and the correlations ``C = y X^H``, whose
     rows of ``C^T`` fill the rows of ``subtracted_h[s]`` past
-    ``n_subtracted[s]``.  ``occupant_index[(u, s)]`` is user u's index among
-    the occupants, ``row_owner[s][r]`` the occupant whose estimate or, past
-    ``n_subtracted[s]``, whose correlation row r holds, and ``row_of[s]``
-    its inverse.  A replica estimate reads them instead of ``y``.
+    ``n_subtracted[s]``.  A user's index among a slot's occupants is its
+    position in ``frame.occupants[s]``'s ascending users, ``row_owner[s][r]``
+    the occupant whose estimate or, past ``n_subtracted[s]``, whose
+    correlation row r holds, and ``row_of[s]`` its inverse.  A replica
+    estimate reads them instead of ``y``.
     """
 
     def __init__(self, frame: FrameInstance, algorithm: Algorithm | str):
@@ -160,22 +161,15 @@ class ReceiverState:
             self.g = [g for _, g in stats]
         else:
             self.g = [combining_gains(phi) for phi in self.phi]
-            occupancy = np.bincount(frame.slot_indices.ravel(), minlength=cfg.n_slots)
+            occupancy = [users.size for users, _ in frame.occupants]
             self.n_subtracted = np.zeros(cfg.n_slots, dtype=np.int64)
             self.subtracted_h = [np.empty((k, cfg.m), dtype=complex) for k in occupancy]
             self.subtracted_x = [np.empty((k, cfg.n_d), dtype=complex) for k in occupancy]
         if self.algorithm is Algorithm.PAB:
-            by_slot = np.argsort(frame.slot_indices.ravel(), kind="stable") // cfg.r
-            occupants = np.split(by_slot, np.cumsum(occupancy)[:-1])  # users ascending
-            self.occupant_index = {
-                (u, s): i
-                for s, users in enumerate(occupants)
-                for i, u in enumerate(users.tolist())
-            }
             self.row_owner = [np.arange(k) for k in occupancy]
             self.row_of = [np.arange(k) for k in occupancy]
             self.gram = []
-            for rows, y, users in zip(self.subtracted_h, self.y, occupants):
+            for rows, y, (users, _) in zip(self.subtracted_h, self.y, frame.occupants):
                 x = frame.payloads[users]
                 x_conj = x.conj()
                 np.matmul(x_conj, y.T, out=rows)  # C^T: row i is y x_i^*
@@ -265,7 +259,7 @@ def subtract(state: ReceiverState, user: int, slot: int, j: int, mode: str) -> N
         h_est = state.frame.true_channels[key]
     else:
         rows, owner, row_of = state.subtracted_h[slot], state.row_owner[slot], state.row_of[slot]
-        u = state.occupant_index[key]
+        u = np.searchsorted(state.frame.occupants[slot][0], user)  # index among occupants
         r = row_of[u]  # the row holding C[:, u]
         if generator:
             h_est = state.phi[slot][:, j]
@@ -327,9 +321,9 @@ def run_receiver(
     state = ReceiverState(frame, algorithm)
     slots_of, pilots_of = frame.slot_indices.tolist(), frame.pilot_choices.tolist()
     users_by_resource: dict[tuple[int, int], list[int]] = {}  # user ids, ascending
-    for user, (slots, pilots) in enumerate(zip(slots_of, pilots_of)):
-        for res in zip(slots, pilots):
-            users_by_resource.setdefault(res, []).append(user)
+    for slot, (users, pilots) in enumerate(frame.occupants):
+        for user, j in zip(users.tolist(), pilots.tolist()):
+            users_by_resource.setdefault((slot, j), []).append(user)
     resources = sorted(users_by_resource)
 
     while True:

@@ -119,14 +119,14 @@ def build_parser() -> argparse.ArgumentParser:
     return par
 
 
-# the flags outside SystemConfig that each experiment reads, by dest; the
-# others are rejected.  --config, --out and --no-timing apply to all three.
+# the flags each experiment reads, by dest; the others are rejected.  --config,
+# --out and --no-timing apply to all three.
 _EXPERIMENT_FLAGS = {
-    "plr": {"algorithms", "ka", "ka_range", "min_frames", "max_frames",
-            "target_loss_events", "base_seed", "decode_criterion", "workers"},
-    "singleton": {"algorithms", "a_total", "a_range", "a_pilot", "presub_fraction",
-                  "trials", "base_seed", "decode_criterion", "workers"},
-    "analysis": {"a_total", "a_range", "a_pilot"},
+    "plr": {"algorithms", "ka", "ka_range", "min_frames", "max_frames", "target_loss_events",
+            "base_seed", "decode_criterion", "workers"} | set(_SYSTEM_KEYS),
+    "singleton": {"algorithms", "a_total", "a_range", "a_pilot", "presub_fraction", "trials",
+                  "base_seed", "decode_criterion", "workers", "m", "n_p", "n_d", "t", "noise_var"},
+    "analysis": {"a_total", "a_range", "a_pilot", "m", "n_d", "t"},
 }
 
 

@@ -8,6 +8,7 @@ independent block-fading channels plus additive noise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -105,6 +106,7 @@ class FrameInstance:
     holds the fading vector of each transmitted replica; channels of the
     same user in different slots are independent draws.  ``slots`` is None
     when the frame was generated for collision-structure-only processing.
+    ``occupants``, the map of users to resources, is built once per frame.
     """
 
     config: SystemConfig
@@ -115,29 +117,14 @@ class FrameInstance:
     true_channels: dict = field(default_factory=dict)
     slots: list[SlotSignal] | None = None
 
-
-def _bounded_draws(rng: np.random.Generator, bounds: np.ndarray) -> np.ndarray:
-    """Uniform integers in ``[0, b)`` for every bound ``b > 1``, in row-major order.
-
-    Replays numpy's Lemire sampler: a draw takes the next 32-bit word ``w``
-    and returns ``(w * b) >> 32``, unless the low half of ``w * b`` is below
-    ``2**32 mod b``; then ``w`` is dropped and the following word tried.
-    ``integers(0, 2**32, dtype=uint32)`` takes exactly one word per element,
-    so the generator ends where the same sequence of bounded calls leaves it.
-    """
-    flat = bounds.ravel().astype(np.uint64)
-    thresholds = np.uint64(2**32) % flat
-    words = rng.integers(0, 2**32, size=flat.size, dtype=np.uint32).astype(np.uint64)
-    first = 0
-    while True:
-        low = (words[first:] * flat[first:]) & np.uint64(0xFFFFFFFF)
-        rejected = np.flatnonzero(low < thresholds[first:])
-        if rejected.size == 0:
-            break
-        first += int(rejected[0])
-        extra = rng.integers(0, 2**32, size=1, dtype=np.uint32).astype(np.uint64)
-        words = np.concatenate((words[:first], words[first + 1:], extra))
-    return ((words * flat) >> np.uint64(32)).astype(np.int64).reshape(bounds.shape)
+    @cached_property
+    def occupants(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per slot, the users with a replica there, ascending, and their pilots there."""
+        flat = self.slot_indices.ravel()
+        by_slot = np.argsort(flat, kind="stable")  # stable: users ascending within a slot
+        ends = np.cumsum(np.bincount(flat, minlength=self.config.n_slots))[:-1]
+        users = np.split(by_slot // self.config.r, ends)
+        return list(zip(users, np.split(self.pilot_choices.ravel()[by_slot], ends)))
 
 
 def _draw_resources(config: SystemConfig, rng: np.random.Generator):
@@ -148,15 +135,15 @@ def _draw_resources(config: SystemConfig, rng: np.random.Generator):
     user that is Floyd's algorithm (draws with bounds n_slots-r+1 ... n_slots;
     a value already picked becomes the step's own bound minus one), the r-1
     draws of choice's final shuffle (bounds r ... 2, ignored here because the
-    slots are sorted), then r pilot draws.  A bound of 1 takes no word.
+    slots are sorted), then r pilot draws.  numpy's ``integers`` with the
+    (k_a, 3r-1) array of those bounds makes them all, in row-major order and
+    word for word; only Floyd's clash step is applied here.
     """
-    n, r, k_a = config.n_slots, config.r, config.k_a
+    n, r = config.n_slots, config.r
     bounds = np.concatenate(
         (np.arange(n - r + 1, n + 1), np.arange(r, 1, -1), np.full(r, config.n_p))
     )
-    drawn = bounds > 1
-    values = np.zeros((k_a, bounds.size), dtype=np.int64)
-    values[:, drawn] = _bounded_draws(rng, np.broadcast_to(bounds[drawn], (k_a, drawn.sum())))
+    values = rng.integers(0, np.broadcast_to(bounds, (config.k_a, bounds.size)))
     slots = values[:, :r]
     for c in range(1, r):
         clash = (slots[:, :c] == slots[:, c, None]).any(axis=1)
@@ -173,12 +160,12 @@ def generate_user_plans(config: SystemConfig, rng: np.random.Generator):
     independently in every chosen slot; payload bits are i.i.d. uniform and
     identical across the user's replicas.
 
-    All users' slots and pilots come from one vectorised draw that replays,
-    word for word, the per-user ``Generator.choice``/``integers`` calls the
-    frames were first defined by, so a stream gives the same frame.  This
-    depends on numpy's samplers; a numpy that changes them fails the golden
-    CSVs (``tests/test_golden.py``) and the oracle test in
-    ``tests/test_frame.py``, which keeps the per-user calls.
+    All users' slots and pilots come from one draw that reads the stream as
+    the per-user ``Generator.choice``/``integers`` calls the frames were
+    first defined by, so a stream gives the same frame.  A numpy that
+    changes those samplers fails the golden CSVs (``tests/test_golden.py``)
+    and the oracle test in ``tests/test_frame.py``, which keeps the per-user
+    calls.
     """
     bits = rng.integers(0, 2, size=(config.k_a, 2 * config.n_d), dtype=np.uint8)
     payloads = qpsk_modulate(bits)
@@ -208,16 +195,15 @@ def assemble_frame(plans, config: SystemConfig, rng: np.random.Generator) -> Fra
     m, n_p, n_d = config.m, config.n_p, config.n_d
     pilot_rows = build_hadamard_pilots(n_p).astype(float)
     frame = FrameInstance(config, *plans, slots=[])
-    occupants = [np.nonzero(frame.slot_indices == slot) for slot in range(config.n_slots)]
     noisy = config.noise_var > 0
     sizes = []
-    for users, _ in occupants:
+    for users, _ in frame.occupants:
         sizes += [2 * users.size * m] + ([2 * m * n_p, 2 * m * n_d] if noisy else [])
     segments = iter(standard_normal_segments(rng, sizes))
     channel_scale = np.sqrt(config.channel_var / 2.0)
     noise_scale = np.sqrt(config.noise_var / 2.0)
 
-    for slot, (users, replicas) in enumerate(occupants):  # users ascending
+    for slot, (users, pilots) in enumerate(frame.occupants):  # users ascending
         channels = next(segments).view(complex).reshape(users.size, m)
         channels *= channel_scale
         if noisy:
@@ -229,7 +215,7 @@ def assemble_frame(plans, config: SystemConfig, rng: np.random.Generator) -> Fra
             p = np.zeros((m, n_p), dtype=complex)
             y = np.zeros((m, n_d), dtype=complex)
         if users.size:
-            p += channels.T @ pilot_rows[frame.pilot_choices[users, replicas]]
+            p += channels.T @ pilot_rows[pilots]
             y += channels.T @ frame.payloads[users]
             frame.true_channels.update(zip([(u, slot) for u in users.tolist()], channels))
         frame.slots.append(SlotSignal(p=p, y=y))

@@ -256,9 +256,6 @@ def qpsk_modulate(bits) -> np.ndarray:
 
 
 def qpsk_hard_demodulate(symbols) -> np.ndarray:
-    """Hard-decision demodulation: each bit is the sign of one quadrature."""
-    symbols = np.asarray(symbols)
-    bits = np.empty(symbols.shape[:-1] + (2 * symbols.shape[-1],), dtype=np.uint8)
-    bits[..., 0::2] = symbols.real < 0
-    bits[..., 1::2] = symbols.imag < 0
-    return bits
+    """Hard-decision demodulation: each bit is the sign of one quadrature,
+    read from the floats (real, imaginary, ...) a complex array interleaves."""
+    return (np.ascontiguousarray(symbols, dtype=complex).view(np.float64) < 0).view(np.uint8)

@@ -355,11 +355,12 @@ class TestReceiverState:
         occupants = []
         for slot, signal in enumerate(frame.slots):
             users = np.nonzero((frame.slot_indices == slot).any(axis=1))[0]
-            assert [state.occupant_index[(u, slot)] for u in users] == list(range(users.size))
+            # the Gram products are indexed by position among the frame's occupants
+            np.testing.assert_array_equal(frame.occupants[slot][0], users)
             x = frame.payloads[users]
             np.testing.assert_allclose(state.gram[slot], x @ x.conj().T, rtol=1e-12, atol=1e-12)
             occupants.append(users)
-        assert len(state.occupant_index) == frame.slot_indices.size
+        assert sum(users.size for users in occupants) == frame.slot_indices.size
 
         def assert_unfilled_rows_hold_correlations():
             for slot, users in enumerate(occupants):

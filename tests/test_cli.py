@@ -2,7 +2,14 @@
 
 import pytest
 
-from csa_mimo.cli import _CONFIG_KEYS, _system_config, build_parser, main, parse_config_file
+from csa_mimo.cli import (
+    _CONFIG_KEYS,
+    _EXPERIMENT_FLAGS,
+    _system_config,
+    build_parser,
+    main,
+    parse_config_file,
+)
 from csa_mimo.frame import SystemConfig
 from csa_mimo.montecarlo import AnalysisRecord, PlrRecord, SingletonRecord, read_csv_records
 
@@ -98,6 +105,17 @@ class TestConfigFile:
             "--n-slots": "n_slots", "--n-pilots": "n_p", "--n-d": "n_d", "--r": "r",
             "--t": "t", "--noise-var": "noise_var", "--latency-ms": "latency_ms",
             "--symbol-rate": "symbol_rate", "--decode-criterion": "decode_criterion",
+        }
+
+    def test_system_flags_each_experiment_reads_pinned(self):
+        # the closed form reads no pilots, noise or frame layout, and one
+        # singleton slot no frame layout; the plr sweep reads every system flag
+        system = {"k_a", "m", "n_slots", "n_p", "n_d", "r", "noise_var", "channel_var", "t",
+                  "latency_ms", "symbol_rate"}
+        assert {name: flags & system for name, flags in _EXPERIMENT_FLAGS.items()} == {
+            "plr": system,
+            "singleton": {"m", "n_p", "n_d", "t", "noise_var"},
+            "analysis": {"m", "n_d", "t"},
         }
 
     @pytest.mark.parametrize("budget, expected", [
@@ -199,6 +217,16 @@ class TestSingletonExperiment:
         assert rec.trials == 50
         assert rec.a_total == 6
 
+    def test_noise_var_flag_read(self, tmp_path):
+        runs = {}
+        for noise_var in ("0.1", "50"):
+            out = tmp_path / f"noise{noise_var}.csv"
+            assert run_cli(["--experiment", "singleton", "--algorithm", "snb", "--a-total", "6",
+                            "--trials", "50", "--m", "16", "--n-pilots", "8", "--n-d", "16",
+                            "--t", "1", "--noise-var", noise_var, "--out", str(out)]) == 0
+            (runs[noise_var],) = read_csv_records(out, SingletonRecord)
+        assert runs["50"].failures > runs["0.1"].failures
+
     def test_requires_load(self):
         assert run_cli(["--experiment", "singleton", "--algorithm", "snb"]) == 2
 
@@ -298,10 +326,21 @@ class TestErrorPaths:
         ("singleton", ["--target-losses", "5"], "--target-losses does not apply to the singleton"),
         ("singleton", ["--ka", "5"], "--ka does not apply to the singleton"),
         ("singleton", ["--a-range", "20:30:10"], "give --a-total or --a-range, not both"),
+        ("analysis", ["--noise-var", "5"], "--noise-var does not apply to the analysis"),
+        ("analysis", ["--n-pilots", "8"], "--n-pilots does not apply to the analysis"),
+        ("analysis", ["--r", "2"], "--r does not apply to the analysis"),
+        ("analysis", ["--n-slots", "9"], "--n-slots does not apply to the analysis"),
+        ("analysis", ["--latency-ms", "20"], "--latency-ms does not apply to the analysis"),
+        ("analysis", ["--symbol-rate", "2e6"], "--symbol-rate does not apply to the analysis"),
+        ("singleton", ["--r", "7"], "--r does not apply to the singleton"),
+        ("singleton", ["--n-slots", "9"], "--n-slots does not apply to the singleton"),
+        ("singleton", ["--latency-ms", "20"], "--latency-ms does not apply to the singleton"),
+        ("singleton", ["--symbol-rate", "2e6"], "--symbol-rate does not apply to the singleton"),
     ])
     def test_fault_named_in_error(self, experiment, flags, message, tmp_path, capsys):
-        base = {"analysis": [], "singleton": ["--algorithm", "snb", "--trials", "10"]}
-        command = ["--experiment", experiment, "--a-total", "6", "--m", "8", "--n-pilots", "8",
+        base = {"analysis": [],
+                "singleton": ["--algorithm", "snb", "--trials", "10", "--n-pilots", "8"]}
+        command = ["--experiment", experiment, "--a-total", "6", "--m", "8",
                    "--n-d", "8", "--t", "1", "--no-timing"] + base[experiment]
         assert run_cli(command + ["--out", str(tmp_path / "base.csv")]) == 0
         out = tmp_path / "fault.csv"

@@ -7,6 +7,7 @@ import pytest
 from scipy.stats import chisquare
 
 from csa_mimo import signals
+from csa_mimo.cancellation import Algorithm, run_receiver
 from csa_mimo.frame import (
     FrameInstance,
     SystemConfig,
@@ -284,6 +285,23 @@ class TestPlanDrawOracle:
         for i in range(5):
             assert_plans_match_per_user_calls(cfg, RandomStream(14, i))
 
+    @pytest.mark.parametrize("skip", [0, 1], ids=["whole_output", "buffered_half"])
+    def test_array_bounds_draw_as_scalar_calls_in_row_major_order(self, skip):
+        # the property the plan draw rests on: integers(0, B) reads the stream
+        # as one integers(0, b) call per entry of B in row-major order; bounds
+        # of 1 take no word, and near 2**31 about half the words are rejected
+        bounds = np.array([1, 2, 3, 76, 2**31 - 1, 2**31, 2**31 + 1, 2**32 - 5, 2**32, 1, 64])
+        bounds = np.broadcast_to(bounds, (40, bounds.size))
+        for seed in range(5):
+            rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            for generator in (rng, oracle_rng):
+                generator.integers(0, 2**32, size=skip, dtype=np.uint32)
+            values = rng.integers(0, bounds)
+            expected = [oracle_rng.integers(0, b) for b in bounds.ravel().tolist()]
+            assert values.dtype == np.int64
+            np.testing.assert_array_equal(values.ravel(), expected)
+            assert_same_stream_after(rng, oracle_rng)
+
     @pytest.mark.parametrize("words", [
         [0],                # the buffered half-output is 0
         [0, 0],             # both halves of the next output are 0
@@ -388,6 +406,41 @@ class TestAssembleFrame:
         frame = make_frame(cfg, RandomStream(12, 0))
         chans = [frame.true_channels[(0, int(s))] for s in frame.slot_indices[0]]
         assert not np.array_equal(chans[0], chans[1])
+
+
+class TestOccupants:
+    """``FrameInstance.occupants``, the one resource map of a frame."""
+
+    @pytest.mark.parametrize("config, with_signals", [
+        (small_config(k_a=0), True),
+        (small_config(k_a=2), True),                  # most slots empty
+        (small_config(), True),
+        (small_config(), False),
+        (small_config(k_a=40, n_slots=12, r=12), False),
+        (SystemConfig(k_a=900), False),
+    ], ids=["no_users", "empty_slots", "small", "small_no_signals", "every_slot", "reference"])
+    def test_matches_per_slot_nonzero(self, config, with_signals):
+        frame = make_frame(config, RandomStream(18, 0), with_signals=with_signals)
+        assert len(frame.occupants) == config.n_slots
+        for slot, (users, pilots) in enumerate(frame.occupants):
+            expected_users, replicas = np.nonzero(frame.slot_indices == slot)
+            np.testing.assert_array_equal(users, expected_users)
+            np.testing.assert_array_equal(pilots, frame.pilot_choices[expected_users, replicas])
+            assert users.dtype == pilots.dtype == np.int64
+
+    @pytest.mark.parametrize("with_signals", [True, False])
+    def test_computed_once_per_frame(self, with_signals, monkeypatch):
+        calls = []
+        compute = FrameInstance.occupants.func
+        monkeypatch.setattr(FrameInstance.occupants, "func",
+                            lambda frame: calls.append(frame) or compute(frame))
+        frame = make_frame(small_config(), RandomStream(19, 0), with_signals=with_signals)
+        first = frame.occupants
+        algorithms = list(Algorithm) if with_signals else [Algorithm.LOGICAL]
+        for algorithm in algorithms:
+            run_receiver(frame, algorithm)
+        assert calls == [frame]
+        assert frame.occupants is first
 
 
 class TestAssemblyOracle:

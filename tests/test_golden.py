@@ -18,26 +18,28 @@ from csa_mimo.cli import main
 
 DATA = Path(__file__).resolve().parent / "data" / "golden"
 
-DIMS = ["--m", "32", "--n-pilots", "8", "--n-d", "32", "--n-slots", "10", "--t", "3",
-        "--no-timing"]
+# the system flags each experiment reads, and --no-timing
+ANALYSIS_DIMS = ["--m", "32", "--n-d", "32", "--t", "3", "--no-timing"]
+SINGLETON_DIMS = ANALYSIS_DIMS + ["--n-pilots", "8"]
+PLR_DIMS = SINGLETON_DIMS + ["--n-slots", "10"]
 PLR = ["--experiment", "plr", "--algorithm", "snb,pab,prce,logical", "--ka-range", "20:60:20",
-       "--frames", "6", "--target-losses", "1000"]
+       "--frames", "6", "--target-losses", "1000"] + PLR_DIMS
 SINGLETON = ["--experiment", "singleton", "--a-range", "4:16:6", "--presub-fraction", "0.5",
-             "--trials", "300"]
+             "--trials", "300"] + SINGLETON_DIMS
 
 CASES = {
     "plr_bit.csv": PLR + ["--decode-criterion", "bit"],
     "plr_symbol.csv": PLR + ["--decode-criterion", "symbol"],
     "singleton_snb.csv": SINGLETON + ["--algorithm", "snb"],
     "singleton_pab.csv": SINGLETON + ["--algorithm", "pab"],
-    "analysis.csv": ["--experiment", "analysis", "--a-range", "4:16:6"],
+    "analysis.csv": ["--experiment", "analysis", "--a-range", "4:16:6"] + ANALYSIS_DIMS,
 }
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_reproduces_golden_csv(name, tmp_path):
     out = tmp_path / name
-    assert main(CASES[name] + DIMS + ["--out", str(out)]) == 0
+    assert main(CASES[name] + ["--out", str(out)]) == 0
     assert out.read_bytes() == (DATA / name).read_bytes()
 
 
@@ -52,5 +54,5 @@ def test_frames_drawn_in_parts_reproduce_golden_csv(name, tmp_path, monkeypatch)
 
 if __name__ == "__main__":
     for name, argv in CASES.items():
-        if main(argv + DIMS + ["--out", str(DATA / name)]) != 0:
+        if main(argv + ["--out", str(DATA / name)]) != 0:
             raise SystemExit(f"recording {name} failed")

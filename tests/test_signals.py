@@ -402,6 +402,25 @@ class TestQpsk:
         assert symbols.dtype == np.complex128
         np.testing.assert_array_equal(symbols.view(np.uint64), expected.view(np.uint64))
 
+    @pytest.mark.parametrize("symbols", [
+        np.array([0.3 - 2j, -1 + 0.5j, -0.1 - 0.1j]),
+        np.random.default_rng(2).standard_normal((5, 16)).view(complex),
+        np.random.default_rng(3).standard_normal((2, 3, 8)).view(complex),
+        np.zeros((4, 0), dtype=complex),
+        np.array([1.5, -0.5, 0.0, -2.0]),
+        np.random.default_rng(4).standard_normal((6, 20)).view(complex)[::2, 1::3],
+        np.array([complex(0.0, -0.0), complex(-0.0, 0.0), complex(-0.0, -0.0), 0j]),
+        np.array([[1 - 1j, -1 + 1j]], dtype=np.complex64),
+    ], ids=["1d", "2d", "3d", "empty", "real", "strided", "signed_zeros", "complex64"])
+    def test_matches_per_quadrature_demodulation(self, symbols):
+        # the demodulator as first written: one strided write per quadrature
+        expected = np.empty(symbols.shape[:-1] + (2 * symbols.shape[-1],), dtype=np.uint8)
+        expected[..., 0::2] = symbols.real < 0
+        expected[..., 1::2] = symbols.imag < 0
+        bits = qpsk_hard_demodulate(symbols)
+        assert bits.dtype == np.uint8
+        np.testing.assert_array_equal(bits, expected)
+
     @given(st.lists(st.integers(0, 1), min_size=2, max_size=64).filter(lambda b: len(b) % 2 == 0))
     def test_round_trip_identity(self, bits):
         symbols = qpsk_modulate(np.array(bits, dtype=np.uint8))
