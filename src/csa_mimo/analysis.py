@@ -7,7 +7,8 @@ residual interfering terms behaves like an i.i.d. complex Gaussian vector
 with per-entry variance equal to the antenna count, which gives the QPSK
 hard-decision symbol error probability and, through a bounded-distance
 decoder correcting ``t`` errors, the probability that the singleton fails.
-The noise contribution is neglected throughout.
+The noise contribution is neglected throughout.  The Gaussian tail is
+the standard library's ``math.erfc``.
 
 This is the paper's i.i.d. approximation, not the law of the simulator in
 ``montecarlo.run_singleton_experiment``.  There the channels are block
@@ -22,8 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from scipy.special import erfc
 
 
 @dataclass(frozen=True)
@@ -74,7 +73,7 @@ def symbol_error_probability(m: int, n_it: int) -> float:
         raise ValueError(f"interferer count must be nonnegative, got {n_it}")
     if n_it == 0:
         return 0.0
-    e = float(erfc(math.sqrt(m / (2.0 * n_it))))
+    e = math.erfc(math.sqrt(m / (2.0 * n_it)))
     return e - 0.25 * e * e
 
 

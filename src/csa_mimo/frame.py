@@ -7,6 +7,7 @@ independent block-fading channels plus additive noise.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -33,8 +34,8 @@ def compute_slot_count(latency_ms: float, symbol_rate: float, n_p: int, n_d: int
     A slot carries ``n_p`` pilot plus ``n_d`` payload symbols; the frame must
     fit twice within ``latency_ms`` at ``symbol_rate`` symbols/second.
     """
-    if latency_ms <= 0 or symbol_rate <= 0 or n_p <= 0 or n_d <= 0:
-        raise ValueError("latency, symbol rate and slot dimensions must be positive")
+    if not (0 < latency_ms < math.inf and 0 < symbol_rate < math.inf) or n_p <= 0 or n_d <= 0:
+        raise ValueError("latency, symbol rate and slot dimensions must be positive and finite")
     symbols_in_budget = latency_ms * 1e-3 * symbol_rate
     return int(symbols_in_budget // (2 * (n_p + n_d)))
 
@@ -75,6 +76,9 @@ class SystemConfig:
                 f"slots r may be at most n_slots // {_FLOYD_MIN_SHARE} "
                 f"= {self.n_slots // _FLOYD_MIN_SHARE}"
             )
+        for name in ("noise_var", "channel_var", "latency_ms", "symbol_rate"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.noise_var < 0:
             raise ValueError(f"noise_var must be nonnegative, got {self.noise_var}")
         if self.channel_var <= 0:

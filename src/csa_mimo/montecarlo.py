@@ -418,8 +418,8 @@ def _check_singleton_args(
             raise ValueError(f"{name} must be >= 1, got {value}")
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
-    if noise_var < 0:
-        raise ValueError(f"noise_var must be nonnegative, got {noise_var}")
+    if not 0 <= noise_var < math.inf:
+        raise ValueError(f"noise_var must be finite and nonnegative, got {noise_var}")
     if not 0.0 <= presub_fraction <= 1.0:
         raise ValueError(f"presub_fraction must lie in [0, 1], got {presub_fraction}")
     if a_pilot < 1 or a_total < a_pilot:

@@ -12,7 +12,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import hadamard
 
 # The QPSK symbol of bit pair (b0, b1) at index 2*b0 + b1, computed with the
 # mapping's own formula so that a table lookup reproduces it bit for bit.
@@ -193,16 +192,16 @@ def _locate(probe: np.ndarray, window: np.ndarray):
 
 
 def build_hadamard_pilots(n_p: int) -> np.ndarray:
-    """The read-only (n_p, n_p) matrix of ``n_p`` orthogonal +/-1 pilots, one per row.
+    """The read-only (n_p, n_p) int64 matrix of ``n_p`` orthogonal +/-1 pilots, one per row.
 
     ``n_p`` must be a power of two (Sylvester construction).  All rows,
-    including the all-ones row, are usable pilots.  Rows are in Sylvester
-    order, so the matched filter against all pilots at once is the
-    Walsh-Hadamard transform (see ``walsh_hadamard_transform``).
+    including the all-ones row, are usable pilots.  The matrix is the
+    Walsh-Hadamard transform of the identity (I H = H), so its rows are in the
+    Sylvester order that ``walsh_hadamard_transform`` correlates against.
     """
     if n_p < 1 or (n_p & (n_p - 1)) != 0:
         raise ValueError(f"pilot count must be a power of two, got {n_p}")
-    seqs = hadamard(n_p, dtype=np.int64)
+    seqs = np.ascontiguousarray(walsh_hadamard_transform(np.eye(n_p, dtype=np.int64)))
     seqs.setflags(write=False)
     return seqs
 

@@ -67,6 +67,18 @@ class TestSymbolErrorProbability:
             P_E_M256_NIT128, abs=1e-14
         )
 
+    def test_agrees_with_mpmath_on_grid(self):
+        # the oracle takes the double argument the function computes: rounding
+        # sqrt(m / 2 n_it) alone moves erfc by up to 2 x^2 2^-53 relative
+        # (2.8e-14 at m=256, n_it=1), which no erfc in double precision undoes
+        for m in (16, 32, 64, 128, 256, 512):
+            for n_it in range(1, 600):
+                e = mp.erfc(mp.mpf(math.sqrt(m / (2.0 * n_it))))
+                expected = e - e * e / 4
+                assert symbol_error_probability(m, n_it) == pytest.approx(
+                    float(expected), rel=1e-15, abs=0.0
+                ), (m, n_it)
+
     def test_strictly_decreasing_in_antennas(self):
         values = [symbol_error_probability(m, 64) for m in (64, 128, 256, 512, 4096)]
         assert all(a > b for a, b in zip(values, values[1:]))

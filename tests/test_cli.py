@@ -1,5 +1,10 @@
 """Tests for the command-line interface and its config-file handling."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from csa_mimo.cli import (
@@ -14,8 +19,20 @@ from csa_mimo.frame import SystemConfig
 from csa_mimo.montecarlo import AnalysisRecord, PlrRecord, SingletonRecord, read_csv_records
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
 def run_cli(args):
     return main(args)
+
+
+def test_import_loads_no_scipy():
+    # numpy is the one runtime dependency; scipy serves the tests' oracles only
+    code = ("import sys, csa_mimo, csa_mimo.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)), check=True)
+    assert done.stdout.strip() == "[]"
 
 
 class TestConfigFile:
@@ -336,15 +353,41 @@ class TestErrorPaths:
         ("singleton", ["--n-slots", "9"], "--n-slots does not apply to the singleton"),
         ("singleton", ["--latency-ms", "20"], "--latency-ms does not apply to the singleton"),
         ("singleton", ["--symbol-rate", "2e6"], "--symbol-rate does not apply to the singleton"),
+        ("plr", ["--noise-var", "nan"], "noise_var must be finite, got nan"),
+        ("plr", ["--noise-var", "inf"], "noise_var must be finite, got inf"),
+        ("plr", ["--latency-ms", "inf"], "latency_ms must be finite, got inf"),
+        ("plr", ["--symbol-rate", "nan"], "symbol_rate must be finite, got nan"),
+        ("singleton", ["--noise-var", "nan"], "noise_var must be finite, got nan"),
     ])
     def test_fault_named_in_error(self, experiment, flags, message, tmp_path, capsys):
-        base = {"analysis": [],
-                "singleton": ["--algorithm", "snb", "--trials", "10", "--n-pilots", "8"]}
-        command = ["--experiment", experiment, "--a-total", "6", "--m", "8",
+        base = {"analysis": ["--a-total", "6"],
+                "singleton": ["--a-total", "6", "--algorithm", "snb", "--trials", "10",
+                              "--n-pilots", "8"],
+                "plr": ["--algorithm", "snb,pab", "--ka", "5", "--frames", "2",
+                        "--n-pilots", "8", "--r", "2", "--latency-ms", "1"]}
+        # a flag given twice takes its last value, so a case may override the base
+        command = ["--experiment", experiment, "--m", "8",
                    "--n-d", "8", "--t", "1", "--no-timing"] + base[experiment]
         assert run_cli(command + ["--out", str(tmp_path / "base.csv")]) == 0
         out = tmp_path / "fault.csv"
         assert run_cli(command + flags + ["--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line, message", [
+        ("channel_var = nan", "channel_var must be finite, got nan"),
+        ("noise_var = inf", "noise_var must be finite, got inf"),
+        ("latency_ms = nan", "latency_ms must be finite, got nan"),
+        ("symbol_rate = inf", "symbol_rate must be finite, got inf"),
+    ])
+    def test_non_finite_config_value_named_in_error(self, line, message, tmp_path, capsys):
+        cfg = tmp_path / "nonfinite.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "plr.csv"
+        code = run_cli(["--config", str(cfg), "--algorithm", "pab", "--ka", "5",
+                        "--frames", "2", "--m", "8", "--n-pilots", "8", "--n-d", "8",
+                        "--r", "2", "--t", "1", "--no-timing", "--out", str(out)])
+        assert code == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
 

@@ -1,6 +1,7 @@
 """Tests for frame generation: slot budgeting, plans, signal assembly."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -151,6 +152,12 @@ class TestComputeSlotCount:
         with pytest.raises(ValueError):
             compute_slot_count(50.0, 1e6, 0, 256)
 
+    @pytest.mark.parametrize("latency_ms, symbol_rate", [
+        (math.nan, 1e6), (math.inf, 1e6), (50.0, math.nan), (50.0, math.inf)])
+    def test_non_finite_budget_rejected(self, latency_ms, symbol_rate):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            compute_slot_count(latency_ms, symbol_rate, 64, 256)
+
     def test_from_latency_constructor(self):
         cfg = SystemConfig.from_latency(m=256, n_p=64, n_d=256, k_a=10)
         assert cfg.n_slots == 78
@@ -168,6 +175,12 @@ class TestSystemConfig:
     def test_negative_noise_rejected(self):
         with pytest.raises(ValueError):
             small_config(noise_var=-0.1)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["noise_var", "channel_var", "latency_ms", "symbol_rate"])
+    def test_non_finite_real_named(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            small_config(**{name: value})
 
     @pytest.mark.parametrize("n_slots, r", [(10001, 3000), (20000, 401)])
     def test_choice_tail_shuffle_regime_rejected(self, n_slots, r):

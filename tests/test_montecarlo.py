@@ -462,6 +462,14 @@ class TestSingletonExperiment:
                 with pytest.raises(ValueError, match=rf"^{name} "):
                     run_singleton_experiment(**args)
 
+    @pytest.mark.parametrize("noise_var", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("algorithm", ["snb", "pab"])
+    def test_non_finite_noise_rejected(self, algorithm, noise_var):
+        with pytest.raises(ValueError, match="^noise_var must be finite"):
+            run_singleton_experiment(m=16, n_d=16, t=1, a_pilot=1, a_total=2,
+                                     presub_fraction=0.0, trials=1, algorithm=algorithm,
+                                     noise_var=noise_var)
+
     def test_sweep_rejects_bad_input_before_starting_workers(self, monkeypatch):
         def no_pool(workers):
             raise AssertionError("pool started")

@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -299,6 +300,14 @@ class TestHadamardPilots:
     def test_unit_symbol_energy(self):
         seqs = build_hadamard_pilots(16)
         np.testing.assert_array_equal(np.abs(seqs), np.ones((16, 16)))
+
+    @pytest.mark.parametrize("n_p", [2**k for k in range(13)])
+    def test_matches_scipy_sylvester_matrix(self, n_p):
+        pilots = build_hadamard_pilots(n_p)
+        np.testing.assert_array_equal(pilots, scipy.linalg.hadamard(n_p, dtype=np.int64))
+        assert pilots.dtype == np.int64
+        assert pilots.flags.c_contiguous
+        assert not pilots.flags.writeable
 
     def test_non_power_of_two_rejected(self):
         with pytest.raises(ValueError):
