@@ -51,14 +51,9 @@ class InterferenceScenario:
 
     @property
     def n_it(self) -> int:
-        return interference_term_count(self.a_pilot, self.a_total)
-
-
-def interference_term_count(a_pilot: int, a_total: int) -> int:
-    """Residual interfering terms after subtracting the pilot-sharers."""
-    if a_pilot < 1 or a_total < a_pilot:
-        raise ValueError(f"need a_total >= a_pilot >= 1, got {a_total}, {a_pilot}")
-    return a_pilot * a_total - 1
+        """Residual interfering terms after subtracting the pilot-sharers:
+        ``a_pilot * a_total - 1``, from the loads the constructor checked."""
+        return self.a_pilot * self.a_total - 1
 
 
 def symbol_error_probability(m: int, n_it: int) -> float:

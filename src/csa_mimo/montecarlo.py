@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import math
+import operator
 import os
 import time
 from dataclasses import dataclass
@@ -36,14 +37,15 @@ _WILSON_Z95 = 1.959963984540054
 _SNB_CHUNK = 32
 
 
-def wilson_interval(events: int, trials: int, z: float = _WILSON_Z95) -> tuple[float, float]:
-    """Wilson score confidence interval for a binomial proportion.
+def wilson_interval(events: int, trials: int) -> tuple[float, float]:
+    """Two-sided 95 % Wilson score interval for a binomial proportion.
 
     Stays sane at zero or few events, which is the regime near loss-rate
     cliffs.  Returns (0, 1) when there are no trials.
     """
     if trials <= 0:
         return 0.0, 1.0
+    z = _WILSON_Z95
     phat = events / trials
     z2 = z * z
     denom = 1.0 + z2 / trials
@@ -63,7 +65,8 @@ class SweepSpec:
     Each (algorithm, k_a) point runs at least ``min_frames`` frames and
     stops once ``target_loss_events`` packet losses have been seen, or at
     ``max_frames``.  Frame indices share a stream id with ``k_a``, so
-    ``max_frames`` must stay below 2**32.
+    ``max_frames`` must stay below 2**32.  Loads must be integers, and no
+    algorithm or load may be listed twice.
     """
 
     config: SystemConfig
@@ -76,7 +79,7 @@ class SweepSpec:
     decode_criterion: str = "bit"
 
     def __post_init__(self):
-        object.__setattr__(self, "ka_values", tuple(int(k) for k in self.ka_values))
+        object.__setattr__(self, "ka_values", tuple(map(operator.index, self.ka_values)))
         object.__setattr__(
             self, "algorithms", tuple(Algorithm(a) for a in self.algorithms)
         )
@@ -84,6 +87,11 @@ class SweepSpec:
             raise ValueError("ka_values must not be empty")
         if not self.algorithms:
             raise ValueError("algorithms must not be empty")
+        for name, values in (("algorithms", [a.value for a in self.algorithms]),
+                             ("ka_values", self.ka_values)):
+            repeated = sorted({v for v in values if values.count(v) > 1})
+            if repeated:
+                raise ValueError(f"{name} lists {', '.join(map(str, repeated))} more than once")
         if self.min_frames < 1:
             raise ValueError(f"min_frames must be >= 1, got {self.min_frames}")
         if self.max_frames < self.min_frames:
@@ -453,7 +461,7 @@ def run_singleton_sweep(
     """Run the singleton experiment over a grid of slot loads."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    a_values = [int(a) for a in a_values]
+    a_values = [operator.index(a) for a in a_values]
     for a in a_values:  # before any worker starts
         _check_singleton_args(
             m, n_d, t, a_pilot, a, presub_fraction, trials, algorithm,
@@ -477,11 +485,11 @@ def run_singleton_sweep(
 def tabulate_singleton_failure(m, n_d, t, a_pilot, a_values) -> list[AnalysisRecord]:
     """Closed-form failure curve as CSV-ready records."""
     rows = []
-    for a in a_values:
-        scen = InterferenceScenario(m=m, a_total=int(a), a_pilot=a_pilot, n_d=n_d, t=t)
+    for a in map(operator.index, a_values):
+        scen = InterferenceScenario(m=m, a_total=a, a_pilot=a_pilot, n_d=n_d, t=t)
         rows.append(
             AnalysisRecord(
-                a_total=int(a),
+                a_total=a,
                 a_pilot=a_pilot,
                 m=m,
                 n_d=n_d,
@@ -506,17 +514,13 @@ def _write_rows(fh, names, records) -> None:
         writer.writerow([_format_value(getattr(rec, name)) for name in names])
 
 
-def emit_csv(records, path, record_type=None) -> None:
-    """Write records as UTF-8 CSV with a header row.
+def emit_csv(records, path, record_type) -> None:
+    """Write records of the dataclass ``record_type`` as UTF-8 CSV.
 
-    Field order follows the record dataclass; floats are written with full
-    round-trip precision.  ``record_type`` fixes the header when the record
-    list may be empty.  ``path`` may also be an open file-like object.
+    The header row is the dataclass's field names, in order, so an empty
+    record list still gets one.  Floats are written with full round-trip
+    precision.  ``path`` may also be an open file-like object.
     """
-    if record_type is None:
-        if not records:
-            raise ValueError("record_type is required for an empty record list")
-        record_type = type(records[0])
     names = [f.name for f in dataclasses.fields(record_type)]
     if hasattr(path, "write"):
         _write_rows(path, names, records)
@@ -526,22 +530,3 @@ def emit_csv(records, path, record_type=None) -> None:
             _write_rows(fh, names, records)
     except OSError as exc:
         raise OSError(f"cannot write CSV to {path}: {exc}") from exc
-
-
-def read_csv_records(path, record_type) -> list:
-    """Parse a CSV produced by ``emit_csv`` back into records."""
-    casts = {f.name: f.type for f in dataclasses.fields(record_type)}
-    out = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            kwargs = {}
-            for name, raw in row.items():
-                kind = casts[name]
-                if kind in (int, "int"):
-                    kwargs[name] = int(raw)
-                elif kind in (float, "float"):
-                    kwargs[name] = float(raw)
-                else:
-                    kwargs[name] = raw
-            out.append(record_type(**kwargs))
-    return out

@@ -13,7 +13,6 @@ import pytest
 
 from csa_mimo.analysis import (
     InterferenceScenario,
-    interference_term_count,
     pab_estimate_error_variance,
     singleton_failure_probability,
     symbol_error_probability,
@@ -49,13 +48,14 @@ class TestInterferenceTermCount:
         "a_pilot,a_total,expected", [(1, 1, 0), (1, 21, 20), (2, 30, 59), (3, 10, 29)]
     )
     def test_values(self, a_pilot, a_total, expected):
-        assert interference_term_count(a_pilot, a_total) == expected
+        scenario = InterferenceScenario(m=256, a_total=a_total, a_pilot=a_pilot, n_d=256, t=10)
+        assert scenario.n_it == expected
 
     def test_invalid_rejected(self):
-        with pytest.raises(ValueError):
-            interference_term_count(0, 5)
-        with pytest.raises(ValueError):
-            interference_term_count(3, 2)
+        with pytest.raises(ValueError, match="a_pilot must be >= 1"):
+            InterferenceScenario(m=256, a_total=5, a_pilot=0, n_d=256, t=10)
+        with pytest.raises(ValueError, match="cannot be below a_pilot"):
+            InterferenceScenario(m=256, a_total=2, a_pilot=3, n_d=256, t=10)
 
 
 class TestSymbolErrorProbability:
@@ -212,10 +212,16 @@ class TestFailureCurve:
         values = list(failure_curve(256, 256, 10, 2, range(2, 120)).values())
         assert all(a <= b + 1e-13 for a, b in zip(values, values[1:]))
 
+    def test_loads_must_be_integers(self):
+        with pytest.raises(TypeError):
+            tabulate_singleton_failure(256, 256, 10, 1, [5.9])
+        (rec,) = tabulate_singleton_failure(256, 256, 10, 1, np.array([5]))
+        assert rec.a_total == 5 and type(rec.a_total) is int
+
     def test_crossings_match_oracle_for_all_sharer_counts(self):
         for a_pilot in (1, 2, 3):
             curve = failure_curve(256, 256, 10, a_pilot, range(a_pilot, 120))
             for a_total, p in curve.items():
-                n_it = interference_term_count(a_pilot, a_total)
+                n_it = InterferenceScenario(256, a_total, a_pilot, 256, 10).n_it
                 want = binomial_tail_oracle(256, 10, symbol_error_probability(256, n_it))
                 assert p == pytest.approx(want, abs=1e-12)

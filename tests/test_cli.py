@@ -16,7 +16,8 @@ from csa_mimo.cli import (
     parse_config_file,
 )
 from csa_mimo.frame import SystemConfig
-from csa_mimo.montecarlo import AnalysisRecord, PlrRecord, SingletonRecord, read_csv_records
+from csa_mimo.montecarlo import AnalysisRecord, PlrRecord, SingletonRecord
+from csv_records import read_csv_records
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -358,6 +359,7 @@ class TestErrorPaths:
         ("plr", ["--latency-ms", "inf"], "latency_ms must be finite, got inf"),
         ("plr", ["--symbol-rate", "nan"], "symbol_rate must be finite, got nan"),
         ("singleton", ["--noise-var", "nan"], "noise_var must be finite, got nan"),
+        ("plr", ["--algorithm", "pab,pab"], "algorithms lists pab more than once"),
     ])
     def test_fault_named_in_error(self, experiment, flags, message, tmp_path, capsys):
         base = {"analysis": ["--a-total", "6"],
@@ -389,6 +391,17 @@ class TestErrorPaths:
                         "--r", "2", "--t", "1", "--no-timing", "--out", str(out)])
         assert code == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_repeated_config_load_named_in_error(self, tmp_path, capsys):
+        cfg = tmp_path / "repeated.cfg"
+        cfg.write_text("ka_values = 5, 5\n")
+        out = tmp_path / "plr.csv"
+        code = run_cli(["--config", str(cfg), "--algorithm", "pab", "--frames", "2",
+                        "--m", "8", "--n-slots", "6", "--n-pilots", "8", "--n-d", "8",
+                        "--r", "2", "--t", "1", "--no-timing", "--out", str(out)])
+        assert code == 2
+        assert "ka_values lists 5 more than once" in capsys.readouterr().err
         assert not out.exists()
 
     def test_analysis_empty_load_grid_exit_code(self, tmp_path, capsys):

@@ -20,7 +20,6 @@ from csa_mimo.montecarlo import (
     SweepSpec,
     emit_csv,
     frame_stream,
-    read_csv_records,
     run_plr_sweep,
     run_singleton_experiment,
     run_singleton_sweep,
@@ -29,6 +28,7 @@ from csa_mimo.montecarlo import (
 )
 from csa_mimo.receiver import count_errors
 from csa_mimo.signals import RandomStream, complex_normal, qpsk_hard_demodulate, qpsk_modulate
+from csv_records import read_csv_records
 
 
 def tiny_config(**overrides) -> SystemConfig:
@@ -87,6 +87,21 @@ class TestSweepSpec:
     def test_algorithms_coerced(self):
         spec = SweepSpec(config=tiny_config(), ka_values=[5], algorithms=["snb", "pab"])
         assert all(hasattr(a, "value") for a in spec.algorithms)
+
+    @pytest.mark.parametrize("ka_values, algorithms, message", [
+        ([5], ["pab", "snb", "pab"], "algorithms lists pab more than once"),
+        ([5], ["pab", Algorithm.PAB], "algorithms lists pab more than once"),
+        ([5, 6, np.int64(5)], ["snb"], "ka_values lists 5 more than once"),
+    ])
+    def test_repeated_entry_named(self, ka_values, algorithms, message):
+        with pytest.raises(ValueError, match=message):
+            SweepSpec(config=tiny_config(), ka_values=ka_values, algorithms=algorithms)
+
+    def test_loads_must_be_integers(self):
+        with pytest.raises(TypeError):
+            SweepSpec(config=tiny_config(), ka_values=[2.7], algorithms=["snb"])
+        spec = SweepSpec(config=tiny_config(), ka_values=[np.int64(5)], algorithms=["snb"])
+        assert spec.ka_values == (5,) and type(spec.ka_values[0]) is int
 
 
 class TestRunPlrSweep:
@@ -482,6 +497,14 @@ class TestSingletonExperiment:
             run_singleton_sweep(m=16, n_d=16, t=1, a_pilot=2, a_values=iter([4, 1]),
                                 presub_fraction=0.0, trials=1, algorithm="pab", workers=2)
 
+    def test_sweep_loads_must_be_integers(self):
+        with pytest.raises(TypeError):
+            run_singleton_sweep(m=16, n_d=16, t=1, a_pilot=1, a_values=[5.9],
+                                presub_fraction=0.0, trials=1, algorithm="snb")
+        (rec,) = run_singleton_sweep(m=16, n_d=16, t=1, a_pilot=1, a_values=np.array([5]),
+                                     presub_fraction=0.0, trials=1, algorithm="snb")
+        assert rec.a_total == 5 and type(rec.a_total) is int
+
     def test_sweep_worker_count_below_one_rejected(self):
         with pytest.raises(ValueError, match="workers"):
             run_singleton_sweep(m=16, n_d=16, t=1, a_pilot=1, a_values=[2, 4],
@@ -587,10 +610,6 @@ class TestCsvEmission:
         assert len(lines) == 1
         assert lines[0].split(",")[0] == "algorithm"
 
-    def test_empty_without_type_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            emit_csv([], tmp_path / "x.csv")
-
     def test_column_count_constant(self, tmp_path):
         curve = tabulate_singleton_failure(64, 128, 5, 1, range(2, 30, 5))
         path = tmp_path / "analysis.csv"
@@ -602,7 +621,7 @@ class TestCsvEmission:
     def test_unwritable_path_raises_with_path_in_message(self):
         records = [AnalysisRecord(2, 1, 64, 128, 5, 0.0, 0.0)]
         with pytest.raises(OSError, match="no/such/dir"):
-            emit_csv(records, "no/such/dir/out.csv")
+            emit_csv(records, "no/such/dir/out.csv", record_type=AnalysisRecord)
 
     def test_analysis_tabulation_matches_closed_form(self):
         from csa_mimo.analysis import (
