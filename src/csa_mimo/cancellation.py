@@ -25,16 +25,16 @@ within ``t`` errors; a LOGICAL attempt accepts the resource's sole
 undecoded user.  The receivers differ otherwise only in the channel
 estimate ``subtract`` uses for a decoded user on pilot j of a slot (the
 generator slot is where the user was decoded, replica slots hold its
-other copies):
+other copies; i is the user's index among the slot's occupants):
 
-=========  ==============================  ===========================================
-algorithm  generator slot                  replica slot
-=========  ==============================  ===========================================
-SNB        ``||h||^2 = g[slot][j]``        ``||h||^2 = m channel_var``
-PAB        ``h = phi[slot][:, j]``         ``h = (C[:, u] - H^T G[sub, u]) / G[u, u]``
-PRCE       ``h = true_channels[(u, s)]``   ``h = true_channels[(u, s)]``
-LOGICAL    none, removal is perfect        none, removal is perfect
-=========  ==============================  ===========================================
+=========  ===========================  ==============================================
+algorithm  generator slot               replica slot
+=========  ===========================  ==============================================
+SNB        ``||h||^2 = g[slot][j]``     ``||h||^2 = m channel_var``
+PAB        ``h = phi[slot][:, j]``      ``h = (C[:, i] - H^T (G[:, i] * done)) / G[i, i]``
+PRCE       ``h = true_channels[s][i]``  ``h = true_channels[s][i]``
+LOGICAL    none, removal is perfect     none, removal is perfect
+=========  ===========================  ==============================================
 
 Each signal receiver keeps, per slot, the pilot estimates ``phi`` (estimated
 once from the pilot phase) and the combining gains ``g``; the received payload
@@ -42,24 +42,24 @@ matrix ``y`` is the frame's own and is never written:
 
 * SNB also keeps the combining numerators ``f = phi^H y`` and edits the
   user's row of ``f`` and ``g`` in place.
-* PAB and PRCE keep, in subtraction order, the estimates ``H`` (k x m) and
-  payloads ``X`` (k x n_d) they subtracted from the slot, so the residual
-  is ``y - H^T X`` without ever being formed.  The pilots are orthogonal,
-  so removing ``h s_j^T`` from the pilot phase only moves ``phi[:, j]`` by
-  ``-h``: a subtraction appends ``(h, x)``, updates that column and its
-  gain, O(m) work.  A decode attempt's numerator
-  ``f_j = phi_j^H y - (H phi_j*)^T X`` is formed on demand, O(m n_d + k (m +
-  n_d)) with k at most the slot's occupancy.
-* PAB also keeps, per slot, two Gram products over the slot's occupants
-  (the users who sent a replica there, ascending, with payloads ``X_s``):
-  ``C = y X_s^H`` (m x occupancy) and ``G = X_s X_s^H``, each one product
-  when the receiver starts.  The replica estimate of occupant u is the
-  matched filter ``(y - H^T X) x_u* / ||x_u||^2`` of the residual, and with
-  ``sub`` the occupants already subtracted, in order, it is
-  ``(C[:, u] - H^T G[sub, u]) / G[u, u]`` (``pab_channel_estimate``): O(m k)
-  work, and no pass over ``y``.  Column u of C is read only while u is not
-  yet subtracted, so C is kept transposed in the rows of H not yet filled,
-  one row per occupant not yet subtracted, and takes no memory of its own.
+* PAB and PRCE address a slot's replicas by occupant index: the users who
+  sent a replica there, ascending, with payloads ``X`` (occupancy x n_d).
+  They keep a ``done`` mask of the occupants subtracted and ``H``, one
+  channel row per occupant, so the residual is
+  ``y - H^T (X * done[:, None])`` without ever being formed.  The pilots
+  are orthogonal, so removing ``h s_j^T`` from the pilot phase only moves
+  ``phi[:, j]`` by ``-h``: a subtraction sets its occupant's ``done``,
+  updates that column and its gain, O(m) work.  A decode attempt's
+  numerator ``f_j = phi_j^H y - ((H phi_j*) * done)^T X`` is formed on
+  demand, O((m + occupancy) n_d); the zero weights add exact zeros.
+* PRCE's ``H`` is the frame's ``true_channels[s]``, read in place.  PAB's
+  starts as ``C^T``, the correlations ``C = y X^H`` (m x occupancy), and
+  row i takes occupant i's estimate when i is subtracted: column i of C is
+  read only until then.  PAB also keeps the Gram products ``G = X X^H``.
+  Each is one product when the receiver starts.  The replica estimate of
+  occupant i is the matched filter ``y_res x_i* / ||x_i||^2`` of the
+  residual, ``(C[:, i] - H^T (G[:, i] * done)) / G[i, i]``
+  (``pab_channel_estimate``): O(m occupancy) work, and no pass over ``y``.
 """
 from __future__ import annotations
 
@@ -123,18 +123,15 @@ class ReceiverState:
     combining gains ``g``; ``y`` is the list of the frame's payload-phase
     matrices, shared and never written.  ``phi`` is estimated once per slot
     and then updated in place by ``subtract``.  SNB also holds the combining
-    numerators ``f``.  PAB and PRCE hold instead the first
-    ``n_subtracted[s]`` rows of ``subtracted_h[s]`` and ``subtracted_x[s]``,
-    the (estimate, payload) pairs removed from slot s, buffers sized to the
-    slot's occupancy; ``numerator`` forms ``f_j`` from them.  PAB also holds
-    the Gram products of slot s over its occupants, in ascending user order:
-    ``gram[s]`` (``G = X X^H``) and the correlations ``C = y X^H``, whose
-    rows of ``C^T`` fill the rows of ``subtracted_h[s]`` past
-    ``n_subtracted[s]``.  A user's index among a slot's occupants is its
-    position in ``frame.occupants[s]``'s ascending users, ``row_owner[s][r]``
-    the occupant whose estimate or, past ``n_subtracted[s]``, whose
-    correlation row r holds, and ``row_of[s]`` its inverse.  A replica
-    estimate reads them instead of ``y``.
+    numerators ``f``.  PAB and PRCE hold instead, per slot s and indexed by
+    occupant (position in ``frame.occupants[s]``'s ascending users), the
+    payloads ``x[s]``, the mask ``done[s]`` of the occupants subtracted and
+    the channel rows ``rows[s]`` (occupancy x m); ``numerator`` forms
+    ``f_j`` from them.  PRCE's ``rows[s]`` is the frame's read-only
+    ``true_channels[s]``.  PAB's row i holds the correlation ``y x_i^*``
+    (row i of ``C^T``) until occupant i is subtracted and its estimate
+    after; PAB also holds the Gram products ``gram[s]`` (``G = X X^H``).  A
+    replica estimate reads them instead of ``y``.
     """
 
     def __init__(self, frame: FrameInstance, algorithm: Algorithm | str):
@@ -161,36 +158,29 @@ class ReceiverState:
             self.g = [g for _, g in stats]
         else:
             self.g = [combining_gains(phi) for phi in self.phi]
-            occupancy = [users.size for users, _ in frame.occupants]
-            self.n_subtracted = np.zeros(cfg.n_slots, dtype=np.int64)
-            self.subtracted_h = [np.empty((k, cfg.m), dtype=complex) for k in occupancy]
-            self.subtracted_x = [np.empty((k, cfg.n_d), dtype=complex) for k in occupancy]
-        if self.algorithm is Algorithm.PAB:
-            self.row_owner = [np.arange(k) for k in occupancy]
-            self.row_of = [np.arange(k) for k in occupancy]
-            self.gram = []
-            for rows, y, (users, _) in zip(self.subtracted_h, self.y, frame.occupants):
-                x = frame.payloads[users]
+            self.x = [frame.payloads[users] for users, _ in frame.occupants]
+            self.done = [np.zeros(x.shape[0], dtype=bool) for x in self.x]
+        if self.algorithm is Algorithm.PRCE:
+            self.rows = [frame.true_channels[s] for s in range(cfg.n_slots)]
+        elif self.algorithm is Algorithm.PAB:
+            self.rows, self.gram = [], []
+            for x, y in zip(self.x, self.y):
                 x_conj = x.conj()
-                np.matmul(x_conj, y.T, out=rows)  # C^T: row i is y x_i^*
+                self.rows.append(x_conj @ y.T)  # C^T: row i is y x_i^*
                 self.gram.append(x @ x_conj.T)
-
-    def subtracted(self, slot: int) -> tuple[np.ndarray, np.ndarray]:
-        """The (estimates, payloads) removed from a PAB/PRCE slot so far."""
-        k = self.n_subtracted[slot]
-        return self.subtracted_h[slot][:k], self.subtracted_x[slot][:k]
 
     def numerator(self, slot: int, j: int) -> np.ndarray:
         """Combining numerator ``f_j = phi_j^H y_res`` of pilot j in a slot.
 
         SNB reads its stored row.  PAB and PRCE form it from the received
-        matrix and the slot's subtracted pairs, ``phi_j^H y - (H phi_j*)^T X``.
+        matrix and the slot's subtracted occupants,
+        ``phi_j^H y - ((H phi_j*) * done)^T X``.
         """
         if self.algorithm is Algorithm.SNB:
             return self.f[slot][j]
         phi_conj = self.phi[slot][:, j].conj()
-        h_sub, x_sub = self.subtracted(slot)
-        return phi_conj @ self.y[slot] - (h_sub @ phi_conj) @ x_sub
+        weights = (self.rows[slot] @ phi_conj) * self.done[slot]
+        return phi_conj @ self.y[slot] - weights @ self.x[slot]
 
 
 def pab_channel_estimate(
@@ -220,16 +210,15 @@ def subtract(state: ReceiverState, user: int, slot: int, j: int, mode: str) -> N
     (its pilot there carries no other undecoded signal) and ``"replica"``
     in its other slots; the module docstring tables the channel estimate
     each (algorithm, mode) pair uses.  SNB edits only the statistics of the
-    user's pilot and marks that resource stale.  PAB and PRCE append the
-    (estimate ``h``, payload ``x``) pair to the slot's subtracted rows, do
-    ``phi[:, j] -= h`` and recompute ``g[j]`` from the updated column; the
-    received matrices are not touched.  Under PAB the pair's row held the
-    correlation of some occupant not yet subtracted, which moves to the row
-    the user's own correlation leaves.  Every pilot of the slot is marked
-    stale, since every numerator ``f_j`` of the residual changed.  LOGICAL
-    only counts the subtraction and marks the whole slot stale: a
-    re-attempt on a resource whose undecoded users did not change repeats
-    its failure.  Subtracting the same (user, slot) twice is an error.
+    user's pilot and marks that resource stale.  PAB and PRCE mark the
+    user's occupant index i done, do ``phi[:, j] -= rows[i]`` and recompute
+    ``g[j]`` from the updated column; PAB first writes its estimate into
+    ``rows[i]``.  The received matrices are not touched.  Every pilot of
+    the slot is marked stale, since every numerator ``f_j`` of the residual
+    changed.  LOGICAL only counts the subtraction and marks the whole slot
+    stale: a re-attempt on a resource whose undecoded users did not change
+    repeats its failure.  Subtracting the same (user, slot) twice is an
+    error.
     """
     if mode not in ("generator", "replica"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -247,36 +236,22 @@ def subtract(state: ReceiverState, user: int, slot: int, j: int, mode: str) -> N
         return
 
     cfg = state.config
-    payload = state.frame.payloads[user]
     if state.algorithm is Algorithm.SNB:
         norm_sq = float(state.g[slot][j]) if generator else float(cfg.m * cfg.channel_var)
-        state.f[slot][j] -= norm_sq * payload
+        state.f[slot][j] -= norm_sq * state.frame.payloads[user]
         state.g[slot][j] -= norm_sq
         state.stale[slot, j] = True
         return
-    k = state.n_subtracted[slot]
-    if state.algorithm is Algorithm.PRCE:
-        h_est = state.frame.true_channels[key]
-    else:
-        rows, owner, row_of = state.subtracted_h[slot], state.row_owner[slot], state.row_of[slot]
-        u = np.searchsorted(state.frame.occupants[slot][0], user)  # index among occupants
-        r = row_of[u]  # the row holding C[:, u]
+    i = np.searchsorted(state.frame.occupants[slot][0], user)  # index among occupants
+    rows, done, phi = state.rows[slot], state.done[slot], state.phi[slot]
+    if state.algorithm is Algorithm.PAB:
         if generator:
-            h_est = state.phi[slot][:, j]
+            rows[i] = phi[:, j]  # a copy, so the update below cannot alias a phi column
         else:
             gram = state.gram[slot]
-            h_est = pab_channel_estimate(rows[r], rows[:k].T, gram[owner[:k], u], gram[u, u].real)
-        # row k is about to hold u's estimate, so the correlation in it moves to row r
-        v = owner[k]
-        rows[r] = rows[k]
-        owner[r], row_of[v] = v, r
-        owner[k], row_of[u] = u, k
-    h = state.subtracted_h[slot][k]
-    h[:] = h_est  # a copy, so the update below cannot alias a phi column
-    state.subtracted_x[slot][k] = payload
-    state.n_subtracted[slot] = k + 1
-    phi = state.phi[slot]
-    phi[:, j] -= h
+            rows[i] = pab_channel_estimate(rows[i], rows.T, gram[:, i] * done, gram[i, i].real)
+    done[i] = True
+    phi[:, j] -= rows[i]
     state.g[slot][j] = combining_gains(phi[:, j])
     state.stale[slot] = True
 

@@ -8,7 +8,7 @@ independent block-fading channels plus additive noise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -88,10 +88,16 @@ class SystemConfig:
 
     @classmethod
     def from_latency(cls, **kwargs) -> "SystemConfig":
-        """Build a config with ``n_slots`` derived from the latency budget."""
-        base = cls(**kwargs)
+        """Build a config with ``n_slots`` derived from the latency budget.
+
+        ``r`` and the Floyd limit are checked against the derived slot count.
+        """
+        base = cls(**{**kwargs, "n_slots": 1, "r": 1})  # every check not on n_slots
         n = compute_slot_count(base.latency_ms, base.symbol_rate, base.n_p, base.n_d)
-        return replace(base, n_slots=n)
+        if n < 1:
+            raise ValueError(f"a latency budget of {base.latency_ms:g} ms at {base.symbol_rate:g} "
+                             f"symbols/s fits no {base.n_p + base.n_d}-symbol slot twice")
+        return cls(**{**kwargs, "n_slots": n})
 
 
 @dataclass
@@ -106,11 +112,13 @@ class SlotSignal:
 class FrameInstance:
     """One frame's ground truth plus the assembled per-slot observations.
 
-    User u is row u of the four per-user arrays.  ``true_channels[(u, slot)]``
-    holds the fading vector of each transmitted replica; channels of the
-    same user in different slots are independent draws.  ``slots`` is None
-    when the frame was generated for collision-structure-only processing.
-    ``occupants``, the map of users to resources, is built once per frame.
+    User u is row u of the four per-user arrays.  ``occupants``, the map of
+    users to resources, is built once per frame.  ``true_channels[slot]`` is
+    the read-only (occupancy x m) array of the slot's fading vectors, row i
+    the channel of its i-th occupant in ``occupants[slot]``; channels of the
+    same user in different slots are independent draws.  ``slots`` is None,
+    and ``true_channels`` empty, when the frame was generated for
+    collision-structure-only processing.
     """
 
     config: SystemConfig
@@ -118,7 +126,7 @@ class FrameInstance:
     pilot_choices: np.ndarray   # (k_a, r) int64, the pilot used in each slot
     payload_bits: np.ndarray    # (k_a, 2*n_d) uint8
     payloads: np.ndarray        # (k_a, n_d) complex QPSK symbols
-    true_channels: dict = field(default_factory=dict)
+    true_channels: dict = field(default_factory=dict)  # slot -> (occupancy, m) complex
     slots: list[SlotSignal] | None = None
 
     @cached_property
@@ -221,7 +229,8 @@ def assemble_frame(plans, config: SystemConfig, rng: np.random.Generator) -> Fra
         if users.size:
             p += channels.T @ pilot_rows[pilots]
             y += channels.T @ frame.payloads[users]
-            frame.true_channels.update(zip([(u, slot) for u in users.tolist()], channels))
+        channels.flags.writeable = False  # receivers of a sweep read it in place
+        frame.true_channels[slot] = channels
         frame.slots.append(SlotSignal(p=p, y=y))
     return frame
 

@@ -84,7 +84,7 @@ def gemv_subtract(state, user, slot, j, mode):
     """``subtract``, with the PAB replica estimate taken by the gemv oracle."""
     if state.algorithm is not Algorithm.PAB or mode == "generator":
         return _production_subtract(state, user, slot, j, mode)
-    h = gemv_channel_estimate(state.y[slot], state.frame.payloads[user], *state.subtracted(slot))
+    h = gemv_channel_estimate(state.y[slot], state.frame.payloads[user], *subtracted(state, slot))
     production_estimate = cancellation.pab_channel_estimate
     cancellation.pab_channel_estimate = lambda *args: h
     try:
@@ -93,9 +93,15 @@ def gemv_subtract(state, user, slot, j, mode):
         cancellation.pab_channel_estimate = production_estimate
 
 
+def subtracted(state, slot):
+    """The (estimates, payloads) a PAB/PRCE state has removed from a slot, in occupant order."""
+    done = state.done[slot]
+    return state.rows[slot][done], state.x[slot][done]
+
+
 def implied_residual(state, slot):
     """The residual ``y - H^T X`` a PAB/PRCE state holds implicitly for a slot."""
-    h_sub, x_sub = state.subtracted(slot)
+    h_sub, x_sub = subtracted(state, slot)
     return state.y[slot] - h_sub.T @ x_sub
 
 
@@ -112,6 +118,11 @@ def pilot_of(frame, user, slot):
     return int(frame.pilot_choices[user][frame.slot_indices[user].tolist().index(slot)])
 
 
+def true_channel(frame, user, slot):
+    """A replica's channel: the row of its slot's array at the user's occupant index."""
+    return frame.true_channels[slot][frame.occupants[slot][0].tolist().index(user)]
+
+
 def full_recompute_subtract(state, user, slot, j, mode):
     """PAB/PRCE subtraction by the full recompute that the implicit residual replaces.
 
@@ -124,7 +135,7 @@ def full_recompute_subtract(state, user, slot, j, mode):
     payload = state.frame.payloads[user]
     assert j == pilot_of(state.frame, user, slot)
     if state.algorithm is Algorithm.PRCE:
-        h = state.frame.true_channels[(user, slot)]
+        h = true_channel(state.frame, user, slot)
     elif mode == "generator":
         h = state.phi[slot][:, j]
     else:
@@ -362,22 +373,32 @@ class TestReceiverState:
             occupants.append(users)
         assert sum(users.size for users in occupants) == frame.slot_indices.size
 
-        def assert_unfilled_rows_hold_correlations():
-            for slot, users in enumerate(occupants):
-                k, owner = state.n_subtracted[slot], state.row_owner[slot]
-                assert sorted(owner) == list(range(users.size))
-                np.testing.assert_array_equal(state.row_of[slot][owner], np.arange(users.size))
-                c_t = frame.payloads[users[owner[k:]]].conj() @ frame.slots[slot].y.T
-                np.testing.assert_allclose(
-                    state.subtracted_h[slot][k:], c_t, rtol=1e-12, atol=1e-12)
+        estimates = [{} for _ in occupants]  # per slot, occupant index -> estimate
 
-        assert_unfilled_rows_hold_correlations()
-        # subtract the last occupant of every slot first, in both modes, so rows move
+        def assert_rows_hold_correlations_or_estimates():
+            for slot, users in enumerate(occupants):
+                assert set(np.flatnonzero(state.done[slot])) == set(estimates[slot])
+                c_t = frame.payloads[users].conj() @ frame.slots[slot].y.T
+                for i in range(users.size):
+                    expected = estimates[slot].get(i, c_t[i])
+                    np.testing.assert_allclose(
+                        state.rows[slot][i], expected, rtol=1e-12, atol=1e-12)
+
+        assert_rows_hold_correlations_or_estimates()
+        # subtract the last two occupants of every slot, the second as a replica
+        # estimated with the first already done, so done is not a prefix
         for slot, users in enumerate(occupants):
-            for mode, user in zip(("replica", "generator"), users[::-1][:2].tolist()):
-                subtract(state, user, slot, pilot_of(frame, user, slot), mode)
-            assert list(state.row_owner[slot][:2]) == list(range(users.size))[::-1][:2]
-        assert_unfilled_rows_hold_correlations()
+            for mode, user in zip(("generator", "replica"), users[::-1][:2].tolist()):
+                j = pilot_of(frame, user, slot)
+                i = users.tolist().index(user)
+                if mode == "generator":
+                    h = state.phi[slot][:, j].copy()
+                else:
+                    h = gemv_channel_estimate(
+                        frame.slots[slot].y, frame.payloads[user], *subtracted(state, slot))
+                subtract(state, user, slot, j, mode)
+                estimates[slot][i] = h
+        assert_rows_hold_correlations_or_estimates()
 
     @pytest.mark.parametrize("algorithm", (Algorithm.SNB, Algorithm.PAB, Algorithm.PRCE))
     def test_never_touches_received_matrices(self, algorithm):
@@ -385,11 +406,17 @@ class TestReceiverState:
         frame = make_frame(cfg, RandomStream(4, 0))
         before_p = [s.p.copy() for s in frame.slots]
         before_y = [s.y.copy() for s in frame.slots]
+        before_h = {slot: h.copy() for slot, h in frame.true_channels.items()}
         report = run_receiver(frame, algorithm)
         assert report.n_up + report.n_pa > 0
         for slot, (bp, by) in enumerate(zip(before_p, before_y)):
             np.testing.assert_array_equal(frame.slots[slot].p, bp)
             np.testing.assert_array_equal(frame.slots[slot].y, by)
+        assert list(frame.true_channels) == list(before_h)
+        for slot, h in frame.true_channels.items():
+            # PRCE reads these rows in place from a frame its sweep shares
+            assert not h.flags.writeable
+            np.testing.assert_array_equal(h, before_h[slot])
 
 
 class TestSnbSubtraction:
@@ -438,7 +465,7 @@ class TestPabSubtraction:
     def test_replica_mode_uses_payload_estimate(self):
         frame = manual_frame([[(0, 2), (1, 0)]], noise_var=0.0, n_d=64)
         state = ReceiverState(frame, Algorithm.PAB)
-        h_true = frame.true_channels[(0, 1)]
+        h_true = true_channel(frame, 0, 1)
         subtract(state, 0, 1, 0, mode="replica")
         assert state.n_pa == 1
         # lone user, no noise: the estimate equals the channel to rounding,
@@ -459,7 +486,7 @@ class TestPabSubtraction:
 class TestPabChannelEstimate:
     def test_noiseless_single_user_recovers_channel(self):
         frame = manual_frame([[(0, 1), (1, 1)]], noise_var=0.0, n_d=64)
-        h = frame.true_channels[(0, 0)]
+        h = true_channel(frame, 0, 0)
         h_hat = gram_channel_estimate(frame.slots[0].y, frame.payloads[0])
         np.testing.assert_allclose(h_hat, h, rtol=1e-12)
 
@@ -538,7 +565,7 @@ class TestPrceSubtraction:
             for user in range(1, cfg.k_a):
                 if slot not in frame.slot_indices[user]:
                     continue
-                h = frame.true_channels[(user, slot)]
+                h = true_channel(frame, user, slot)
                 expected_p += np.outer(h, pilot_rows[pilot_of(frame, user, slot)])
                 expected_y += np.outer(h, frame.payloads[user])
             scale = max(np.abs(frame.slots[slot].p).max(), 1.0)

@@ -220,6 +220,16 @@ class TestPlrExperiment:
         out = capsys.readouterr().out
         assert out.startswith("algorithm,mac,ka,")
 
+    def test_replicas_checked_against_the_latency_budgets_slots(self, capsys):
+        # 1000 ms fits 31250 slots of 16 symbols, so 80 replicas fit
+        code = run_cli([
+            "--algorithm", "logical", "--ka", "5", "--frames", "1", "--r", "80",
+            "--latency-ms", "1000", "--m", "8", "--n-pilots", "8", "--n-d", "8",
+            "--t", "1", "--no-timing",
+        ])
+        assert code == 0
+        assert capsys.readouterr().out.startswith("algorithm,mac,ka,")
+
 
 class TestSingletonExperiment:
     def test_singleton_csv(self, tmp_path):
@@ -360,6 +370,7 @@ class TestErrorPaths:
         ("plr", ["--symbol-rate", "nan"], "symbol_rate must be finite, got nan"),
         ("singleton", ["--noise-var", "nan"], "noise_var must be finite, got nan"),
         ("plr", ["--algorithm", "pab,pab"], "algorithms lists pab more than once"),
+        ("plr", ["--latency-ms", "0.01"], "latency budget of 0.01 ms at 1e+06 symbols/s fits no"),
     ])
     def test_fault_named_in_error(self, experiment, flags, message, tmp_path, capsys):
         base = {"analysis": ["--a-total", "6"],

@@ -93,24 +93,32 @@ def generator_starting_with(words, seed=0):
 
 def per_slot_assembly(plans, config, rng):
     """The signal assembly as first written: one ``complex_normal`` call per
-    slot's channels and per noise matrix.  Returns ``(true_channels, [(p, y)])``."""
+    slot's channels and per noise matrix.  Returns ``(true_channels, [(p, y)])``,
+    ``true_channels`` one (occupancy x m) array per slot, users ascending."""
     slot_indices, pilot_choices, _, payloads = plans
     pilot_rows = build_hadamard_pilots(config.n_p).astype(float)
-    true_channels, slots = {}, []
+    true_channels, slots = [], []
     for slot in range(config.n_slots):
         users, replicas = np.nonzero(slot_indices == slot)
         p = np.zeros((config.m, config.n_p), dtype=complex)
         y = np.zeros((config.m, config.n_d), dtype=complex)
+        channels = np.zeros((0, config.m), dtype=complex)
         if users.size:
             channels = complex_normal(rng, (users.size, config.m), config.channel_var)
             p += channels.T @ pilot_rows[pilot_choices[users, replicas]]
             y += channels.T @ payloads[users]
-            true_channels.update(zip([(u, slot) for u in users.tolist()], channels))
+        true_channels.append(channels)
         if config.noise_var > 0:
             p += complex_normal(rng, (config.m, config.n_p), config.noise_var)
             y += complex_normal(rng, (config.m, config.n_d), config.noise_var)
         slots.append((p, y))
     return true_channels, slots
+
+
+def true_channel(frame, user, slot):
+    """A replica's channel: the row of its slot's array at the user's rank there."""
+    users = np.flatnonzero((frame.slot_indices == slot).any(axis=1))
+    return frame.true_channels[slot][users.tolist().index(user)]
 
 
 def assert_same_bytes(got, expected):
@@ -119,15 +127,16 @@ def assert_same_bytes(got, expected):
 
 
 def assert_assembly_matches_oracle(config, stream):
-    """``assemble_frame`` gives the per-slot loop's channels (values and dict
-    order), ``p`` and ``y`` byte for byte, and leaves the stream where it does."""
+    """``assemble_frame`` gives the per-slot loop's channels (one array per
+    slot, in slot order), ``p`` and ``y`` byte for byte, and leaves the
+    stream where it does."""
     rng, oracle_rng = stream.generator(), stream.generator()
     frame = assemble_frame(generate_user_plans(config, rng), config, rng)
     true_channels, slots = per_slot_assembly(
         generate_user_plans(config, oracle_rng), config, oracle_rng)
-    assert list(frame.true_channels) == list(true_channels)
-    for key, h in true_channels.items():
-        assert_same_bytes(frame.true_channels[key], h)
+    assert list(frame.true_channels) == list(range(config.n_slots))
+    for slot, h in enumerate(true_channels):
+        assert_same_bytes(frame.true_channels[slot], h)
     assert len(frame.slots) == len(slots)
     for signal, (p, y) in zip(frame.slots, slots):
         assert_same_bytes(signal.p, p)
@@ -161,6 +170,22 @@ class TestComputeSlotCount:
     def test_from_latency_constructor(self):
         cfg = SystemConfig.from_latency(m=256, n_p=64, n_d=256, k_a=10)
         assert cfg.n_slots == 78
+
+    def test_from_latency_checks_replicas_against_the_budgets_slots(self):
+        # 1000 ms at 1 Msps fits 1562 slots of 320 symbols: room for 100 replicas
+        cfg = SystemConfig.from_latency(r=100, latency_ms=1000.0)
+        assert (cfg.n_slots, cfg.r) == (1562, 100)
+
+    def test_from_latency_applies_floyd_limit_to_the_budgets_slots(self):
+        # 10 s fits 15625 slots, above 10000, so r may be at most 15625 // 50 = 312
+        assert SystemConfig.from_latency(r=312, latency_ms=10_000.0).n_slots == 15625
+        with pytest.raises(ValueError, match="r=313 replicas in 15625 slots"):
+            SystemConfig.from_latency(r=313, latency_ms=10_000.0)
+
+    def test_from_latency_names_a_budget_that_fits_no_slot(self):
+        message = r"latency budget of 0.01 ms at 1e\+06 symbols/s fits no 320-symbol slot"
+        with pytest.raises(ValueError, match=message):
+            SystemConfig.from_latency(latency_ms=0.01)
 
 
 class TestSystemConfig:
@@ -257,10 +282,10 @@ class TestGenerateUserPlans:
         np.testing.assert_array_equal(frame.payloads, qpsk_modulate(frame.payload_bits))
         for user in range(cfg.k_a):
             for slot, j in zip(frame.slot_indices[user], frame.pilot_choices[user]):
-                h = frame.true_channels[(user, int(slot))]
+                h = true_channel(frame, user, slot)
                 p[slot] += np.outer(h, pilot_rows[j])
                 y[slot] += np.outer(h, frame.payloads[user])
-        assert len(frame.true_channels) == cfg.k_a * cfg.r
+        assert sum(h.shape[0] for h in frame.true_channels.values()) == cfg.k_a * cfg.r
         for slot, signal in enumerate(frame.slots):
             np.testing.assert_allclose(signal.p, p[slot], rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(signal.y, y[slot], rtol=1e-12, atol=1e-12)
@@ -348,7 +373,7 @@ class TestAssembleFrame:
         frame = make_frame(cfg, RandomStream(6, 0))
         pilot_rows = build_hadamard_pilots(cfg.n_p).astype(float)
         for slot, j in zip(frame.slot_indices[0], frame.pilot_choices[0]):
-            h = frame.true_channels[(0, int(slot))]
+            h = true_channel(frame, 0, slot)
             sig = frame.slots[int(slot)]
             # pilot symbols are +/-1 so the products are exact; the payload
             # products may differ from np.outer by one rounding (FMA in the
@@ -379,7 +404,7 @@ class TestAssembleFrame:
         residual_y = [s.y.copy() for s in frame.slots]
         for user in range(cfg.k_a):
             for slot, j in zip(frame.slot_indices[user], frame.pilot_choices[user]):
-                h = frame.true_channels[(user, int(slot))]
+                h = true_channel(frame, user, slot)
                 residual_p[int(slot)] -= np.outer(h, pilot_rows[j])
                 residual_y[int(slot)] -= np.outer(h, frame.payloads[user])
         scale = max(np.abs(s.p).max() for s in frame.slots)
@@ -395,7 +420,7 @@ class TestAssembleFrame:
         expected = np.zeros_like(frame.slots[slot].p)
         for user in range(cfg.k_a):
             j = int(frame.pilot_choices[user][frame.slot_indices[user].tolist().index(slot)])
-            expected += np.outer(frame.true_channels[(user, slot)], pilot_rows[j])
+            expected += np.outer(true_channel(frame, user, slot), pilot_rows[j])
         np.testing.assert_allclose(frame.slots[slot].p, expected, atol=1e-13)
 
     def test_same_stream_reproduces_frame_bitwise(self):
@@ -417,7 +442,7 @@ class TestAssembleFrame:
     def test_channels_independent_across_slots(self):
         cfg = small_config(k_a=1, noise_var=0.0)
         frame = make_frame(cfg, RandomStream(12, 0))
-        chans = [frame.true_channels[(0, int(s))] for s in frame.slot_indices[0]]
+        chans = [true_channel(frame, 0, s) for s in frame.slot_indices[0]]
         assert not np.array_equal(chans[0], chans[1])
 
 
@@ -489,7 +514,7 @@ class TestAssemblyOracle:
         arrays = [
             (slot, a) for slot, signal in enumerate(frame.slots) for a in (signal.p, signal.y)
         ]
-        arrays += [(slot, h) for (_, slot), h in frame.true_channels.items()]
+        arrays += list(frame.true_channels.items())
         for (slot_a, a), (slot_b, b) in itertools.combinations(arrays, 2):
             if slot_a != slot_b:
                 assert not np.shares_memory(a, b)
