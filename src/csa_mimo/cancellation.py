@@ -1,6 +1,10 @@
 """Iterative successive interference subtraction over a received frame.
 
-Four interchangeable algorithms share one sweep loop:
+Four receivers decode a frame in sweeps over its (slot, pilot) resources,
+in ascending order, and subtract every replica of a user as soon as it
+decodes.  The three signal receivers share one sweep loop; LOGICAL, the
+collision-channel bound, peels from a worklist instead (``logical_peel``)
+and reports the same sweeps:
 
 * ``SNB``  (squared-norm based): on a decode, subtract only the main
   interfering term from the combining statistics of the user's pilot --
@@ -17,15 +21,15 @@ Four interchangeable algorithms share one sweep loop:
   ground-truth channels, bounding what any subtraction scheme can achieve.
 * ``LOGICAL``: graph peeling on the user/(slot, pilot) bipartite graph;
   any resource holding exactly one undecoded user decodes it and removal
-  is perfect.  Needs no signals at all.
+  is perfect.  Needs no signals at all, and keeps per resource only its
+  count of undecoded users and the XOR of their ids.
 
 A decode attempt on a resource of the three signal receivers demodulates
 the combined payload of its pilot and accepts the first undecoded user
-within ``t`` errors; a LOGICAL attempt accepts the resource's sole
-undecoded user.  The receivers differ otherwise only in the channel
-estimate ``subtract`` uses for a decoded user on pilot j of a slot (the
-generator slot is where the user was decoded, replica slots hold its
-other copies; i is the user's index among the slot's occupants):
+within ``t`` errors.  They differ otherwise only in the channel estimate
+``subtract`` uses for a decoded user on pilot j of a slot (the generator
+slot is where the user was decoded, replica slots hold its other copies;
+i is the user's index among the slot's occupants):
 
 =========  ===========================  ==============================================
 algorithm  generator slot               replica slot
@@ -33,7 +37,6 @@ algorithm  generator slot               replica slot
 SNB        ``||h||^2 = g[slot][j]``     ``||h||^2 = m channel_var``
 PAB        ``h = phi[slot][:, j]``      ``h = (C[:, i] - H^T (G[:, i] * done)) / G[i, i]``
 PRCE       ``h = true_channels[s][i]``  ``h = true_channels[s][i]``
-LOGICAL    none, removal is perfect     none, removal is perfect
 =========  ===========================  ==============================================
 
 Each signal receiver keeps, per slot, the pilot estimates ``phi`` (estimated
@@ -64,6 +67,7 @@ matrix ``y`` is the frame's own and is never written:
 from __future__ import annotations
 
 import enum
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,17 +116,18 @@ class DecodeReport:
 class ReceiverState:
     """Mutable per-frame receiver state owned by a single worker.
 
-    Every receiver holds the decoded set, the subtraction counters and
-    ``stale``, an (n_slots, n_p) bool mask of the resources whose statistics
-    changed since their last decode attempt: all start stale, an attempt
-    clears its resource and ``subtract`` marks the resources it changed, so
-    sweeps skip attempts whose outcome cannot have changed.  LOGICAL holds
-    nothing else and needs no signals.
+    It serves the signal receivers; LOGICAL has no signal state and runs
+    ``logical_peel``.  The state holds the decoded set, the subtraction
+    counters and ``stale``, an (n_slots, n_p) bool mask of the resources
+    whose statistics changed since their last decode attempt: all start
+    stale, an attempt clears its resource and ``subtract`` marks the
+    resources it changed, so sweeps skip attempts whose outcome cannot have
+    changed.
 
-    The signal receivers also hold the per-slot pilot estimates ``phi`` and
-    combining gains ``g``; ``y`` is the list of the frame's payload-phase
-    matrices, shared and never written.  ``phi`` is estimated once per slot
-    and then updated in place by ``subtract``.  SNB also holds the combining
+    It also holds the per-slot pilot estimates ``phi`` and combining gains
+    ``g``; ``y`` is the list of the frame's payload-phase matrices, shared
+    and never written.  ``phi`` is estimated once per slot and then updated
+    in place by ``subtract``.  SNB also holds the combining
     numerators ``f``.  PAB and PRCE hold instead, per slot s and indexed by
     occupant (position in ``frame.occupants[s]``'s ascending users), the
     payloads ``x[s]``, the mask ``done[s]`` of the occupants subtracted and
@@ -136,6 +141,10 @@ class ReceiverState:
 
     def __init__(self, frame: FrameInstance, algorithm: Algorithm | str):
         self.algorithm = Algorithm(algorithm)
+        if self.algorithm is Algorithm.LOGICAL:
+            raise ValueError("LOGICAL keeps no signal state: run it with logical_peel")
+        if frame.slots is None:
+            raise ValueError("frame was generated without signals")
         cfg = frame.config
         self.config = cfg
         self.frame = frame
@@ -145,10 +154,6 @@ class ReceiverState:
         self.sweep_count = 0
         self.stale = np.ones((cfg.n_slots, cfg.n_p), dtype=bool)
         self._applied: set[tuple[int, int]] = set()
-        if self.algorithm is Algorithm.LOGICAL:
-            return
-        if frame.slots is None:
-            raise ValueError("frame was generated without signals")
         self.min_gain = cfg.m * cfg.channel_var * RELATIVE_GAIN_FLOOR
         self.y = [s.y for s in frame.slots]
         self.phi = [estimate_all_pilot_channels(s.p, cfg.n_p) for s in frame.slots]
@@ -215,10 +220,7 @@ def subtract(state: ReceiverState, user: int, slot: int, j: int, mode: str) -> N
     ``g[j]`` from the updated column; PAB first writes its estimate into
     ``rows[i]``.  The received matrices are not touched.  Every pilot of
     the slot is marked stale, since every numerator ``f_j`` of the residual
-    changed.  LOGICAL only counts the subtraction and marks the whole slot
-    stale: a re-attempt on a resource whose undecoded users did not change
-    repeats its failure.  Subtracting the same (user, slot) twice is an
-    error.
+    changed.  Subtracting the same (user, slot) twice is an error.
     """
     if mode not in ("generator", "replica"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -231,10 +233,6 @@ def subtract(state: ReceiverState, user: int, slot: int, j: int, mode: str) -> N
         state.n_up += 1
     else:
         state.n_pa += 1
-    if state.algorithm is Algorithm.LOGICAL:
-        state.stale[slot] = True
-        return
-
     cfg = state.config
     if state.algorithm is Algorithm.SNB:
         norm_sq = float(state.g[slot][j]) if generator else float(cfg.m * cfg.channel_var)
@@ -260,8 +258,6 @@ def _decode_attempt(
     state: ReceiverState, slot: int, j: int, candidates: list[int], criterion: str
 ) -> int | None:
     """The undecoded user an attempt on pilot j of a slot decodes, if any."""
-    if state.algorithm is Algorithm.LOGICAL:
-        return candidates[0] if len(candidates) == 1 else None
     g = state.g[slot][j]
     if g <= state.min_gain:
         return None
@@ -284,14 +280,19 @@ def run_receiver(
     Sweeps visit (slot, pilot) resources in ascending order; every stale
     resource with an undecoded user gets a decode attempt, and each fresh
     success is subtracted immediately in the generator slot and all
-    replica slots.  The loop ends when a sweep produces no new decode.
-    Identical (frame, algorithm) inputs always produce the identical
+    replica slots.  The loop ends with the sweep that decodes the last
+    user, or with the first sweep that decodes nobody.  LOGICAL runs
+    ``logical_peel`` instead, whose report, sweep count included, is the
+    one this loop gives when an attempt decodes a resource's sole undecoded
+    user.  Identical (frame, algorithm) inputs always produce the identical
     report.
     """
     algorithm = Algorithm(algorithm)
     check_decode_criterion(decode_criterion)
     if frame.config.k_a == 0:
         return DecodeReport(np.zeros(0, dtype=bool), 0, 0, 0)
+    if algorithm is Algorithm.LOGICAL:
+        return logical_peel(frame)
 
     state = ReceiverState(frame, algorithm)
     slots_of, pilots_of = frame.slot_indices.tolist(), frame.pilot_choices.tolist()
@@ -325,3 +326,54 @@ def run_receiver(
             break
 
     return DecodeReport(state.decoded, state.sweep_count, state.n_up, state.n_pa)
+
+
+def logical_peel(frame: FrameInstance) -> DecodeReport:
+    """LOGICAL's report on a frame, peeled from a worklist of degree-one resources.
+
+    Resource ``q = slot * n_p + j`` keeps its count of undecoded users and
+    the XOR of their ids: its last user's id once the count is one.  The
+    report, sweep count included, is the one ``run_receiver``'s ascending
+    sweeps would give: a resource's count drops only through a subtraction
+    in its slot, which marks it stale, so it decodes at its first visit
+    after the count reaches one, unless its user decodes elsewhere first.
+    So each sweep pops a heap of count-one resources in ascending order,
+    and a resource freed behind the one just decoded waits for the next
+    sweep.  The count is the sweep that decodes the last user, else one
+    past the last sweep with a decode.  Each decode is one generator and
+    r - 1 replica subtractions.
+    """
+    cfg = frame.config
+    resources = frame.slot_indices * cfg.n_p + frame.pilot_choices  # (k_a, r)
+    count = np.bincount(resources.ravel(), minlength=cfg.n_slots * cfg.n_p)
+    owner = np.zeros(count.size, dtype=np.int64)
+    np.bitwise_xor.at(owner, resources.ravel(), np.arange(resources.size) // cfg.r)
+    heap = np.flatnonzero(count == 1).tolist()  # ascending, so already a heap
+    count, owner, resources_of = count.tolist(), owner.tolist(), resources.tolist()
+    decoded: list[int] = []
+    sweep = last_decode_sweep = 0
+    while heap:
+        sweep += 1
+        next_sweep = []
+        while heap:
+            q = heapq.heappop(heap)
+            if count[q] != 1:
+                continue  # its user decoded at another resource
+            user = owner[q]
+            decoded.append(user)
+            last_decode_sweep = sweep
+            for q2 in resources_of[user]:
+                count[q2] -= 1
+                owner[q2] ^= user
+                if count[q2] == 1:
+                    if q2 > q:
+                        heapq.heappush(heap, q2)
+                    else:
+                        next_sweep.append(q2)
+        heapq.heapify(next_sweep)
+        heap = next_sweep
+
+    done = np.zeros(cfg.k_a, dtype=bool)
+    done[decoded] = True
+    sweep_count = last_decode_sweep + (len(decoded) < cfg.k_a)
+    return DecodeReport(done, sweep_count, len(decoded), len(decoded) * (cfg.r - 1))

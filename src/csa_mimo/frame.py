@@ -112,22 +112,28 @@ class SlotSignal:
 class FrameInstance:
     """One frame's ground truth plus the assembled per-slot observations.
 
-    User u is row u of the four per-user arrays.  ``occupants``, the map of
-    users to resources, is built once per frame.  ``true_channels[slot]`` is
-    the read-only (occupancy x m) array of the slot's fading vectors, row i
-    the channel of its i-th occupant in ``occupants[slot]``; channels of the
-    same user in different slots are independent draws.  ``slots`` is None,
-    and ``true_channels`` empty, when the frame was generated for
-    collision-structure-only processing.
+    User u is row u of the three per-user arrays and of ``payloads``, their
+    QPSK symbols.  ``payloads`` and ``occupants``, the map of users to
+    resources, are each built once per frame, on first use.
+    ``true_channels[slot]`` is the read-only (occupancy x m) array of the
+    slot's fading vectors, row i the channel of its i-th occupant in
+    ``occupants[slot]``; channels of the same user in different slots are
+    independent draws.  ``slots`` is None, and ``true_channels`` empty, when
+    the frame was generated for collision-structure-only processing.
     """
 
     config: SystemConfig
     slot_indices: np.ndarray    # (k_a, r) int64, distinct slots ascending per row
     pilot_choices: np.ndarray   # (k_a, r) int64, the pilot used in each slot
     payload_bits: np.ndarray    # (k_a, 2*n_d) uint8
-    payloads: np.ndarray        # (k_a, n_d) complex QPSK symbols
-    true_channels: dict = field(default_factory=dict)  # slot -> (occupancy, m) complex
-    slots: list[SlotSignal] | None = None
+    # keyword-only, so a plan tuple of the wrong length cannot fill them
+    true_channels: dict = field(default_factory=dict, kw_only=True)  # slot -> (occupancy, m)
+    slots: list[SlotSignal] | None = field(default=None, kw_only=True)
+
+    @cached_property
+    def payloads(self) -> np.ndarray:
+        """Every user's (n_d,) complex QPSK symbols, row u user u's."""
+        return qpsk_modulate(self.payload_bits)
 
     @cached_property
     def occupants(self) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -164,13 +170,13 @@ def _draw_resources(config: SystemConfig, rng: np.random.Generator):
 
 
 def generate_user_plans(config: SystemConfig, rng: np.random.Generator):
-    """Draw every user's slots, pilots and payload for one frame.
+    """Draw every user's slots, pilots and payload bits for one frame.
 
-    Returns ``(slot_indices, pilot_choices, payload_bits, payloads)``, the
-    per-user arrays of ``FrameInstance`` in its field order.  Slots are
-    chosen uniformly without replacement; the pilot is redrawn
-    independently in every chosen slot; payload bits are i.i.d. uniform and
-    identical across the user's replicas.
+    Returns ``(slot_indices, pilot_choices, payload_bits)``, the per-user
+    arrays of ``FrameInstance`` in its field order.  Slots are chosen
+    uniformly without replacement; the pilot is redrawn independently in
+    every chosen slot; payload bits are i.i.d. uniform and identical across
+    the user's replicas.
 
     All users' slots and pilots come from one draw that reads the stream as
     the per-user ``Generator.choice``/``integers`` calls the frames were
@@ -180,9 +186,8 @@ def generate_user_plans(config: SystemConfig, rng: np.random.Generator):
     calls.
     """
     bits = rng.integers(0, 2, size=(config.k_a, 2 * config.n_d), dtype=np.uint8)
-    payloads = qpsk_modulate(bits)
     slots, pilots = _draw_resources(config, rng)
-    return slots, pilots, bits, payloads
+    return slots, pilots, bits
 
 
 def assemble_frame(plans, config: SystemConfig, rng: np.random.Generator) -> FrameInstance:

@@ -58,6 +58,13 @@ def wilson_interval(events: int, trials: int) -> tuple[float, float]:
     return low, high
 
 
+def _reject_repeats(name: str, values) -> None:
+    """Raise a ValueError naming every value listed more than once."""
+    repeated = sorted({v for v in values if values.count(v) > 1})
+    if repeated:
+        raise ValueError(f"{name} lists {', '.join(map(str, repeated))} more than once")
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """A loss-rate sweep: which algorithms, which loads, how many frames.
@@ -87,11 +94,8 @@ class SweepSpec:
             raise ValueError("ka_values must not be empty")
         if not self.algorithms:
             raise ValueError("algorithms must not be empty")
-        for name, values in (("algorithms", [a.value for a in self.algorithms]),
-                             ("ka_values", self.ka_values)):
-            repeated = sorted({v for v in values if values.count(v) > 1})
-            if repeated:
-                raise ValueError(f"{name} lists {', '.join(map(str, repeated))} more than once")
+        _reject_repeats("algorithms", [a.value for a in self.algorithms])
+        _reject_repeats("ka_values", self.ka_values)
         if self.min_frames < 1:
             raise ValueError(f"min_frames must be >= 1, got {self.min_frames}")
         if self.max_frames < self.min_frames:
@@ -458,10 +462,11 @@ def run_singleton_sweep(
     decode_criterion: str = "bit",
     workers: int = 1,
 ) -> list[SingletonRecord]:
-    """Run the singleton experiment over a grid of slot loads."""
+    """Run the singleton experiment over a grid of slot loads, none listed twice."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     a_values = [operator.index(a) for a in a_values]
+    _reject_repeats("a_values", a_values)
     for a in a_values:  # before any worker starts
         _check_singleton_args(
             m, n_d, t, a_pilot, a, presub_fraction, trials, algorithm,

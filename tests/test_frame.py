@@ -51,7 +51,7 @@ def assert_plans_match_per_user_calls(config, stream):
     """``generate_user_plans`` gives the per-user calls' plans and leaves the
     generator where they leave it."""
     rng, oracle_rng = stream.generator(), stream.generator()
-    slots, pilots, bits, payloads = generate_user_plans(config, rng)
+    slots, pilots, bits = generate_user_plans(config, rng)
     expected_bits = oracle_rng.integers(0, 2, size=(config.k_a, 2 * config.n_d), dtype=np.uint8)
     expected_slots, expected_pilots = per_user_resources(config, oracle_rng)
     for got, expected in ((slots, expected_slots), (pilots, expected_pilots)):
@@ -59,7 +59,6 @@ def assert_plans_match_per_user_calls(config, stream):
         assert all(e.dtype == got.dtype for e in expected)
         np.testing.assert_array_equal(got, np.array(expected).reshape(got.shape))
     np.testing.assert_array_equal(bits, expected_bits)
-    np.testing.assert_array_equal(payloads, qpsk_modulate(expected_bits))
     assert_same_stream_after(rng, oracle_rng)
 
 
@@ -95,7 +94,8 @@ def per_slot_assembly(plans, config, rng):
     """The signal assembly as first written: one ``complex_normal`` call per
     slot's channels and per noise matrix.  Returns ``(true_channels, [(p, y)])``,
     ``true_channels`` one (occupancy x m) array per slot, users ascending."""
-    slot_indices, pilot_choices, _, payloads = plans
+    slot_indices, pilot_choices, bits = plans
+    payloads = qpsk_modulate(bits)
     pilot_rows = build_hadamard_pilots(config.n_p).astype(float)
     true_channels, slots = [], []
     for slot in range(config.n_slots):
@@ -223,16 +223,15 @@ class TestGenerateUserPlans:
     def test_no_users_gives_empty_sequence(self):
         cfg = small_config(k_a=0)
         arrays = generate_user_plans(cfg, RandomStream(0, 0).generator())
-        assert [a.shape for a in arrays] == [(0, cfg.r), (0, cfg.r), (0, 2 * cfg.n_d), (0, cfg.n_d)]
+        assert [a.shape for a in arrays] == [(0, cfg.r), (0, cfg.r), (0, 2 * cfg.n_d)]
 
     def test_slots_distinct_and_pilots_in_range(self):
         cfg = small_config()
-        slots, pilots, bits, payloads = generate_user_plans(cfg, RandomStream(1, 0).generator())
+        slots, pilots, bits = generate_user_plans(cfg, RandomStream(1, 0).generator())
         assert slots.shape == pilots.shape == (cfg.k_a, cfg.r)
         assert all(len(set(row)) == cfg.r for row in slots.tolist())
         assert np.all(pilots >= 0)
         assert np.all(pilots < cfg.n_p)
-        assert payloads.shape == (cfg.k_a, cfg.n_d)
         assert bits.shape == (cfg.k_a, 2 * cfg.n_d)
 
     def test_slots_ascending(self):

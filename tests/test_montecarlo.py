@@ -505,6 +505,13 @@ class TestSingletonExperiment:
                                      presub_fraction=0.0, trials=1, algorithm="snb")
         assert rec.a_total == 5 and type(rec.a_total) is int
 
+    def test_sweep_repeated_load_named(self, monkeypatch):
+        # named before any worker starts, in SweepSpec's words
+        monkeypatch.setattr(montecarlo, "_spawn_pool", lambda workers: pytest.fail("pool started"))
+        with pytest.raises(ValueError, match="^a_values lists 5 more than once$"):
+            run_singleton_sweep(m=16, n_d=16, t=1, a_pilot=1, a_values=[5, np.int64(5)],
+                                presub_fraction=0.0, trials=1, algorithm="snb", workers=2)
+
     def test_sweep_worker_count_below_one_rejected(self):
         with pytest.raises(ValueError, match="workers"):
             run_singleton_sweep(m=16, n_d=16, t=1, a_pilot=1, a_values=[2, 4],

@@ -148,7 +148,7 @@ class TestMrcPayloadEstimate:
         # "decode" the user; the gain floor must skip the attempt instead
         cfg = SystemConfig(k_a=1, m=8, n_slots=2, n_p=4, n_d=8, r=1, noise_var=0.0, t=0)
         bits = np.zeros(2 * cfg.n_d, dtype=np.uint8)
-        plans = (np.array([[0]]), np.array([[1]]), bits[None], qpsk_modulate(bits)[None])
+        plans = (np.array([[0]]), np.array([[1]]), bits[None])
         frame = assemble_frame(plans, cfg, RandomStream(0, 0).generator())
         for slot in frame.slots:
             slot.p[:] = 0.0
