@@ -29,29 +29,36 @@ the combined payload of its pilot and accepts the first undecoded user
 within ``t`` errors.  They differ otherwise only in the channel estimate
 ``subtract`` uses for a decoded user on pilot j of a slot (the generator
 slot is where the user was decoded, replica slots hold its other copies;
-i is the user's index among the slot's occupants):
+i is the user's index among the slot's occupants, and ``phi_j`` the
+slot's current estimate of pilot j's channel):
 
 =========  ===========================  ==============================================
 algorithm  generator slot               replica slot
 =========  ===========================  ==============================================
 SNB        ``||h||^2 = g[slot][j]``     ``||h||^2 = m channel_var``
-PAB        ``h = phi[slot][:, j]``      ``h = (C[:, i] - H^T (G[:, i] * done)) / G[i, i]``
+PAB        ``h = phi_j``                ``h = (C[:, i] - H^T (G[:, i] * done)) / G[i, i]``
 PRCE       ``h = true_channels[s][i]``  ``h = true_channels[s][i]``
 =========  ===========================  ==============================================
 
-Each signal receiver keeps, per slot, the pilot estimates ``phi`` (estimated
-once from the pilot phase) and the combining gains ``g``; the received payload
-matrix ``y`` is the frame's own and is never written:
+Each signal receiver keeps, per slot, the combining gains ``g`` of all n_p
+pilots, and per-pilot state only for the occupied pilots, those some user
+picked in the slot (about 27 of 64 at k_a=900), in one buffer per receiver
+with a block per slot; ``occupied_index`` maps a pilot to its place in its
+slot's block.  The received payload matrix ``y`` is the frame's own and is
+never written:
 
-* SNB also keeps the combining numerators ``f = phi^H y`` and edits the
-  user's row of ``f`` and ``g`` in place.
-* PAB and PRCE address a slot's replicas by occupant index: the users who
-  sent a replica there, ascending, with payloads ``X`` (occupancy x n_d).
-  They keep a ``done`` mask of the occupants subtracted and ``H``, one
-  channel row per occupant, so the residual is
-  ``y - H^T (X * done[:, None])`` without ever being formed.  The pilots
-  are orthogonal, so removing ``h s_j^T`` from the pilot phase only moves
-  ``phi[:, j]`` by ``-h``: a subtraction sets its occupant's ``done``,
+* SNB keeps the occupied rows of the combining numerators ``f = phi^H y``,
+  cut from the full product so they keep its bits, and no ``phi``, a
+  temporary of its start.  A subtraction edits the user's row of ``f`` and
+  its ``g`` in place.
+* PAB and PRCE keep the occupied columns of the pilot estimates ``phi``,
+  estimated once from the pilot phase.  They address a slot's replicas by
+  occupant index: the users who sent a replica there, ascending, with
+  payloads ``X`` (occupancy x n_d).  They keep a ``done`` mask of the
+  occupants subtracted and ``H``, one channel row per occupant, so the
+  residual is ``y - H^T (X * done[:, None])`` without ever being formed.
+  The pilots are orthogonal, so removing ``h s_j^T`` from the pilot phase
+  only moves ``phi_j`` by ``-h``: a subtraction sets its occupant's ``done``,
   updates that column and its gain, O(m) work.  A decode attempt's
   numerator ``f_j = phi_j^H y - ((H phi_j*) * done)^T X`` is formed on
   demand, O((m + occupancy) n_d); the zero weights add exact zeros.
@@ -124,12 +131,17 @@ class ReceiverState:
     resources it changed, so sweeps skip attempts whose outcome cannot have
     changed.
 
-    It also holds the per-slot pilot estimates ``phi`` and combining gains
-    ``g``; ``y`` is the list of the frame's payload-phase matrices, shared
-    and never written.  ``phi`` is estimated once per slot and then updated
-    in place by ``subtract``.  SNB also holds the combining
-    numerators ``f``.  PAB and PRCE hold instead, per slot s and indexed by
-    occupant (position in ``frame.occupants[s]``'s ascending users), the
+    It also holds, per slot, the (n_p,) combining gains ``g``; ``y`` is the
+    list of the frame's payload-phase matrices, shared and never written.
+    Per-pilot state is kept for the occupied pilots only, the pilots in
+    ``frame.occupants[s]``: ``occupied_index[s, j]`` is pilot j's index in
+    slot s's block, and n_p, which indexes no block, where nobody picked
+    j.  SNB holds the combining numerators ``f[s]`` (occupied x n_d),
+    row-block views of one buffer, and no pilot estimates.  PAB and PRCE
+    hold the pilot estimates ``phi[s]`` (m x occupied), column-block views
+    of one buffer, estimated once per slot and then updated in place by
+    ``subtract``.  They also hold, per slot s and indexed by occupant
+    (position in ``frame.occupants[s]``'s ascending users), the
     payloads ``x[s]``, the mask ``done[s]`` of the occupants subtracted and
     the channel rows ``rows[s]`` (occupancy x m); ``numerator`` forms
     ``f_j`` from them.  PRCE's ``rows[s]`` is the frame's read-only
@@ -156,13 +168,28 @@ class ReceiverState:
         self._applied: set[tuple[int, int]] = set()
         self.min_gain = cfg.m * cfg.channel_var * RELATIVE_GAIN_FLOOR
         self.y = [s.y for s in frame.slots]
-        self.phi = [estimate_all_pilot_channels(s.p, cfg.n_p) for s in frame.slots]
-        if self.algorithm is Algorithm.SNB:
-            stats = [compute_combining_statistics(phi, y) for phi, y in zip(self.phi, self.y)]
-            self.f = [f for f, _ in stats]
-            self.g = [g for _, g in stats]
+        occupied = np.zeros((cfg.n_slots, cfg.n_p), dtype=bool)
+        occupied[frame.slot_indices, frame.pilot_choices] = True
+        self.occupied_index = np.where(occupied, occupied.cumsum(axis=1) - 1, cfg.n_p)
+        # one buffer per receiver, a block per slot: per-slot arrays would pin
+        # the freed full-width temporaries between them on the heap
+        total, ends = occupied.sum(), occupied.sum(axis=1).cumsum()[:-1]
+        snb = self.algorithm is Algorithm.SNB
+        if snb:
+            self.f = np.split(np.empty((total, cfg.n_d), dtype=complex), ends)
         else:
-            self.g = [combining_gains(phi) for phi in self.phi]
+            self.phi = np.split(np.empty((cfg.m, total), dtype=complex), ends, axis=1)
+        self.g = []
+        for s, signal in enumerate(frame.slots):
+            phi = estimate_all_pilot_channels(signal.p, cfg.n_p)
+            if snb:
+                f, g = compute_combining_statistics(phi, signal.y)
+                self.f[s][:] = f[occupied[s]]
+            else:
+                g = combining_gains(phi)
+                self.phi[s][:] = phi[:, occupied[s]]
+            self.g.append(g)
+        if not snb:
             self.x = [frame.payloads[users] for users, _ in frame.occupants]
             self.done = [np.zeros(x.shape[0], dtype=bool) for x in self.x]
         if self.algorithm is Algorithm.PRCE:
@@ -181,9 +208,10 @@ class ReceiverState:
         matrix and the slot's subtracted occupants,
         ``phi_j^H y - ((H phi_j*) * done)^T X``.
         """
+        k = self.occupied_index[slot, j]
         if self.algorithm is Algorithm.SNB:
-            return self.f[slot][j]
-        phi_conj = self.phi[slot][:, j].conj()
+            return self.f[slot][k]
+        phi_conj = self.phi[slot][:, k].conj()
         weights = (self.rows[slot] @ phi_conj) * self.done[slot]
         return phi_conj @ self.y[slot] - weights @ self.x[slot]
 
@@ -216,9 +244,9 @@ def subtract(state: ReceiverState, user: int, slot: int, j: int, mode: str) -> N
     in its other slots; the module docstring tables the channel estimate
     each (algorithm, mode) pair uses.  SNB edits only the statistics of the
     user's pilot and marks that resource stale.  PAB and PRCE mark the
-    user's occupant index i done, do ``phi[:, j] -= rows[i]`` and recompute
-    ``g[j]`` from the updated column; PAB first writes its estimate into
-    ``rows[i]``.  The received matrices are not touched.  Every pilot of
+    user's occupant index i done, subtract ``rows[i]`` from pilot j's column
+    of ``phi`` and recompute ``g[j]`` from it; PAB first writes its estimate
+    into ``rows[i]``.  The received matrices are not touched.  Every pilot of
     the slot is marked stale, since every numerator ``f_j`` of the residual
     changed.  Subtracting the same (user, slot) twice is an error.
     """
@@ -236,21 +264,22 @@ def subtract(state: ReceiverState, user: int, slot: int, j: int, mode: str) -> N
     cfg = state.config
     if state.algorithm is Algorithm.SNB:
         norm_sq = float(state.g[slot][j]) if generator else float(cfg.m * cfg.channel_var)
-        state.f[slot][j] -= norm_sq * state.frame.payloads[user]
+        state.f[slot][state.occupied_index[slot, j]] -= norm_sq * state.frame.payloads[user]
         state.g[slot][j] -= norm_sq
         state.stale[slot, j] = True
         return
     i = np.searchsorted(state.frame.occupants[slot][0], user)  # index among occupants
-    rows, done, phi = state.rows[slot], state.done[slot], state.phi[slot]
+    rows, done = state.rows[slot], state.done[slot]
+    phi_j = state.phi[slot][:, state.occupied_index[slot, j]]
     if state.algorithm is Algorithm.PAB:
         if generator:
-            rows[i] = phi[:, j]  # a copy, so the update below cannot alias a phi column
+            rows[i] = phi_j  # a copy, so the update below cannot alias a phi column
         else:
             gram = state.gram[slot]
             rows[i] = pab_channel_estimate(rows[i], rows.T, gram[:, i] * done, gram[i, i].real)
     done[i] = True
-    phi[:, j] -= rows[i]
-    state.g[slot][j] = combining_gains(phi[:, j])
+    phi_j -= rows[i]
+    state.g[slot][j] = combining_gains(phi_j)
     state.stale[slot] = True
 
 

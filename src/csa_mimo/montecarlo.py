@@ -488,9 +488,11 @@ def run_singleton_sweep(
 
 
 def tabulate_singleton_failure(m, n_d, t, a_pilot, a_values) -> list[AnalysisRecord]:
-    """Closed-form failure curve as CSV-ready records."""
+    """Closed-form failure curve as CSV-ready records, over loads none listed twice."""
+    a_values = [operator.index(a) for a in a_values]
+    _reject_repeats("a_values", a_values)
     rows = []
-    for a in map(operator.index, a_values):
+    for a in a_values:
         scen = InterferenceScenario(m=m, a_total=a, a_pilot=a_pilot, n_d=n_d, t=t)
         rows.append(
             AnalysisRecord(

@@ -218,6 +218,13 @@ class TestFailureCurve:
         (rec,) = tabulate_singleton_failure(256, 256, 10, 1, np.array([5]))
         assert rec.a_total == 5 and type(rec.a_total) is int
 
+    def test_repeated_load_rejected(self):
+        # as run_singleton_sweep and SweepSpec reject one; it gave two identical rows
+        with pytest.raises(ValueError, match="a_values lists 5 more than once"):
+            tabulate_singleton_failure(16, 16, 1, 1, [5, 5])
+        with pytest.raises(ValueError, match="a_values lists 5 more than once"):
+            tabulate_singleton_failure(16, 16, 1, 1, np.array([5, 7, 5]))
+
     def test_crossings_match_oracle_for_all_sharer_counts(self):
         for a_pilot in (1, 2, 3):
             curve = failure_curve(256, 256, 10, a_pilot, range(a_pilot, 120))

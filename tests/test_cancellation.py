@@ -54,6 +54,16 @@ def expected_phi(p):
     return walsh_hadamard_transform(p) / p.shape[1]
 
 
+def occupied(frame, slot):
+    """The pilots of a slot that carry a user, ascending: those a receiver keeps state for."""
+    return np.unique(frame.occupants[slot][1])
+
+
+def column(state, slot, j):
+    """A PAB/PRCE state's estimate of pilot j in a slot, read through its pilot map."""
+    return state.phi[slot][:, state.occupied_index[slot, j]]
+
+
 def gemv_channel_estimate(y, payload, h_sub=None, x_sub=None):
     """The PAB replica estimate by one pass over ``y``: the Gram products' oracle.
 
@@ -139,7 +149,7 @@ def full_recompute_subtract(state, user, slot, j, mode):
     if state.algorithm is Algorithm.PRCE:
         h = true_channel(state.frame, user, slot)
     elif mode == "generator":
-        h = state.phi[slot][:, j]
+        h = column(state, slot, j)
     else:
         h = gemv_channel_estimate(y_res[slot], payload)
     state.n_up += mode == "generator"
@@ -147,14 +157,15 @@ def full_recompute_subtract(state, user, slot, j, mode):
     pilots = build_hadamard_pilots(state.config.n_p)
     p_res[slot] -= np.outer(h, pilots[j].astype(float))
     y_res[slot] -= np.outer(h, payload)
-    state.phi[slot] = estimate_all_pilot_channels(p_res[slot], state.config.n_p)
-    state.g[slot] = compute_combining_statistics(state.phi[slot], y_res[slot])[1]
+    phi = estimate_all_pilot_channels(p_res[slot], state.config.n_p)
+    state.phi[slot][:] = phi[:, occupied(state.frame, slot)]
+    state.g[slot] = compute_combining_statistics(phi, y_res[slot])[1]
     state.stale[slot] = True
 
 
 def full_recompute_numerator(state, slot, j):
     """``f_j`` of pilot j from the oracle's explicit payload-phase residual."""
-    return compute_combining_statistics(state.phi[slot][:, j], explicit_residual(state, slot))[0]
+    return compute_combining_statistics(column(state, slot, j), explicit_residual(state, slot))[0]
 
 
 def explicit_residual(state, slot):
@@ -428,12 +439,53 @@ def assert_logical_plr_matches_density_evolution(k_a, frames):
 class TestReceiverState:
     def test_no_receiver_copies_the_received_matrices(self):
         frame = manual_frame([[(0, 2), (1, 0)]])
+        phi = expected_phi(frame.slots[0].p)
         for algorithm in (Algorithm.SNB, Algorithm.PAB, Algorithm.PRCE):
             state = ReceiverState(frame, algorithm)
-            # the pilot phase is read once, into phi, and never kept
-            np.testing.assert_array_equal(state.phi[0], expected_phi(frame.slots[0].p))
+            # the pilot phase is read once, into phi, and never kept; SNB keeps
+            # only the numerators phi_j^H y, the others the occupied columns
+            if algorithm is Algorithm.SNB:
+                assert not hasattr(state, "phi")
+                np.testing.assert_allclose(
+                    state.numerator(0, 2), phi[:, 2].conj() @ frame.slots[0].y, rtol=1e-12)
+            else:
+                np.testing.assert_array_equal(column(state, 0, 2), phi[:, 2])
             for slot, signal in enumerate(frame.slots):
                 assert state.y[slot] is signal.y
+
+    @pytest.mark.parametrize("algorithm", (Algorithm.SNB, Algorithm.PAB, Algorithm.PRCE))
+    @pytest.mark.parametrize("case", ("hand_picked", "drawn"))
+    def test_state_kept_for_occupied_pilots_only(self, algorithm, case):
+        if case == "hand_picked":
+            # slot 0's three users all on pilot 1, slot 1 holds two pilots,
+            # slot 2 one, and slots 3 and 4 nobody
+            frame = manual_frame(
+                [[(0, 1), (1, 2)], [(0, 1), (2, 0)], [(0, 1), (1, 3)]], n_slots=5, noise_var=0.1)
+        else:
+            cfg = SystemConfig(k_a=12, m=16, n_slots=10, n_p=8, n_d=16, r=2, noise_var=0.1)
+            frame = make_frame(cfg, RandomStream(21))
+        cfg = frame.config
+        state = ReceiverState(frame, algorithm)
+        pilots = [occupied(frame, slot) for slot in range(cfg.n_slots)]
+        assert any(p.size == 0 for p in pilots)
+        blocks = state.f if algorithm is Algorithm.SNB else [phi.T for phi in state.phi]
+        assert sum(block.shape[0] for block in blocks) == sum(p.size for p in pilots)
+        assert len({id(block.base) for block in blocks}) == 1  # one buffer per receiver
+        for slot, signal in enumerate(frame.slots):
+            index = state.occupied_index[slot]
+            np.testing.assert_array_equal(index[pilots[slot]], range(pilots[slot].size))
+            phi = estimate_all_pilot_channels(signal.p, cfg.n_p)
+            f, g = compute_combining_statistics(phi, signal.y)
+            assert state.g[slot].tobytes() == g.tobytes()  # gains for all n_p pilots
+            for j in range(cfg.n_p):
+                if j not in pilots[slot]:
+                    with pytest.raises(IndexError):
+                        state.numerator(slot, j)
+                elif algorithm is Algorithm.SNB:
+                    # the full product's row, byte for byte
+                    assert state.numerator(slot, j).tobytes() == f[j].tobytes()
+                else:
+                    assert column(state, slot, j).tobytes() == phi[:, j].tobytes()
 
     def test_pab_gram_products_cover_each_slots_occupants(self):
         frame = make_frame(SystemConfig(k_a=40, m=16, n_slots=6, n_p=4, n_d=16), RandomStream(3))
@@ -467,7 +519,7 @@ class TestReceiverState:
                 j = pilot_of(frame, user, slot)
                 i = users.tolist().index(user)
                 if mode == "generator":
-                    h = state.phi[slot][:, j].copy()
+                    h = column(state, slot, j).copy()
                 else:
                     h = gemv_channel_estimate(
                         frame.slots[slot].y, frame.payloads[user], *subtracted(state, slot))
@@ -521,10 +573,10 @@ class TestSnbSubtraction:
     def test_other_pilot_statistics_untouched(self):
         frame = manual_frame([[(0, 1), (1, 2)], [(0, 3), (2, 0)]], noise_var=0.1)
         state = ReceiverState(frame, Algorithm.SNB)
-        f_other = state.f[0][3].copy()
+        f_other = state.numerator(0, 3).copy()
         g_other = state.g[0][3]
         subtract(state, 0, 0, 1, mode="generator")
-        np.testing.assert_array_equal(state.f[0][3], f_other)
+        np.testing.assert_array_equal(state.numerator(0, 3), f_other)
         assert state.g[0][3] == g_other
 
 
@@ -533,8 +585,9 @@ class TestPabSubtraction:
         frame = manual_frame([[(0, 2), (1, 0)]], noise_var=0.0)
         state = ReceiverState(frame, Algorithm.PAB)
         subtract(state, 0, 0, 2, mode="generator")
-        np.testing.assert_array_equal(state.phi[0][:, 2], np.zeros(frame.config.m))
-        np.testing.assert_array_equal(state.phi[0], expected_phi(np.zeros_like(frame.slots[0].p)))
+        np.testing.assert_array_equal(column(state, 0, 2), np.zeros(frame.config.m))
+        empty_phi = expected_phi(np.zeros_like(frame.slots[0].p))
+        np.testing.assert_array_equal(state.phi[0], empty_phi[:, occupied(frame, 0)])
         assert state.n_up == 1
 
     def test_replica_mode_uses_payload_estimate(self):
@@ -547,7 +600,7 @@ class TestPabSubtraction:
         # so the residual is ~0 relative to the original signal scale
         scale = np.abs(frame.slots[1].y).max()
         assert np.abs(implied_residual(state, 1)).max() < 1e-12 * scale
-        empty_phi = expected_phi(np.zeros_like(frame.slots[1].p))
+        empty_phi = expected_phi(np.zeros_like(frame.slots[1].p))[:, occupied(frame, 1)]
         assert np.abs(state.phi[1] - empty_phi).max() < 1e-12 * scale
         assert h_true.shape == (frame.config.m,)
 
@@ -644,7 +697,8 @@ class TestPrceSubtraction:
                 expected_p += np.outer(h, pilot_rows[pilot_of(frame, user, slot)])
                 expected_y += np.outer(h, frame.payloads[user])
             scale = max(np.abs(frame.slots[slot].p).max(), 1.0)
-            assert np.abs(state.phi[slot] - expected_phi(expected_p)).max() < 1e-12 * scale
+            phi = expected_phi(expected_p)[:, occupied(frame, slot)]
+            assert np.abs(state.phi[slot] - phi).max() < 1e-12 * scale
             assert np.abs(implied_residual(state, slot) - expected_y).max() < 1e-12 * scale
 
     def test_decodes_superset_of_pab_on_paired_frames(self):
@@ -675,26 +729,32 @@ class TestRank1Update:
         cfg = SystemConfig(k_a=10, m=16, n_slots=4, n_p=4, n_d=16, r=2, noise_var=0.1, t=3)
         frame = make_frame(cfg, RandomStream(seed, 0))
         fast, slow = ReceiverState(frame, algorithm), ReceiverState(frame, algorithm)
-        slots, pilots = range(cfg.n_slots), range(cfg.n_p)
+        slots = range(cfg.n_slots)
 
         def snapshot(state, numerator, residual):
             return {
                 "phi": state.phi,
                 "g": state.g,
-                "f": [[numerator(state, s, j) for j in pilots] for s in slots],
+                "f": [
+                    np.array([numerator(state, s, j) for j in occupied(frame, s)]).reshape(-1)
+                    for s in slots
+                ],
                 "y_res": [residual(state, s) for s in slots],
             }
+
+        def largest(arrays):  # a slot nobody picked has no columns and no numerators
+            return max(np.abs(a).max(initial=0.0) for a in arrays)
 
         def compare():
             a = snapshot(fast, ReceiverState.numerator, implied_residual)
             b = snapshot(slow, full_recompute_numerator, explicit_residual)
             for name in a:
-                diff = max(np.abs(np.subtract(x, y)).max() for x, y in zip(a[name], b[name]))
+                diff = largest(np.subtract(x, y) for x, y in zip(a[name], b[name]))
                 assert diff <= 1e-9 * scale[name], name
             np.testing.assert_array_equal(fast.stale, slow.stale)
 
         initial = snapshot(slow, full_recompute_numerator, explicit_residual)
-        scale = {name: max(np.abs(a).max() for a in arrays) for name, arrays in initial.items()}
+        scale = {name: largest(arrays) for name, arrays in initial.items()}
         compare()
         replicas = [
             (user, s, j)
