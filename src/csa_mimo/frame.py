@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -108,13 +109,27 @@ class SlotSignal:
     y: np.ndarray  # (m, n_d) complex
 
 
+class Resources(NamedTuple):
+    """A frame's occupied (slot, pilot) resources, and where each replica sits.
+
+    Entry (u, c) of the two (k_a, r) arrays is user u's replica in slot
+    ``slot_indices[u, c]``: its resource's index q into ``ids`` and its
+    index among the slot's ``occupants``.
+    """
+
+    ids: np.ndarray       # slot * n_p + pilot of each resource some user picked, ascending
+    q: np.ndarray
+    occupant: np.ndarray
+
+
 @dataclass
 class FrameInstance:
     """One frame's ground truth plus the assembled per-slot observations.
 
     User u is row u of the three per-user arrays and of ``payloads``, their
-    QPSK symbols.  ``payloads`` and ``occupants``, the map of users to
-    resources, are each built once per frame, on first use.
+    QPSK symbols.  ``payloads``, ``occupants``, the users of each slot, and
+    ``resources``, the table of occupied resources every receiver reads,
+    are each built once per frame, on first use.
     ``true_channels[slot]`` is the read-only (occupancy x m) array of the
     slot's fading vectors, row i the channel of its i-th occupant in
     ``occupants[slot]``; channels of the same user in different slots are
@@ -143,6 +158,17 @@ class FrameInstance:
         ends = np.cumsum(np.bincount(flat, minlength=self.config.n_slots))[:-1]
         users = np.split(by_slot // self.config.r, ends)
         return list(zip(users, np.split(self.pilot_choices.ravel()[by_slot], ends)))
+
+    @cached_property
+    def resources(self) -> Resources:
+        """The occupied resources, and each replica's resource and occupant index."""
+        slots, k_a = self.slot_indices, self.config.k_a
+        ids, q = np.unique(slots * self.config.n_p + self.pilot_choices, return_inverse=True)
+        # (slot, user) pairs are distinct, so their rank orders each slot's users
+        rank = np.unique(slots * k_a + np.arange(k_a)[:, None], return_inverse=True)[1]
+        count = np.bincount(slots.ravel(), minlength=self.config.n_slots)
+        occupant = rank.reshape(slots.shape) - (np.cumsum(count) - count)[slots]
+        return Resources(ids, q.reshape(slots.shape), occupant)
 
 
 def _draw_resources(config: SystemConfig, rng: np.random.Generator):

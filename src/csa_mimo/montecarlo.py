@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import inspect
 import math
 import operator
 import os
@@ -107,8 +108,9 @@ class SweepSpec:
                 f"target_loss_events must be >= 1, got {self.target_loss_events}"
             )
         check_decode_criterion(self.decode_criterion)
-        for ka in self.ka_values:
-            dataclasses.replace(self.config, k_a=ka)  # reject infeasible configs early
+        for ka in self.ka_values:  # reject infeasible configs, seeds and loads early
+            dataclasses.replace(self.config, k_a=ka)
+            frame_stream(self.base_seed, ka, self.max_frames - 1)
 
 
 @dataclass(frozen=True)
@@ -188,13 +190,12 @@ def _draw_on_one_thread() -> None:
     signals.draw_threads = 1
 
 
-def _run_frame(task) -> list[tuple[int, int, int]]:
-    """(lost, n_up, n_pa) of each receiver on one frame, made with signals only if needed."""
+def _run_frame(task) -> list[int]:
+    """Each receiver's lost count on one frame, made with signals only if needed."""
     config, algorithms, stream, criterion = task
     with_signals = any(a is not Algorithm.LOGICAL for a in algorithms)
     frame = make_frame(config, stream, with_signals=with_signals)
-    reports = [run_receiver(frame, a, decode_criterion=criterion) for a in algorithms]
-    return [(r.lost_count, r.n_up, r.n_pa) for r in reports]
+    return [run_receiver(frame, a, decode_criterion=criterion).lost_count for a in algorithms]
 
 
 @dataclass
@@ -204,19 +205,19 @@ class _Point:
     algorithm: Algorithm
     frames: int = 0
     losses: int = 0
-    n_up: int = 0
-    n_pa: int = 0
     wall: float = 0.0
     stopped: bool = False
 
-    def record(self, ka: int, measure_time: bool) -> PlrRecord:
+    def record(self, ka: int, r: int, measure_time: bool) -> PlrRecord:
+        # each decoded packet is one generator and r - 1 replica subtractions
         sent = self.frames * ka
         ci_low, ci_high = wilson_interval(self.losses, sent)
         return PlrRecord(
             algorithm=self.algorithm.value, mac="baseline", ka=ka, frames_run=self.frames,
             packets_sent=sent, packets_lost=self.losses,
             plr=self.losses / sent if sent else 0.0, ci_low=ci_low, ci_high=ci_high,
-            mean_n_up=self.n_up / self.frames, mean_n_pa=self.n_pa / self.frames,
+            mean_n_up=(sent - self.losses) / self.frames,
+            mean_n_pa=(sent - self.losses) * (r - 1) / self.frames,
             wall_seconds=self.wall if measure_time else 0.0,
         )
 
@@ -249,7 +250,7 @@ def run_plr_sweep(
             pool.close()
             pool.join()
     return [
-        points[a].record(ka, measure_time)
+        points[a].record(ka, spec.config.r, measure_time)
         for a in range(len(spec.algorithms))
         for ka, points in zip(spec.ka_values, loads)
     ]
@@ -275,12 +276,10 @@ def _run_load(spec: SweepSpec, ka: int, pool, workers: int) -> list[_Point]:
         else:
             results = pool.map(_run_frame, tasks, chunksize=1)
         for counters in results:
-            for point, (lost, n_up, n_pa) in zip(running, counters):
+            for point, lost in zip(running, counters):
                 if not point.stopped:
                     point.frames += 1
                     point.losses += lost
-                    point.n_up += n_up
-                    point.n_pa += n_pa
                     point.stopped = (point.frames >= spec.min_frames
                                      and point.losses >= spec.target_loss_events)
         for point in running:
@@ -340,7 +339,7 @@ def run_singleton_experiment(
     """
     algorithm = _check_singleton_args(
         m, n_d, t, a_pilot, a_total, presub_fraction, trials, algorithm,
-        n_p, noise_var, decode_criterion,
+        n_p, noise_var, seed, decode_criterion,
     )
     rng = RandomStream(seed, a_total).generator()
     n_out = a_total - a_pilot
@@ -419,7 +418,7 @@ def run_singleton_experiment(
 
 def _check_singleton_args(
     m, n_d, t, a_pilot, a_total, presub_fraction, trials, algorithm,
-    n_p, noise_var, decode_criterion,
+    n_p, noise_var, seed, decode_criterion,
 ) -> Algorithm:
     """Reject a singleton experiment's bad input; return its algorithm."""
     algorithm = Algorithm(algorithm)
@@ -439,6 +438,7 @@ def _check_singleton_args(
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     check_decode_criterion(decode_criterion)
+    RandomStream(seed, a_total)  # a seed or load outside the stream range
     return algorithm
 
 
@@ -446,45 +446,28 @@ def _singleton_point(kwargs) -> SingletonRecord:
     return run_singleton_experiment(**kwargs)
 
 
-def run_singleton_sweep(
-    m: int,
-    n_d: int,
-    t: int,
-    a_pilot: int,
-    a_values,
-    presub_fraction: float,
-    trials: int,
-    algorithm: Algorithm | str,
-    *,
-    n_p: int = 64,
-    noise_var: float = 0.1,
-    seed: int = 0,
-    decode_criterion: str = "bit",
-    workers: int = 1,
-) -> list[SingletonRecord]:
-    """Run the singleton experiment over a grid of slot loads, none listed twice."""
+def run_singleton_sweep(*, a_values, workers: int = 1, **point) -> list[SingletonRecord]:
+    """Run ``run_singleton_experiment`` at each slot load ``a_total`` of ``a_values``.
+
+    ``point`` holds the experiment's other arguments, as keywords.  No load
+    may be listed twice, and every load's arguments are checked before any
+    worker starts.
+    """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     a_values = [operator.index(a) for a in a_values]
     _reject_repeats("a_values", a_values)
-    for a in a_values:  # before any worker starts
-        _check_singleton_args(
-            m, n_d, t, a_pilot, a, presub_fraction, trials, algorithm,
-            n_p, noise_var, decode_criterion,
-        )
-    tasks = [
-        dict(
-            m=m, n_d=n_d, t=t, a_pilot=a_pilot, a_total=a,
-            presub_fraction=presub_fraction, trials=trials,
-            algorithm=Algorithm(algorithm), n_p=n_p, noise_var=noise_var,
-            seed=seed, decode_criterion=decode_criterion,
-        )
-        for a in a_values
-    ]
+    signature = inspect.signature(run_singleton_experiment)
+    tasks = []
+    for a in a_values:
+        task = signature.bind(**point, a_total=a)
+        task.apply_defaults()
+        _check_singleton_args(**task.arguments)
+        tasks.append(task.arguments)
     if workers > 1 and len(tasks) > 1:
         with _spawn_pool(workers) as pool:
             return pool.map(_singleton_point, tasks)
-    return [_singleton_point(t_) for t_ in tasks]
+    return [_singleton_point(task) for task in tasks]
 
 
 def tabulate_singleton_failure(m, n_d, t, a_pilot, a_values) -> list[AnalysisRecord]:

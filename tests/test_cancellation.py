@@ -59,9 +59,24 @@ def occupied(frame, slot):
     return np.unique(frame.occupants[slot][1])
 
 
+def resource(frame, slot, j):
+    """The index q of resource (slot, pilot j) among the frame's occupied resources."""
+    return frame.resources.ids.tolist().index(slot * frame.config.n_p + j)
+
+
+def slot_resources(frame, slot):
+    """The indices q of a slot's occupied resources, in pilot order."""
+    return [resource(frame, slot, j) for j in occupied(frame, slot)]
+
+
+def replica(frame, user, slot):
+    """The index c of a user's replica in a slot, as ``subtract`` takes it."""
+    return frame.slot_indices[user].tolist().index(slot)
+
+
 def column(state, slot, j):
-    """A PAB/PRCE state's estimate of pilot j in a slot, read through its pilot map."""
-    return state.phi[slot][:, state.occupied_index[slot, j]]
+    """A PAB/PRCE state's estimate of pilot j in a slot."""
+    return state.phi[:, resource(state.frame, slot, j)]
 
 
 def gemv_channel_estimate(y, payload, h_sub=None, x_sub=None):
@@ -92,15 +107,16 @@ def gram_channel_estimate(y, payload, h_sub=None, x_sub=None):
 _production_subtract = cancellation.subtract
 
 
-def gemv_subtract(state, user, slot, j, mode):
+def gemv_subtract(state, user, c, mode):
     """``subtract``, with the PAB replica estimate taken by the gemv oracle."""
     if state.algorithm is not Algorithm.PAB or mode == "generator":
-        return _production_subtract(state, user, slot, j, mode)
+        return _production_subtract(state, user, c, mode)
+    slot = state.frame.slot_indices[user, c]
     h = gemv_channel_estimate(state.y[slot], state.frame.payloads[user], *subtracted(state, slot))
     production_estimate = cancellation.pab_channel_estimate
     cancellation.pab_channel_estimate = lambda *args: h
     try:
-        _production_subtract(state, user, slot, j, mode)
+        _production_subtract(state, user, c, mode)
     finally:
         cancellation.pab_channel_estimate = production_estimate
 
@@ -135,37 +151,38 @@ def true_channel(frame, user, slot):
     return frame.true_channels[slot][frame.occupants[slot][0].tolist().index(user)]
 
 
-def full_recompute_subtract(state, user, slot, j, mode):
+def full_recompute_subtract(state, user, c, mode):
     """PAB/PRCE subtraction by the full recompute that the implicit residual replaces.
 
     Keeps explicit residual pilot- and payload-phase matrices on the side,
     removes ``h s_j^T`` and ``h x^T`` from them, then re-estimates every
-    pilot of the slot and its gain.  The pilot j the caller passes must be
-    the one the user picked in the slot.
+    pilot of the slot and its gain, and marks the user's occupant done.
     """
+    frame = state.frame
+    slot, j = int(frame.slot_indices[user, c]), int(frame.pilot_choices[user, c])
     p_res, y_res = _explicit_residuals(state)
-    payload = state.frame.payloads[user]
-    assert j == pilot_of(state.frame, user, slot)
+    payload = frame.payloads[user]
     if state.algorithm is Algorithm.PRCE:
-        h = true_channel(state.frame, user, slot)
+        h = true_channel(frame, user, slot)
     elif mode == "generator":
         h = column(state, slot, j)
     else:
         h = gemv_channel_estimate(y_res[slot], payload)
-    state.n_up += mode == "generator"
-    state.n_pa += mode == "replica"
     pilots = build_hadamard_pilots(state.config.n_p)
     p_res[slot] -= np.outer(h, pilots[j].astype(float))
     y_res[slot] -= np.outer(h, payload)
     phi = estimate_all_pilot_channels(p_res[slot], state.config.n_p)
-    state.phi[slot][:] = phi[:, occupied(state.frame, slot)]
-    state.g[slot] = compute_combining_statistics(phi, y_res[slot])[1]
-    state.stale[slot] = True
+    qs = slot_resources(frame, slot)
+    state.phi[:, qs] = phi[:, occupied(frame, slot)]
+    state.g[qs] = compute_combining_statistics(phi, y_res[slot])[1][occupied(frame, slot)]
+    state.stale[qs] = True
+    state.done[slot][frame.occupants[slot][0].tolist().index(user)] = True
 
 
-def full_recompute_numerator(state, slot, j):
-    """``f_j`` of pilot j from the oracle's explicit payload-phase residual."""
-    return compute_combining_statistics(column(state, slot, j), explicit_residual(state, slot))[0]
+def full_recompute_numerator(state, q):
+    """``f_q`` of resource q from the oracle's explicit payload-phase residual."""
+    slot = int(state.frame.resources.ids[q]) // state.config.n_p
+    return compute_combining_statistics(state.phi[:, q], explicit_residual(state, slot))[0]
 
 
 def explicit_residual(state, slot):
@@ -436,6 +453,65 @@ def assert_logical_plr_matches_density_evolution(k_a, frames):
         assert abs(plr - expected) <= 0.015
 
 
+def set_based_resources(frame):
+    """``frame.resources`` by sets: the sorted occupied (slot, pilot) pairs, each
+    replica's place among them, and its user's rank among the slot's users."""
+    cfg = frame.config
+    plans = [list(zip(slots, pilots)) for slots, pilots in
+             zip(frame.slot_indices.tolist(), frame.pilot_choices.tolist())]
+    pairs = sorted({pair for plan in plans for pair in plan})
+    users_in = {s: sorted(u for u, plan in enumerate(plans) if s in dict(plan))
+                for s in range(cfg.n_slots)}
+    ids = [s * cfg.n_p + j for s, j in pairs]
+    q = [[pairs.index(pair) for pair in plan] for plan in plans]
+    occupant = [[users_in[s].index(u) for s, _ in plan] for u, plan in enumerate(plans)]
+    return ids, q, occupant
+
+
+class TestResourceTable:
+    @pytest.mark.parametrize("assignments, n_slots", [
+        (CHAIN, 4),
+        # slot 0's three users all on pilot 1, and slots 3 and 4 empty
+        ([[(0, 1), (1, 2)], [(0, 1), (2, 0)], [(0, 1), (1, 3)]], 5),
+        ([[(1, 3), (3, 0)], [(1, 3), (3, 2)], [(0, 0), (3, 2)], [(0, 1), (1, 3)]], 4),
+    ])
+    def test_matches_set_based_numbering_on_hand_picked_frames(self, assignments, n_slots):
+        frame = manual_frame(assignments, n_slots=n_slots)
+        assert_table_matches_sets(frame)
+
+    @pytest.mark.parametrize("k_a, seed", [(0, 0), (1, 1), (4, 2), (40, 3), (120, 4)])
+    def test_matches_set_based_numbering_on_drawn_frames(self, k_a, seed):
+        cfg = SystemConfig(k_a=k_a, m=2, n_slots=10, n_p=8, n_d=2, r=3)
+        frame = make_frame(cfg, RandomStream(seed), with_signals=False)
+        if k_a == 4:  # slots 0 and 6 empty
+            assert (np.bincount(frame.slot_indices.ravel(), minlength=cfg.n_slots) == 0).sum() == 2
+        assert_table_matches_sets(frame)
+
+    def test_built_once_and_shared_by_every_receiver(self):
+        cfg = SystemConfig(k_a=20, m=16, n_slots=6, n_p=8, n_d=16, r=2, noise_var=0.1, t=2)
+        frame = make_frame(cfg, RandomStream(5))
+        table = frame.resources
+        for algorithm in ALL_ALGORITHMS:
+            run_receiver(frame, algorithm)
+        assert frame.resources is table
+        # O(k_a r) integers, whatever the frame's size
+        assert table.q.shape == table.occupant.shape == (cfg.k_a, cfg.r)
+        assert table.ids.size <= cfg.k_a * cfg.r
+
+
+def assert_table_matches_sets(frame):
+    ids, q, occupant = set_based_resources(frame)
+    table = frame.resources
+    np.testing.assert_array_equal(table.ids, np.array(ids, dtype=np.int64))
+    shape = frame.slot_indices.shape
+    np.testing.assert_array_equal(table.q, np.array(q, dtype=np.int64).reshape(shape))
+    np.testing.assert_array_equal(table.occupant, np.array(occupant, dtype=np.int64).reshape(shape))
+    for user, (slots, qs, places) in enumerate(zip(frame.slot_indices, table.q, table.occupant)):
+        for slot, q_, i in zip(slots, qs, places):
+            assert frame.occupants[slot][0][i] == user  # the occupant index assemble_frame uses
+            assert table.ids[q_] // frame.config.n_p == slot
+
+
 class TestReceiverState:
     def test_no_receiver_copies_the_received_matrices(self):
         frame = manual_frame([[(0, 2), (1, 0)]])
@@ -446,8 +522,8 @@ class TestReceiverState:
             # only the numerators phi_j^H y, the others the occupied columns
             if algorithm is Algorithm.SNB:
                 assert not hasattr(state, "phi")
-                np.testing.assert_allclose(
-                    state.numerator(0, 2), phi[:, 2].conj() @ frame.slots[0].y, rtol=1e-12)
+                np.testing.assert_allclose(state.numerator(resource(frame, 0, 2)),
+                                           phi[:, 2].conj() @ frame.slots[0].y, rtol=1e-12)
             else:
                 np.testing.assert_array_equal(column(state, 0, 2), phi[:, 2])
             for slot, signal in enumerate(frame.slots):
@@ -468,22 +544,30 @@ class TestReceiverState:
         state = ReceiverState(frame, algorithm)
         pilots = [occupied(frame, slot) for slot in range(cfg.n_slots)]
         assert any(p.size == 0 for p in pilots)
-        blocks = state.f if algorithm is Algorithm.SNB else [phi.T for phi in state.phi]
-        assert sum(block.shape[0] for block in blocks) == sum(p.size for p in pilots)
-        assert len({id(block.base) for block in blocks}) == 1  # one buffer per receiver
+        total = sum(p.size for p in pilots)
+        # one buffer per receiver, one row or column per occupied resource
+        if algorithm is Algorithm.SNB:
+            assert state.f.shape == (total, cfg.n_d)
+        else:
+            assert state.phi.shape == (cfg.m, total)
+        assert state.g.shape == state.stale.shape == (total,)
+        first = 0
         for slot, signal in enumerate(frame.slots):
-            index = state.occupied_index[slot]
-            np.testing.assert_array_equal(index[pilots[slot]], range(pilots[slot].size))
+            # a slot's resources are consecutive, in pilot order
+            assert slot_resources(frame, slot) == list(range(first, first + pilots[slot].size))
+            first += pilots[slot].size
             phi = estimate_all_pilot_channels(signal.p, cfg.n_p)
             f, g = compute_combining_statistics(phi, signal.y)
-            assert state.g[slot].tobytes() == g.tobytes()  # gains for all n_p pilots
             for j in range(cfg.n_p):
                 if j not in pilots[slot]:
-                    with pytest.raises(IndexError):
-                        state.numerator(slot, j)
-                elif algorithm is Algorithm.SNB:
+                    # nobody picked j: no resource, so no state
+                    assert slot * cfg.n_p + j not in frame.resources.ids
+                    continue
+                q = resource(frame, slot, j)
+                assert state.g[q].tobytes() == g[j].tobytes()
+                if algorithm is Algorithm.SNB:
                     # the full product's row, byte for byte
-                    assert state.numerator(slot, j).tobytes() == f[j].tobytes()
+                    assert state.numerator(q).tobytes() == f[j].tobytes()
                 else:
                     assert column(state, slot, j).tobytes() == phi[:, j].tobytes()
 
@@ -523,7 +607,7 @@ class TestReceiverState:
                 else:
                     h = gemv_channel_estimate(
                         frame.slots[slot].y, frame.payloads[user], *subtracted(state, slot))
-                subtract(state, user, slot, j, mode)
+                subtract(state, user, replica(frame, user, slot), mode)
                 estimates[slot][i] = h
         assert_rows_hold_correlations_or_estimates()
 
@@ -550,12 +634,12 @@ class TestSnbSubtraction:
     def test_generator_subtraction_zeroes_gain(self):
         frame = manual_frame([[(0, 1), (1, 1)]], noise_var=0.0)
         state = ReceiverState(frame, Algorithm.SNB)
-        subtract(state, 0, 0, 1, mode="generator")
-        assert state.g[0][1] == 0.0
+        subtract(state, 0, replica(frame, 0, 0), mode="generator")
+        assert state.g[resource(frame, 0, 1)] == 0.0
         # replica slot uses the antenna count in place of the true norm
-        g_before = state.g[1][1]
-        subtract(state, 0, 1, 1, mode="replica")
-        assert state.g[1][1] == pytest.approx(g_before - frame.config.m)
+        g_before = state.g[resource(frame, 1, 1)]
+        subtract(state, 0, replica(frame, 0, 1), mode="replica")
+        assert state.g[resource(frame, 1, 1)] == pytest.approx(g_before - frame.config.m)
 
     def test_matches_logical_on_single_user_noiseless_frame(self):
         frame = manual_frame([[(0, 0), (2, 3)]])
@@ -566,49 +650,49 @@ class TestSnbSubtraction:
     def test_double_subtraction_rejected(self):
         frame = manual_frame([[(0, 1), (1, 1)]])
         state = ReceiverState(frame, Algorithm.SNB)
-        subtract(state, 0, 0, 1, mode="replica")
+        subtract(state, 0, replica(frame, 0, 0), mode="replica")
         with pytest.raises(RuntimeError):
-            subtract(state, 0, 0, 1, mode="replica")
+            subtract(state, 0, replica(frame, 0, 0), mode="replica")
 
     def test_other_pilot_statistics_untouched(self):
         frame = manual_frame([[(0, 1), (1, 2)], [(0, 3), (2, 0)]], noise_var=0.1)
         state = ReceiverState(frame, Algorithm.SNB)
-        f_other = state.numerator(0, 3).copy()
-        g_other = state.g[0][3]
-        subtract(state, 0, 0, 1, mode="generator")
-        np.testing.assert_array_equal(state.numerator(0, 3), f_other)
-        assert state.g[0][3] == g_other
+        other = resource(frame, 0, 3)
+        f_other = state.numerator(other).copy()
+        g_other = state.g[other]
+        subtract(state, 0, replica(frame, 0, 0), mode="generator")
+        np.testing.assert_array_equal(state.numerator(other), f_other)
+        assert state.g[other] == g_other
 
 
 class TestPabSubtraction:
     def test_noiseless_generator_subtraction_clears_pilot(self):
         frame = manual_frame([[(0, 2), (1, 0)]], noise_var=0.0)
         state = ReceiverState(frame, Algorithm.PAB)
-        subtract(state, 0, 0, 2, mode="generator")
+        subtract(state, 0, replica(frame, 0, 0), mode="generator")
         np.testing.assert_array_equal(column(state, 0, 2), np.zeros(frame.config.m))
         empty_phi = expected_phi(np.zeros_like(frame.slots[0].p))
-        np.testing.assert_array_equal(state.phi[0], empty_phi[:, occupied(frame, 0)])
-        assert state.n_up == 1
+        np.testing.assert_array_equal(
+            state.phi[:, slot_resources(frame, 0)], empty_phi[:, occupied(frame, 0)])
 
     def test_replica_mode_uses_payload_estimate(self):
         frame = manual_frame([[(0, 2), (1, 0)]], noise_var=0.0, n_d=64)
         state = ReceiverState(frame, Algorithm.PAB)
         h_true = true_channel(frame, 0, 1)
-        subtract(state, 0, 1, 0, mode="replica")
-        assert state.n_pa == 1
+        subtract(state, 0, replica(frame, 0, 1), mode="replica")
         # lone user, no noise: the estimate equals the channel to rounding,
         # so the residual is ~0 relative to the original signal scale
         scale = np.abs(frame.slots[1].y).max()
         assert np.abs(implied_residual(state, 1)).max() < 1e-12 * scale
         empty_phi = expected_phi(np.zeros_like(frame.slots[1].p))[:, occupied(frame, 1)]
-        assert np.abs(state.phi[1] - empty_phi).max() < 1e-12 * scale
+        assert np.abs(state.phi[:, slot_resources(frame, 1)] - empty_phi).max() < 1e-12 * scale
         assert h_true.shape == (frame.config.m,)
 
     def test_unknown_mode_rejected(self):
         frame = manual_frame([[(0, 2), (1, 0)]])
         state = ReceiverState(frame, Algorithm.PAB)
         with pytest.raises(ValueError):
-            subtract(state, 0, 0, 2, mode="oracle")
+            subtract(state, 0, replica(frame, 0, 0), mode="oracle")
 
 
 class TestPabChannelEstimate:
@@ -684,8 +768,8 @@ class TestPrceSubtraction:
         )
         cfg = frame.config
         state = ReceiverState(frame, Algorithm.PRCE)
-        subtract(state, 0, 0, 1, mode="generator")
-        subtract(state, 0, 1, 2, mode="replica")
+        subtract(state, 0, replica(frame, 0, 0), mode="generator")
+        subtract(state, 0, replica(frame, 0, 1), mode="replica")
         pilot_rows = build_hadamard_pilots(cfg.n_p).astype(float)
         for slot in (0, 1):
             expected_p = np.zeros_like(frame.slots[slot].p)
@@ -698,7 +782,7 @@ class TestPrceSubtraction:
                 expected_y += np.outer(h, frame.payloads[user])
             scale = max(np.abs(frame.slots[slot].p).max(), 1.0)
             phi = expected_phi(expected_p)[:, occupied(frame, slot)]
-            assert np.abs(state.phi[slot] - phi).max() < 1e-12 * scale
+            assert np.abs(state.phi[:, slot_resources(frame, slot)] - phi).max() < 1e-12 * scale
             assert np.abs(implied_residual(state, slot) - expected_y).max() < 1e-12 * scale
 
     def test_decodes_superset_of_pab_on_paired_frames(self):
@@ -733,10 +817,10 @@ class TestRank1Update:
 
         def snapshot(state, numerator, residual):
             return {
-                "phi": state.phi,
-                "g": state.g,
+                "phi": [state.phi],
+                "g": [state.g],
                 "f": [
-                    np.array([numerator(state, s, j) for j in occupied(frame, s)]).reshape(-1)
+                    np.array([numerator(state, q) for q in slot_resources(frame, s)]).reshape(-1)
                     for s in slots
                 ],
                 "y_res": [residual(state, s) for s in slots],
@@ -756,23 +840,18 @@ class TestRank1Update:
         initial = snapshot(slow, full_recompute_numerator, explicit_residual)
         scale = {name: largest(arrays) for name, arrays in initial.items()}
         compare()
-        replicas = [
-            (user, s, j)
-            for user, (slots, pilots) in enumerate(
-                zip(frame.slot_indices.tolist(), frame.pilot_choices.tolist())
-            )
-            for s, j in zip(slots, pilots)
-        ]
+        replicas = list(itertools.product(range(cfg.k_a), range(cfg.r)))
         order = data.draw(st.permutations(replicas))
         count = data.draw(st.integers(1, len(replicas)))
-        for user, slot, j in order[:count]:
+        for user, c in order[:count]:
             mode = data.draw(st.sampled_from(("generator", "replica")))
             # as after an attempt on every resource, so the step's marks show
             fast.stale[:] = slow.stale[:] = False
-            subtract(fast, user, slot, j, mode)
-            full_recompute_subtract(slow, user, slot, j, mode)
+            subtract(fast, user, c, mode)
+            full_recompute_subtract(slow, user, c, mode)
             compare()
-        assert (fast.n_up, fast.n_pa) == (slow.n_up, slow.n_pa)
+        for a, b in zip(fast.done, slow.done):
+            np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("algorithm", SIGNAL_ALGORITHMS)
     def test_paired_frames_decode_as_full_recompute(self, algorithm, monkeypatch):
@@ -854,6 +933,21 @@ class TestSweepInvariants:
         assert means[Algorithm.LOGICAL] >= means[Algorithm.PRCE]
         assert means[Algorithm.PRCE] >= means[Algorithm.PAB]
         assert means[Algorithm.PAB] > means[Algorithm.SNB] + 10
+
+    def test_subtraction_counts_follow_the_decoded_set(self):
+        # each decode is one generator and r - 1 replica subtractions, for
+        # every receiver, on frames that lose users and frames that do not
+        cfg = SystemConfig(k_a=24, m=16, n_slots=8, n_p=4, n_d=32, r=3, noise_var=0.1, t=3)
+        partial = complete = 0
+        for i in range(12):
+            frame = make_frame(cfg, RandomStream(19, i))
+            for algorithm in ALL_ALGORITHMS:
+                report = run_receiver(frame, algorithm)
+                assert report.n_up == report.decoded_count
+                assert report.n_pa == report.decoded_count * (cfg.r - 1)
+                partial += 0 < report.decoded_count < cfg.k_a
+                complete += report.decoded_count == cfg.k_a
+        assert partial >= 5 and complete >= 5
 
     def test_noiseless_collision_free_decodes_everyone(self):
         # spread 9 users over distinct resources; every algorithm must

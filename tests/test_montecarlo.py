@@ -84,6 +84,17 @@ class TestSweepSpec:
             SweepSpec(config=tiny_config(), ka_values=[5], algorithms=["snb"],
                       max_frames=2**32)
 
+    @pytest.mark.parametrize("fault, message", [
+        (dict(base_seed=2**64), "seed must be in"),
+        (dict(base_seed=-1), "seed must be in"),
+        (dict(ka_values=[5, 2**32]), "stream_id must be in"),
+    ])
+    def test_bad_stream_rejected_before_starting_workers(self, fault, message, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_spawn_pool", lambda workers: pytest.fail("pool started"))
+        args = dict(dict(config=tiny_config(), ka_values=[5], algorithms=["logical"]), **fault)
+        with pytest.raises(ValueError, match=message):
+            run_plr_sweep(SweepSpec(**args), workers=2)
+
     def test_algorithms_coerced(self):
         spec = SweepSpec(config=tiny_config(), ka_values=[5], algorithms=["snb", "pab"])
         assert all(hasattr(a, "value") for a in spec.algorithms)
@@ -496,6 +507,29 @@ class TestSingletonExperiment:
         with pytest.raises(ValueError, match="a_total >= a_pilot"):
             run_singleton_sweep(m=16, n_d=16, t=1, a_pilot=2, a_values=iter([4, 1]),
                                 presub_fraction=0.0, trials=1, algorithm="pab", workers=2)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_sweep_bad_seed_rejected_before_starting_workers(self, seed, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_spawn_pool", lambda workers: pytest.fail("pool started"))
+        with pytest.raises(ValueError, match="^seed must be in"):
+            run_singleton_sweep(m=16, n_d=16, t=1, a_pilot=1, a_values=[2, 4],
+                                presub_fraction=0.0, trials=1, algorithm="snb", seed=seed,
+                                workers=2)
+
+    def test_sweep_takes_the_experiments_keywords(self, monkeypatch):
+        # every keyword is the experiment's, with its defaults, checked before a pool
+        monkeypatch.setattr(montecarlo, "_spawn_pool", lambda workers: pytest.fail("pool started"))
+        with pytest.raises(TypeError, match="a_pilot"):
+            run_singleton_sweep(m=16, n_d=16, t=1, a_values=[2, 4], presub_fraction=0.0,
+                                trials=1, algorithm="snb", workers=2)
+        with pytest.raises(TypeError, match="n_pilots"):
+            run_singleton_sweep(m=16, n_d=16, t=1, a_pilot=1, a_values=[2, 4],
+                                presub_fraction=0.0, trials=1, algorithm="snb", n_pilots=8,
+                                workers=2)
+        kwargs = dict(m=16, n_d=16, t=1, a_pilot=1, presub_fraction=0.0, trials=20,
+                      algorithm="pab")
+        swept = run_singleton_sweep(a_values=[2, 4], **kwargs)
+        assert swept == [run_singleton_experiment(a_total=a, **kwargs) for a in (2, 4)]
 
     def test_sweep_loads_must_be_integers(self):
         with pytest.raises(TypeError):
