@@ -36,8 +36,8 @@ def _split_list(text: str) -> list[str]:
 
 
 # every config key with the parser of its value: the SystemConfig fields,
-# each typed by its default, and the SweepSpec fields
-_SYSTEM_KEYS = {f.name: type(f.default) for f in dataclasses.fields(SystemConfig)}
+# each typed by its value in the default config, and the SweepSpec fields
+_SYSTEM_KEYS = {k: type(v) for k, v in dataclasses.asdict(SystemConfig()).items()}
 _SWEEP_KEYS = {"ka_values": lambda text: [int(v) for v in _split_list(text)],
                "algorithms": _split_list, "min_frames": int, "max_frames": int,
                "target_loss_events": int, "base_seed": int, "decode_criterion": str}
@@ -166,10 +166,8 @@ def _merged_options(args) -> dict:
 
 def _system_config(opts: dict) -> SystemConfig:
     fields = {k: opts[k] for k in _SYSTEM_KEYS if k in opts}
-    if "n_slots" not in fields:
-        return SystemConfig.from_latency(**fields)
     for budget in ("latency_ms", "symbol_rate"):
-        if budget in fields:
+        if "n_slots" in fields and budget in fields:
             raise ValueError(f"give n_slots or the latency budget, not both (got {budget})")
     return SystemConfig(**fields)
 

@@ -29,29 +29,24 @@ _FLOYD_MAX_SLOTS = 10_000
 _FLOYD_MIN_SHARE = 50
 
 
-def compute_slot_count(latency_ms: float, symbol_rate: float, n_p: int, n_d: int) -> int:
-    """Number of slots that fit the latency budget.
-
-    A slot carries ``n_p`` pilot plus ``n_d`` payload symbols; the frame must
-    fit twice within ``latency_ms`` at ``symbol_rate`` symbols/second.
-    """
-    if not (0 < latency_ms < math.inf and 0 < symbol_rate < math.inf) or n_p <= 0 or n_d <= 0:
-        raise ValueError("latency, symbol rate and slot dimensions must be positive and finite")
-    symbols_in_budget = latency_ms * 1e-3 * symbol_rate
-    return int(symbols_in_budget // (2 * (n_p + n_d)))
-
-
 @dataclass(frozen=True)
 class SystemConfig:
     """Scenario parameters.  Defaults match the reference uplink setup:
 
     256 antennas, 64 pilots, 256-symbol payloads, 3 replicas, noise power
     0.1, and a 50 ms latency budget at 1 Msps giving 78 slots per frame.
+
+    ``n_slots`` left as None is derived from the latency budget: the number
+    of ``n_p + n_d``-symbol slots that fit twice in ``latency_ms`` at
+    ``symbol_rate`` symbols/second.  An explicit ``n_slots`` wins.
+    ``dataclasses.replace`` carries the slot count over, so ``replace(config,
+    k_a=...)`` keeps it; ``replace(config, latency_ms=..., n_slots=None)``
+    derives it again.
     """
 
     k_a: int = 100              # active users per frame
     m: int = 256                # receive antennas
-    n_slots: int = 78           # slots per frame
+    n_slots: int | None = None  # slots per frame; None derives it from the latency budget
     n_p: int = 64               # pilot count == pilot length
     n_d: int = 256              # payload symbols per replica
     r: int = 3                  # replicas per user
@@ -65,10 +60,21 @@ class SystemConfig:
         if self.k_a < 0:
             raise ValueError(f"k_a must be nonnegative, got {self.k_a}")
         for name in ("m", "n_slots", "n_p", "n_d", "r"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not (value is None and name == "n_slots") and value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
         if self.n_p & (self.n_p - 1) != 0:
             raise ValueError(f"n_p must be a power of two, got {self.n_p}")
+        for name in ("noise_var", "channel_var", "latency_ms", "symbol_rate"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.n_slots is None:
+            slot = self.n_p + self.n_d
+            n = int(self.latency_ms * 1e-3 * self.symbol_rate // (2 * slot))
+            if n < 1:
+                raise ValueError(f"a latency budget of {self.latency_ms:g} ms at "
+                                 f"{self.symbol_rate:g} symbols/s fits no {slot}-symbol slot twice")
+            object.__setattr__(self, "n_slots", n)
         if self.r > self.n_slots:
             raise ValueError(f"r={self.r} replicas cannot fit in {self.n_slots} slots")
         if self.n_slots > _FLOYD_MAX_SLOTS and self.r > self.n_slots // _FLOYD_MIN_SHARE:
@@ -77,28 +83,12 @@ class SystemConfig:
                 f"slots r may be at most n_slots // {_FLOYD_MIN_SHARE} "
                 f"= {self.n_slots // _FLOYD_MIN_SHARE}"
             )
-        for name in ("noise_var", "channel_var", "latency_ms", "symbol_rate"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.noise_var < 0:
             raise ValueError(f"noise_var must be nonnegative, got {self.noise_var}")
         if self.channel_var <= 0:
             raise ValueError(f"channel_var must be positive, got {self.channel_var}")
         if self.t < 0:
             raise ValueError(f"t must be nonnegative, got {self.t}")
-
-    @classmethod
-    def from_latency(cls, **kwargs) -> "SystemConfig":
-        """Build a config with ``n_slots`` derived from the latency budget.
-
-        ``r`` and the Floyd limit are checked against the derived slot count.
-        """
-        base = cls(**{**kwargs, "n_slots": 1, "r": 1})  # every check not on n_slots
-        n = compute_slot_count(base.latency_ms, base.symbol_rate, base.n_p, base.n_d)
-        if n < 1:
-            raise ValueError(f"a latency budget of {base.latency_ms:g} ms at {base.symbol_rate:g} "
-                             f"symbols/s fits no {base.n_p + base.n_d}-symbol slot twice")
-        return cls(**{**kwargs, "n_slots": n})
 
 
 @dataclass

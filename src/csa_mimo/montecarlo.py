@@ -161,6 +161,9 @@ class AnalysisRecord:
 
 def frame_stream(base_seed: int, ka: int, frame_idx: int) -> RandomStream:
     """The stream assigned to one frame trial: stable in (seed, ka, index)."""
+    for name, value in (("k_a", ka), ("frame index", frame_idx)):  # 32 bits of the id each
+        if not 0 <= value < 2**32:
+            raise ValueError(f"{name} must be in [0, 2**32) for its stream, got {value}")
     return RandomStream(seed=base_seed, stream_id=(ka << 32) | frame_idx)
 
 

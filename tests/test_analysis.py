@@ -17,6 +17,8 @@ from csa_mimo.analysis import (
     singleton_failure_probability,
     symbol_error_probability,
 )
+from csa_mimo.cancellation import pab_channel_estimate
+from csa_mimo.frame import SystemConfig, assemble_frame, generate_user_plans
 from csa_mimo.montecarlo import tabulate_singleton_failure
 from csa_mimo.signals import RandomStream, qpsk_hard_demodulate, qpsk_modulate
 
@@ -199,6 +201,27 @@ class TestPabEstimateErrorVariance:
             pab_estimate_error_variance(0, 256)
         with pytest.raises(ValueError):
             pab_estimate_error_variance(5, 0)
+
+    @pytest.mark.parametrize("a_total", [4, 16, 40])
+    def test_matches_first_replica_estimate_on_noiseless_slots(self, a_total):
+        # every user's first PAB estimate in a noiseless slot, none subtracted:
+        # the matched filter y x_i^* / ||x_i||^2, whose per-entry error over
+        # channels and payloads should have the closed-form variance
+        m, n_d, trials = 32, 64, 60
+        config = SystemConfig(k_a=a_total, m=m, n_slots=1, n_p=1, n_d=n_d, r=1, noise_var=0.0)
+        per_trial = []
+        for trial in range(trials):
+            rng = RandomStream(23, trial).generator()
+            frame = assemble_frame(generate_user_plans(config, rng), config, rng)
+            x = frame.payloads                                # (a, n_d), users ascending
+            estimates = pab_channel_estimate(                  # row i: user i's, y x_i^*
+                x.conj() @ frame.slots[0].y.T, np.zeros((m, 0)), np.zeros((a_total, 0)),
+                np.sum(np.abs(x) ** 2, axis=1, keepdims=True))
+            error = estimates - frame.true_channels[0]         # occupant i is user i
+            per_trial.append(np.mean(np.abs(error) ** 2))
+        measured = np.mean(per_trial)
+        stderr = np.std(per_trial, ddof=1) / math.sqrt(trials)
+        assert abs(measured - pab_estimate_error_variance(a_total, n_d)) < 4 * stderr
 
 
 class TestFailureCurve:

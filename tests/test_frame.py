@@ -1,5 +1,6 @@
 """Tests for frame generation: slot budgeting, plans, signal assembly."""
 
+import dataclasses
 import itertools
 import math
 
@@ -14,7 +15,6 @@ from csa_mimo.frame import (
     SystemConfig,
     _draw_resources,
     assemble_frame,
-    compute_slot_count,
     generate_user_plans,
     make_frame,
 )
@@ -145,47 +145,61 @@ def assert_assembly_matches_oracle(config, stream):
 
 
 class TestComputeSlotCount:
+    """The slot count ``SystemConfig`` derives from its latency budget."""
+
     def test_reference_budget(self):
         # 50 ms at 1 Msps with 64+256 symbol slots
-        assert compute_slot_count(50.0, 1e6, 64, 256) == 78
+        assert SystemConfig(latency_ms=50.0, symbol_rate=1e6, n_p=64, n_d=256).n_slots == 78
+        assert SystemConfig() == SystemConfig(n_slots=78)
 
     def test_direct_floor_arithmetic(self):
-        assert compute_slot_count(50.0, 1e6, 64, 512) == 43
+        assert SystemConfig(latency_ms=50.0, symbol_rate=1e6, n_p=64, n_d=512).n_slots == 43
 
     def test_vanishing_latency(self):
-        assert compute_slot_count(1e-9, 1e6, 64, 256) == 0
+        # the budget fits 0 slots, which no config holds
+        with pytest.raises(ValueError, match="fits no 320-symbol slot twice"):
+            SystemConfig(latency_ms=1e-9, symbol_rate=1e6, n_p=64, n_d=256)
 
     def test_invalid_rejected(self):
-        with pytest.raises(ValueError):
-            compute_slot_count(0.0, 1e6, 64, 256)
-        with pytest.raises(ValueError):
-            compute_slot_count(50.0, 1e6, 0, 256)
+        with pytest.raises(ValueError, match="fits no 320-symbol slot twice"):
+            SystemConfig(latency_ms=0.0, symbol_rate=1e6, n_p=64, n_d=256)
+        with pytest.raises(ValueError, match="n_p must be >= 1, got 0"):
+            SystemConfig(latency_ms=50.0, symbol_rate=1e6, n_p=0, n_d=256)
 
     @pytest.mark.parametrize("latency_ms, symbol_rate", [
         (math.nan, 1e6), (math.inf, 1e6), (50.0, math.nan), (50.0, math.inf)])
     def test_non_finite_budget_rejected(self, latency_ms, symbol_rate):
-        with pytest.raises(ValueError, match="must be positive and finite"):
-            compute_slot_count(latency_ms, symbol_rate, 64, 256)
+        bad = "latency_ms" if not math.isfinite(latency_ms) else "symbol_rate"
+        with pytest.raises(ValueError, match=f"{bad} must be finite"):
+            SystemConfig(latency_ms=latency_ms, symbol_rate=symbol_rate, n_p=64, n_d=256)
 
     def test_from_latency_constructor(self):
-        cfg = SystemConfig.from_latency(m=256, n_p=64, n_d=256, k_a=10)
+        cfg = SystemConfig(m=256, n_p=64, n_d=256, k_a=10)
         assert cfg.n_slots == 78
 
     def test_from_latency_checks_replicas_against_the_budgets_slots(self):
         # 1000 ms at 1 Msps fits 1562 slots of 320 symbols: room for 100 replicas
-        cfg = SystemConfig.from_latency(r=100, latency_ms=1000.0)
+        cfg = SystemConfig(r=100, latency_ms=1000.0)
         assert (cfg.n_slots, cfg.r) == (1562, 100)
 
     def test_from_latency_applies_floyd_limit_to_the_budgets_slots(self):
         # 10 s fits 15625 slots, above 10000, so r may be at most 15625 // 50 = 312
-        assert SystemConfig.from_latency(r=312, latency_ms=10_000.0).n_slots == 15625
+        assert SystemConfig(r=312, latency_ms=10_000.0).n_slots == 15625
         with pytest.raises(ValueError, match="r=313 replicas in 15625 slots"):
-            SystemConfig.from_latency(r=313, latency_ms=10_000.0)
+            SystemConfig(r=313, latency_ms=10_000.0)
 
     def test_from_latency_names_a_budget_that_fits_no_slot(self):
         message = r"latency budget of 0.01 ms at 1e\+06 symbols/s fits no 320-symbol slot"
         with pytest.raises(ValueError, match=message):
-            SystemConfig.from_latency(latency_ms=0.01)
+            SystemConfig(latency_ms=0.01)
+
+    def test_replace_carries_the_slot_count(self):
+        # a sweep's per-load replace(config, k_a=ka) keeps an explicit slot count
+        cfg = SystemConfig(n_slots=6, r=2)
+        assert dataclasses.replace(cfg, k_a=5).n_slots == 6
+        assert dataclasses.replace(cfg, latency_ms=10.0).n_slots == 6
+        # None derives it again: 10 ms at 1 Msps fits 15 slots of 320 symbols
+        assert dataclasses.replace(cfg, latency_ms=10.0, n_slots=None).n_slots == 15
 
 
 class TestSystemConfig:

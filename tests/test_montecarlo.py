@@ -76,8 +76,9 @@ class TestSweepSpec:
 
     def test_frame_cap_below_stream_id_width(self):
         # frame indices share the stream id with k_a: index 2**32 would
-        # alias frame 0 of the next load
-        assert frame_stream(0, 1, 0) == frame_stream(0, 0, 2**32)
+        # alias frame 0 of the next load, so it is rejected
+        with pytest.raises(ValueError, match="frame index must be in"):
+            frame_stream(0, 0, 2**32)
         SweepSpec(config=tiny_config(), ka_values=[5], algorithms=["snb"],
                   max_frames=2**32 - 1)
         with pytest.raises(ValueError, match="max_frames"):
@@ -87,7 +88,7 @@ class TestSweepSpec:
     @pytest.mark.parametrize("fault, message", [
         (dict(base_seed=2**64), "seed must be in"),
         (dict(base_seed=-1), "seed must be in"),
-        (dict(ka_values=[5, 2**32]), "stream_id must be in"),
+        (dict(ka_values=[5, 2**32]), "k_a must be in"),
     ])
     def test_bad_stream_rejected_before_starting_workers(self, fault, message, monkeypatch):
         monkeypatch.setattr(montecarlo, "_spawn_pool", lambda workers: pytest.fail("pool started"))
