@@ -107,8 +107,7 @@ class DecodeReport:
 
     decoded: np.ndarray     # (k_a,) bool, per-user outcome
     sweep_count: int
-    n_up: int               # subtractions applied in generator slots
-    n_pa: int               # subtractions applied in replica slots
+    r: int                  # replicas per user
 
     @property
     def decoded_count(self) -> int:
@@ -118,11 +117,13 @@ class DecodeReport:
     def lost_count(self) -> int:
         return self.decoded.size - self.decoded_count
 
+    @property
+    def n_up(self) -> int:  # subtractions in generator slots: one per decoded user
+        return self.decoded_count
 
-def _report(decoded: np.ndarray, sweep_count: int, r: int) -> DecodeReport:
-    """A receiver's report: each decode is one generator and r - 1 replica subtractions."""
-    n = int(decoded.sum())
-    return DecodeReport(decoded, sweep_count, n, n * (r - 1))
+    @property
+    def n_pa(self) -> int:  # subtractions in replica slots: r - 1 per decoded user
+        return self.decoded_count * (self.r - 1)
 
 
 class ReceiverState:
@@ -304,7 +305,7 @@ def run_receiver(
     algorithm = Algorithm(algorithm)
     check_decode_criterion(decode_criterion)
     if frame.config.k_a == 0:
-        return _report(np.zeros(0, dtype=bool), 0, frame.config.r)
+        return DecodeReport(np.zeros(0, dtype=bool), 0, frame.config.r)
     if algorithm is Algorithm.LOGICAL:
         return logical_peel(frame)
 
@@ -337,7 +338,7 @@ def run_receiver(
         if state.decoded.all() or new_decodes == 0:
             break
 
-    return _report(state.decoded, sweep_count, frame.config.r)
+    return DecodeReport(state.decoded, sweep_count, frame.config.r)
 
 
 def logical_peel(frame: FrameInstance) -> DecodeReport:
@@ -386,4 +387,4 @@ def logical_peel(frame: FrameInstance) -> DecodeReport:
 
     done = np.zeros(cfg.k_a, dtype=bool)
     done[decoded] = True
-    return _report(done, last_decode_sweep + (len(decoded) < cfg.k_a), cfg.r)
+    return DecodeReport(done, last_decode_sweep + (len(decoded) < cfg.k_a), cfg.r)

@@ -68,6 +68,9 @@ class SystemConfig:
         for name in ("noise_var", "channel_var", "latency_ms", "symbol_rate"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("latency_ms", "symbol_rate"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.n_slots is None:
             slot = self.n_p + self.n_d
             n = int(self.latency_ms * 1e-3 * self.symbol_rate // (2 * slot))

@@ -21,7 +21,6 @@ from multiprocessing import get_context
 
 import numpy as np
 
-from . import signals
 from .analysis import InterferenceScenario, singleton_failure_probability, symbol_error_probability
 from .cancellation import RELATIVE_GAIN_FLOOR, Algorithm, pab_channel_estimate, run_receiver
 from .frame import SystemConfig, make_frame
@@ -168,29 +167,25 @@ def frame_stream(base_seed: int, ka: int, frame_idx: int) -> RandomStream:
 
 
 def _spawn_pool(workers: int):
-    """Start a spawn pool whose workers each run one BLAS thread and draw
-    each frame's normals on one thread.
+    """Start a spawn pool whose workers each run one BLAS thread.
 
     Spawned workers read the BLAS thread variables when they import numpy,
     so the variables are set to 1 while the workers start and the parent's
     own values are put back afterwards.  Unpinned, every worker would start
-    one BLAS thread (and one draw thread) per core and the pool would
-    oversubscribe the machine.
+    one BLAS thread per core and the pool would oversubscribe the machine.
+    The workers are daemonic, so each draws its frames' normals on one
+    thread (see ``signals._part_count``).
     """
     saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
     os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
     try:
-        return get_context("spawn").Pool(processes=workers, initializer=_draw_on_one_thread)
+        return get_context("spawn").Pool(processes=workers)
     finally:
         for name, value in saved.items():
             if value is None:
                 del os.environ[name]
             else:
                 os.environ[name] = value
-
-
-def _draw_on_one_thread() -> None:
-    signals.draw_threads = 1
 
 
 def _run_frame(task) -> list[int]:

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import copy
 import math
+import multiprocessing
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -25,14 +26,6 @@ _QPSK_SYMBOLS = (1.0 / np.sqrt(2.0)) * (
 _WORDS_PER_NORMAL = 1.022
 _MIN_PART = 1 << 20      # normals per thread below which one thread draws everything
 _MATCH = 8               # equal consecutive normals taken as the same stream position
-
-# Threads a draw may split across; None for one per CPU this process may run
-# on.  Pool workers set 1, as they run one BLAS thread: the pool fills the CPUs.
-draw_threads = None
-
-# The cgroup-v2 CPU limit, "<quota> <period>" or "max <period>", where a
-# container sees the limit of its own cgroup
-_CPU_MAX = "/sys/fs/cgroup/cpu.max"
 
 
 @dataclass(frozen=True)
@@ -153,28 +146,14 @@ def standard_normal_segments(rng: np.random.Generator, sizes) -> list:
 
 
 def _part_count(total: int) -> int:
-    """Parts a draw of ``total`` normals is split into: one per thread it may
-    use, and fewer, down to one, below ``_MIN_PART`` normals per part.
-    Unless ``draw_threads`` is set, a draw may use one thread per CPU it may
-    run on, but no more than the cgroup CPU quota allows."""
-    threads = draw_threads
-    if threads is None:
-        threads = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-        quota = _cpu_quota()
-        if quota is not None:
-            threads = min(threads, quota)
+    """Parts a draw of ``total`` normals is split into: one per CPU this
+    process may run on, and fewer, down to one, below ``_MIN_PART`` normals
+    per part.  A daemonic process, such as every ``multiprocessing`` pool
+    worker, draws on one thread: the pool already fills the CPUs."""
+    if multiprocessing.current_process().daemon:
+        return 1
+    threads = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     return max(1, min(threads, total // _MIN_PART))
-
-
-def _cpu_quota():
-    """``ceil(quota / period)`` from the cgroup-v2 ``cpu.max`` file, or None when
-    the file is missing or unreadable or sets no quota (``max``)."""
-    try:
-        with open(_CPU_MAX) as fh:
-            quota, period = fh.read().split()
-        return None if quota == "max" else math.ceil(int(quota) / int(period))
-    except (OSError, ValueError):
-        return None
 
 
 def _fill(gen: np.random.Generator, out: np.ndarray) -> None:

@@ -371,6 +371,9 @@ class TestErrorPaths:
         ("singleton", ["--noise-var", "nan"], "noise_var must be finite, got nan"),
         ("plr", ["--algorithm", "pab,pab"], "algorithms lists pab more than once"),
         ("plr", ["--latency-ms", "0.01"], "latency budget of 0.01 ms at 1e+06 symbols/s fits no"),
+        # argparse reads "-1e6" after a space as a flag, so the values follow "="
+        ("plr", ["--latency-ms=-50", "--symbol-rate=-1e6"],
+         "latency_ms must be positive, got -50.0"),
     ])
     def test_fault_named_in_error(self, experiment, flags, message, tmp_path, capsys):
         base = {"analysis": ["--a-total", "6"],

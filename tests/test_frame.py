@@ -161,7 +161,7 @@ class TestComputeSlotCount:
             SystemConfig(latency_ms=1e-9, symbol_rate=1e6, n_p=64, n_d=256)
 
     def test_invalid_rejected(self):
-        with pytest.raises(ValueError, match="fits no 320-symbol slot twice"):
+        with pytest.raises(ValueError, match="latency_ms must be positive, got 0.0"):
             SystemConfig(latency_ms=0.0, symbol_rate=1e6, n_p=64, n_d=256)
         with pytest.raises(ValueError, match="n_p must be >= 1, got 0"):
             SystemConfig(latency_ms=50.0, symbol_rate=1e6, n_p=0, n_d=256)
@@ -172,6 +172,17 @@ class TestComputeSlotCount:
         bad = "latency_ms" if not math.isfinite(latency_ms) else "symbol_rate"
         with pytest.raises(ValueError, match=f"{bad} must be finite"):
             SystemConfig(latency_ms=latency_ms, symbol_rate=symbol_rate, n_p=64, n_d=256)
+
+    def test_negative_budget_rejected(self):
+        # the two signs would cancel in the derivation and give 78 slots
+        with pytest.raises(ValueError, match="latency_ms must be positive, got -50.0"):
+            SystemConfig(latency_ms=-50.0, symbol_rate=-1e6)
+
+    @pytest.mark.parametrize("latency_ms, symbol_rate, bad", [
+        (-5.0, 0.0, "latency_ms"), (50.0, 0.0, "symbol_rate"), (50.0, -1e6, "symbol_rate")])
+    def test_bad_budget_rejected_with_explicit_slot_count(self, latency_ms, symbol_rate, bad):
+        with pytest.raises(ValueError, match=f"{bad} must be positive"):
+            SystemConfig(n_slots=6, r=2, latency_ms=latency_ms, symbol_rate=symbol_rate)
 
     def test_from_latency_constructor(self):
         cfg = SystemConfig(m=256, n_p=64, n_d=256, k_a=10)
@@ -514,9 +525,9 @@ class TestAssemblyOracle:
     @pytest.mark.parametrize("noise_var", (0.1, 0.0))
     def test_small_frames_split_into_parts(self, monkeypatch, noise_var):
         # the frames above split only at the reference size on a host with
-        # more than one CPU; one normal per part and three threads split these
+        # more than one CPU; one normal per part and three CPUs split these
         monkeypatch.setattr(signals, "_MIN_PART", 1)
-        monkeypatch.setattr(signals, "draw_threads", 3)
+        monkeypatch.setattr(signals.os, "sched_getaffinity", lambda pid: {0, 1, 2})
         for i in range(4):
             assert_assembly_matches_oracle(small_config(noise_var=noise_var), RandomStream(17, i))
 

@@ -48,7 +48,7 @@ def test_frames_drawn_in_parts_reproduce_golden_csv(name, tmp_path, monkeypatch)
     # these frames are far below _MIN_PART normals, so they are drawn on one
     # thread above; one normal per part splits each into three
     monkeypatch.setattr(signals, "_MIN_PART", 1)
-    monkeypatch.setattr(signals, "draw_threads", 3)
+    monkeypatch.setattr(signals.os, "sched_getaffinity", lambda pid: {0, 1, 2})
     test_cli_reproduces_golden_csv(name, tmp_path)
 
 

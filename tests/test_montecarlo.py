@@ -629,7 +629,6 @@ class TestWorkerPool:
             pool.close()
             pool.join()
         assert parts == [1, 1]
-        assert signals.draw_threads is None
 
 
 class TestCsvEmission:

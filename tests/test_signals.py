@@ -1,6 +1,7 @@
 """Tests for streams, fading/noise draws, pilots, and QPSK mapping."""
 
 import itertools
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -160,7 +161,7 @@ def assert_segments_match_serial_draw(make_rng, sizes):
 
 def split_into(monkeypatch, parts: int) -> None:
     """Split every later draw into up to ``parts`` parts, however small."""
-    monkeypatch.setattr(signals, "draw_threads", parts)
+    monkeypatch.setattr(signals.os, "sched_getaffinity", lambda pid: set(range(parts)))
     monkeypatch.setattr(signals, "_MIN_PART", 1)
 
 
@@ -208,31 +209,13 @@ class TestStandardNormalSegments:
         sizes = [2 * 64 * 256] * (3 * signals._MIN_PART // (2 * 64 * 256) + 1)
         assert_segments_match_serial_draw(lambda: RandomStream(24, 0).generator(), sizes)
 
-    def test_part_count(self, monkeypatch, tmp_path):
+    def test_part_count(self, monkeypatch):
         monkeypatch.setattr(signals.os, "sched_getaffinity", lambda pid: {0, 1, 2})
-        monkeypatch.setattr(signals, "_CPU_MAX", str(tmp_path / "missing"))
-        assert signals.draw_threads is None
         assert [signals._part_count(n * signals._MIN_PART) for n in (0, 1, 2, 3, 9)] == [
             1, 1, 2, 3, 3]
-        monkeypatch.setattr(signals, "draw_threads", 1)
+        # a daemonic process, such as a pool worker, draws on one thread
+        monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
         assert signals._part_count(9 * signals._MIN_PART) == 1
-
-    @pytest.mark.parametrize("cpu_max, threads", [
-        ("max 100000\n", 3),        # no quota
-        ("150000 100000\n", 2),     # 1.5 CPUs: a second thread for the half
-        ("50000 100000\n", 1),
-        ("400000 100000\n", 3),     # a quota above the affinity mask
-        (None, 3),                  # no cpu.max file
-    ])
-    def test_part_count_honours_cgroup_cpu_quota(self, monkeypatch, tmp_path, cpu_max, threads):
-        monkeypatch.setattr(signals.os, "sched_getaffinity", lambda pid: {0, 1, 2})
-        path = tmp_path / "cpu.max"
-        if cpu_max is not None:
-            path.write_text(cpu_max)
-        monkeypatch.setattr(signals, "_CPU_MAX", str(path))
-        assert signals._part_count(9 * signals._MIN_PART) == threads
-        monkeypatch.setattr(signals, "draw_threads", 3)  # an explicit count is kept
-        assert signals._part_count(9 * signals._MIN_PART) == 3
 
     @pytest.fixture
     def located(self, monkeypatch):
