@@ -104,16 +104,3 @@ def singleton_failure_probability(scenario: InterferenceScenario) -> float:
     p_e = symbol_error_probability(scenario.m, scenario.n_it)
     return _binomial_upper_tail(scenario.n_d, scenario.t, p_e)
 
-
-def pab_estimate_error_variance(a_total: int, n_d: int) -> float:
-    """Per-entry error variance of the payload-correlation channel estimate.
-
-    With ``a_total`` users superimposed in the slot and none subtracted yet,
-    each of the other ``a_total - 1`` payloads leaks into the estimate with
-    variance ``1 / n_d``.
-    """
-    if a_total < 1:
-        raise ValueError(f"a_total must be >= 1, got {a_total}")
-    if n_d < 1:
-        raise ValueError(f"n_d must be >= 1, got {n_d}")
-    return (a_total - 1) / n_d

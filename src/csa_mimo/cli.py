@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import re
 import sys
 
 from .cancellation import Algorithm
@@ -73,6 +74,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Monte Carlo simulator for coded slotted ALOHA over a "
         "massive-MIMO uplink with successive interference subtraction.",
     )
+    # argparse reads an argument as a value rather than a flag if it matches
+    # this pattern; its own has no exponent, so "--symbol-rate -1e6" failed
+    # with "expected one argument" before the rate could be checked
+    par._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
     # a flag that sets a config key stores to it, with the flag's name as metavar
     par.add_argument("--experiment", choices=("plr", "singleton", "analysis"),
                      default="plr")

@@ -19,6 +19,7 @@ from .signals import (
     build_hadamard_pilots,
     qpsk_modulate,
     standard_normal_segments,
+    uniform_bits,
 )
 
 
@@ -199,12 +200,14 @@ def generate_user_plans(config: SystemConfig, rng: np.random.Generator):
 
     All users' slots and pilots come from one draw that reads the stream as
     the per-user ``Generator.choice``/``integers`` calls the frames were
-    first defined by, so a stream gives the same frame.  A numpy that
-    changes those samplers fails the golden CSVs (``tests/test_golden.py``)
-    and the oracle test in ``tests/test_frame.py``, which keeps the per-user
-    calls.
+    first defined by, so a stream gives the same frame; the bits likewise
+    read the stream as ``rng.integers(0, 2, ..., dtype=np.uint8)`` does
+    (``signals.uniform_bits``).  A numpy that changes those samplers fails
+    the golden CSVs (``tests/test_golden.py``) and the oracle tests in
+    ``tests/test_frame.py`` and ``tests/test_signals.py``, which keep the
+    numpy calls.
     """
-    bits = rng.integers(0, 2, size=(config.k_a, 2 * config.n_d), dtype=np.uint8)
+    bits = uniform_bits(rng, (config.k_a, 2 * config.n_d))
     slots, pilots = _draw_resources(config, rng)
     return slots, pilots, bits
 

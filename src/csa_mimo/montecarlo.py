@@ -25,7 +25,14 @@ from .analysis import InterferenceScenario, singleton_failure_probability, symbo
 from .cancellation import RELATIVE_GAIN_FLOOR, Algorithm, pab_channel_estimate, run_receiver
 from .frame import SystemConfig, make_frame
 from .receiver import check_decode_criterion, count_errors
-from .signals import RandomStream, complex_normal, qpsk_hard_demodulate, qpsk_modulate
+from .signals import (
+    RandomStream,
+    complex_normal,
+    qpsk_hard_demodulate,
+    qpsk_modulate,
+    standard_normal_segments,
+    uniform_bits,
+)
 
 # Thread-count variables of the BLAS builds numpy may link; read once, when
 # a process first imports numpy.
@@ -353,7 +360,7 @@ def run_singleton_experiment(
     while done < trials:
         b = min(batch_size, trials - done)
         done += b
-        bits = rng.integers(0, 2, size=(b, a_total, 2 * n_d), dtype=np.uint8)
+        bits = uniform_bits(rng, (b, a_total, 2 * n_d))
 
         if algorithm is Algorithm.SNB:
             payloads = qpsk_modulate(bits[:, :a_pilot])
@@ -378,8 +385,12 @@ def run_singleton_experiment(
             phi = channels[:, :a_pilot].sum(axis=1)
             phi = phi + complex_normal(rng, (b, m), noise_var / n_p)
             y = channels.transpose(0, 2, 1) @ payloads
-            if noise_var > 0:
-                y += complex_normal(rng, (b, m, n_d), noise_var)
+            if noise_var > 0:  # complex_normal's draw, split across threads by trial
+                noise_scale = np.sqrt(noise_var / 2.0)
+                for y_trial, part in zip(y, standard_normal_segments(rng, [2 * m * n_d] * b)):
+                    noise = part.view(complex).reshape(m, n_d)
+                    noise *= noise_scale
+                    y_trial += noise
             order = list(range(a_pilot, a_pilot + n_pre)) + list(range(1, a_pilot))
             x = payloads[:, order]
             x_h = x.conj().transpose(0, 2, 1)

@@ -14,11 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# The QPSK symbol of bit pair (b0, b1) at index 2*b0 + b1, computed with the
-# mapping's own formula so that a table lookup reproduces it bit for bit.
-_QPSK_SYMBOLS = (1.0 / np.sqrt(2.0)) * (
-    (1.0 - 2.0 * np.array([0, 0, 1, 1])) + 1j * (1.0 - 2.0 * np.array([0, 1, 0, 1]))
-)
+# The QPSK quadrature level of a 0 bit; a 1 bit has its negative
+_QPSK_LEVEL = 1.0 / np.sqrt(2.0)
 
 # A draw split across threads: numpy's ziggurat takes one 64-bit word for
 # almost every normal and more words for its rare rejection steps, so n
@@ -63,6 +60,23 @@ def complex_normal(rng: np.random.Generator, shape, var: float) -> np.ndarray:
     z = rng.standard_normal(tuple(np.atleast_1d(shape)) + (2,)).view(np.complex128)[..., 0]
     z *= np.sqrt(var / 2.0)
     return z
+
+
+def uniform_bits(rng: np.random.Generator, shape) -> np.ndarray:
+    """``rng.integers(0, 2, shape, dtype=np.uint8)``, drawn four bits per 32-bit word.
+
+    numpy's bounded uint8 draw (Lemire's method) takes one byte per value
+    from 32-bit words it draws for that call alone, low byte first, and
+    with range 2 returns the byte's top bit.  So the values, and the
+    generator's final state, are those of drawing ``ceil(n / 4)`` words as
+    uint32 and shifting each of their bytes right by 7, which this does in
+    place.
+    """
+    shape = tuple(np.atleast_1d(shape))
+    n = math.prod(shape)
+    bits = rng.integers(0, 2**32, size=-(-n // 4), dtype=np.uint32).view(np.uint8)[:n]
+    bits >>= 7
+    return bits.reshape(shape)
 
 
 def standard_normal_segments(rng: np.random.Generator, sizes) -> list:
@@ -225,12 +239,17 @@ def qpsk_modulate(bits) -> np.ndarray:
 
     The leading bit of each pair selects the sign of the real part, the
     trailing bit the sign of the imaginary part; a 0 bit maps to +1/sqrt(2).
-    Adjacent constellation points differ in exactly one bit.
+    Adjacent constellation points differ in exactly one bit.  Bit b becomes
+    the level s - 2 s b, s = 1/sqrt(2): exactly s or -s, the bits of the
+    mapping's own formula.  The (real, imaginary) pairs of levels are read
+    as complex numbers.
     """
     bits = np.asarray(bits)
     if bits.shape[-1] % 2 != 0:
         raise ValueError(f"bit count must be even, got {bits.shape[-1]}")
-    return _QPSK_SYMBOLS[2 * bits[..., 0::2] + bits[..., 1::2]]
+    levels = np.multiply(bits, -2.0 * _QPSK_LEVEL, dtype=np.float64, order="C")
+    levels += _QPSK_LEVEL
+    return levels.view(np.complex128)
 
 
 def qpsk_hard_demodulate(symbols) -> np.ndarray:

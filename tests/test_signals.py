@@ -18,6 +18,7 @@ from csa_mimo.signals import (
     qpsk_hard_demodulate,
     qpsk_modulate,
     standard_normal_segments,
+    uniform_bits,
     walsh_hadamard_transform,
 )
 
@@ -268,6 +269,42 @@ class TestStandardNormalSegments:
             assert not np.shares_memory(a, b)
 
 
+class TestUniformBits:
+    """The word-wise bit draw against numpy's bounded uint8 draw."""
+
+    SHAPES = [0, 1, 3, 5, 35, (0, 6), (7, 2), (3, 5, 7), (4, 2 * 64)]
+
+    @staticmethod
+    def rng_holding_half(seed):
+        rng = RandomStream(30, seed).generator()
+        rng.integers(0, 2**32, dtype=np.uint32)
+        assert rng.bit_generator.state["has_uint32"] == 1
+        return rng
+
+    @pytest.mark.parametrize("holding_half", (False, True), ids=["fresh", "holding_half"])
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    def test_matches_integers_draw(self, shape, holding_half):
+        for seed in range(20):
+            if holding_half:
+                rng, oracle_rng = self.rng_holding_half(seed), self.rng_holding_half(seed)
+            else:
+                rng, oracle_rng = (RandomStream(30, seed).generator() for _ in range(2))
+            bits = uniform_bits(rng, shape)
+            expected = oracle_rng.integers(0, 2, shape, dtype=np.uint8)
+            assert bits.dtype == np.uint8 and bits.shape == expected.shape
+            np.testing.assert_array_equal(bits, expected)
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    def test_next_draws_continue_alike(self):
+        # four bits per word: a count not a multiple of four leaves the rest of
+        # its last word unused, as the uint8 draw does
+        rng, oracle_rng = (RandomStream(31, 0).generator() for _ in range(2))
+        for n in (5, 3, 8, 1):
+            np.testing.assert_array_equal(
+                uniform_bits(rng, n), oracle_rng.integers(0, 2, n, dtype=np.uint8))
+        np.testing.assert_array_equal(rng.standard_normal(3), oracle_rng.standard_normal(3))
+
+
 class TestHadamardPilots:
     def test_sylvester_base_case(self):
         pilots = build_hadamard_pilots(2)
@@ -393,6 +430,17 @@ class TestQpsk:
         assert symbols.shape == shape[:-1] + (shape[-1] // 2,)
         assert symbols.dtype == np.complex128
         np.testing.assert_array_equal(symbols.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("view", [
+        lambda bits: bits[:, :, ::2], lambda bits: bits[:, 1:3], lambda bits: bits.T,
+    ], ids=["strided", "sliced", "transposed"])
+    def test_non_contiguous_bits(self, view):
+        # the singleton experiment modulates slices of its bit tensor
+        bits = view(np.random.default_rng(5).integers(0, 2, size=(6, 4, 16), dtype=np.uint8))
+        b0, b1 = bits[..., 0::2], bits[..., 1::2]
+        expected = np.ascontiguousarray((1.0 - 2.0 * b0 + 1j * (1.0 - 2.0 * b1)) / np.sqrt(2.0))
+        np.testing.assert_array_equal(qpsk_modulate(bits).view(np.uint64),
+                                      expected.view(np.uint64))
 
     @pytest.mark.parametrize("symbols", [
         np.array([0.3 - 2j, -1 + 0.5j, -0.1 - 0.1j]),
