@@ -141,6 +141,8 @@ class ReceiverState:
     estimates.  PAB and PRCE also keep per slot the payloads ``x[s]`` and
     the channel rows ``rows[s]``, and PAB the Gram products ``gram[s]``.
     ``y`` lists the frame's payload-phase matrices, shared, never written.
+    ``f``, ``phi``, ``rows`` and ``gram`` take the frame's own dtype,
+    complex64 from ``make_frame``; ``g`` is float64.
     """
 
     def __init__(self, frame: FrameInstance, algorithm: Algorithm | str):
@@ -164,10 +166,11 @@ class ReceiverState:
         # one buffer per receiver: per-slot arrays would pin the freed
         # full-width temporaries between them on the heap
         snb = self.algorithm is Algorithm.SNB
+        dtype = self.y[0].dtype  # the frame's precision
         if snb:
-            self.f = np.empty((ids.size, cfg.n_d), dtype=complex)
+            self.f = np.empty((ids.size, cfg.n_d), dtype=dtype)
         else:
-            self.phi = np.empty((cfg.m, ids.size), dtype=complex)
+            self.phi = np.empty((cfg.m, ids.size), dtype=dtype)
         for s, signal in enumerate(frame.slots):
             block = slice(self.bounds[s], self.bounds[s + 1])
             pilots = ids[block] % cfg.n_p

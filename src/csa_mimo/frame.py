@@ -16,6 +16,7 @@ import numpy as np
 
 from .signals import (
     RandomStream,
+    as_integer,
     build_hadamard_pilots,
     qpsk_modulate,
     standard_normal_segments,
@@ -58,6 +59,10 @@ class SystemConfig:
     symbol_rate: float = 1e6
 
     def __post_init__(self):
+        for name in ("k_a", "m", "n_slots", "n_p", "n_d", "r", "t"):
+            value = getattr(self, name)
+            if not (value is None and name == "n_slots"):
+                object.__setattr__(self, name, as_integer(name, value))
         if self.k_a < 0:
             raise ValueError(f"k_a must be nonnegative, got {self.k_a}")
         for name in ("m", "n_slots", "n_p", "n_d", "r"):
@@ -99,8 +104,8 @@ class SystemConfig:
 class SlotSignal:
     """The received pilot-phase and payload-phase matrices of one slot."""
 
-    p: np.ndarray  # (m, n_p) complex
-    y: np.ndarray  # (m, n_d) complex
+    p: np.ndarray  # (m, n_p) complex64 from make_frame
+    y: np.ndarray  # (m, n_d) complex64 from make_frame
 
 
 class Resources(NamedTuple):
@@ -129,6 +134,10 @@ class FrameInstance:
     ``occupants[slot]``; channels of the same user in different slots are
     independent draws.  ``slots`` is None, and ``true_channels`` empty, when
     the frame was generated for collision-structure-only processing.
+
+    ``make_frame`` stores the channels, ``p``, ``y`` and ``payloads`` as
+    complex64.  Receivers keep their state in the signals' dtype, so a frame
+    built by hand in complex128, ``payloads`` set too, runs in double precision.
     """
 
     config: SystemConfig
@@ -141,8 +150,8 @@ class FrameInstance:
 
     @cached_property
     def payloads(self) -> np.ndarray:
-        """Every user's (n_d,) complex QPSK symbols, row u user u's."""
-        return qpsk_modulate(self.payload_bits)
+        """Every user's (n_d,) complex64 QPSK symbols, row u user u's."""
+        return qpsk_modulate(self.payload_bits).astype(np.complex64)
 
     @cached_property
     def occupants(self) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -222,37 +231,41 @@ def assemble_frame(plans, config: SystemConfig, rng: np.random.Generator) -> Fra
     user-ascending, then the slot's two noise matrices) is fixed so a given
     stream always yields the same frame.
 
-    The whole frame is one ``standard_normal_segments`` draw.  Per slot its
-    segments are the channels (occupancy x m complex entries), then the
-    pilot noise (m x n_p) and the payload noise (m x n_d), the two noise
-    segments only when ``noise_var > 0``.  Each slot's channel rows, ``p``
-    and ``y`` are views into that draw, scaled in place as
-    ``complex_normal`` scales, and the outer products are added into the
-    noise views: ``noise + products`` has the bits of ``(0 + products) +
-    noise``.
+    The whole frame is one float64 ``standard_normal_segments`` draw.  Per
+    slot its segments are the channels (occupancy x m complex entries),
+    then the pilot noise (m x n_p) and the payload noise (m x n_d), the two
+    noise segments only when ``noise_var > 0``.  Each segment is scaled in
+    float64 as ``complex_normal`` scales, and rounded once to complex64 into
+    the first half of its own buffer.  Each slot's channel rows, ``p`` and
+    ``y`` are complex64 views into that draw, and the outer products are
+    added into the noise views: ``noise + products`` has the bits of ``(0 +
+    products) + noise``.  Single precision rounds at about 6e-8, far below
+    the pilot estimates' noise (``sqrt(noise_var / n_p)`` per entry).
     """
     m, n_p, n_d = config.m, config.n_p, config.n_d
-    pilot_rows = build_hadamard_pilots(n_p).astype(float)
+    pilot_rows = build_hadamard_pilots(n_p).astype(np.float32)
     frame = FrameInstance(config, *plans, slots=[])
     noisy = config.noise_var > 0
     sizes = []
     for users, _ in frame.occupants:
         sizes += [2 * users.size * m] + ([2 * m * n_p, 2 * m * n_d] if noisy else [])
     segments = iter(standard_normal_segments(rng, sizes))
-    channel_scale = np.sqrt(config.channel_var / 2.0)
-    noise_scale = np.sqrt(config.noise_var / 2.0)
+
+    def narrowed(var: float, shape) -> np.ndarray:
+        """The next segment times ``sqrt(var / 2)``, as complex64 in its own buffer."""
+        segment = next(segments)
+        out = segment.view(np.float32)[:segment.size]
+        np.multiply(segment, np.sqrt(var / 2.0), out=out, casting="same_kind")
+        return out.view(np.complex64).reshape(shape)
 
     for slot, (users, pilots) in enumerate(frame.occupants):  # users ascending
-        channels = next(segments).view(complex).reshape(users.size, m)
-        channels *= channel_scale
+        channels = narrowed(config.channel_var, (users.size, m))
         if noisy:
-            p = next(segments).view(complex).reshape(m, n_p)
-            y = next(segments).view(complex).reshape(m, n_d)
-            p *= noise_scale
-            y *= noise_scale
+            p = narrowed(config.noise_var, (m, n_p))
+            y = narrowed(config.noise_var, (m, n_d))
         else:
-            p = np.zeros((m, n_p), dtype=complex)
-            y = np.zeros((m, n_d), dtype=complex)
+            p = np.zeros((m, n_p), dtype=np.complex64)
+            y = np.zeros((m, n_d), dtype=np.complex64)
         if users.size:
             p += channels.T @ pilot_rows[pilots]
             y += channels.T @ frame.payloads[users]

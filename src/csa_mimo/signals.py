@@ -8,6 +8,7 @@ from __future__ import annotations
 import copy
 import math
 import multiprocessing
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -39,12 +40,22 @@ class RandomStream:
 
     def __post_init__(self):
         for name in ("seed", "stream_id"):
-            if not 0 <= getattr(self, name) < 2**64:
-                raise ValueError(f"{name} must be in [0, 2**64), got {getattr(self, name)}")
+            value = as_integer(name, getattr(self, name))
+            if not 0 <= value < 2**64:
+                raise ValueError(f"{name} must be in [0, 2**64), got {value}")
+            object.__setattr__(self, name, value)
 
     def generator(self) -> np.random.Generator:
         """Create a fresh generator positioned at the start of the stream."""
         return np.random.default_rng(np.random.SeedSequence((self.seed, self.stream_id)))
+
+
+def as_integer(name: str, value) -> int:
+    """``value`` as an int, by ``operator.index``; a TypeError naming ``name`` if it is none."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
 def complex_normal(rng: np.random.Generator, shape, var: float) -> np.ndarray:
@@ -254,5 +265,10 @@ def qpsk_modulate(bits) -> np.ndarray:
 
 def qpsk_hard_demodulate(symbols) -> np.ndarray:
     """Hard-decision demodulation: each bit is the sign of one quadrature,
-    read from the floats (real, imaginary, ...) a complex array interleaves."""
+    read from the floats (real, imaginary, ...) a complex array interleaves.
+
+    Tie rule: a bit is 1 only where its quadrature is ``< 0``, so an exactly
+    zero quadrature, 0.0 or -0.0, is bit 0 whatever its sign bit.  complex64
+    input is widened to complex128 first, which keeps every value and sign.
+    """
     return (np.ascontiguousarray(symbols, dtype=complex).view(np.float64) < 0).view(np.uint8)

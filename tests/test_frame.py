@@ -18,7 +18,8 @@ from csa_mimo.frame import (
     generate_user_plans,
     make_frame,
 )
-from csa_mimo.signals import RandomStream, build_hadamard_pilots, complex_normal, qpsk_modulate
+from csa_mimo.signals import RandomStream, build_hadamard_pilots, qpsk_modulate
+from frame_oracle import EPS32, per_slot_assembly
 
 
 def small_config(**overrides) -> SystemConfig:
@@ -88,31 +89,6 @@ def generator_starting_with(words, seed=0):
         state["state"]["state"] = ((after - state["state"]["inc"]) * inverse) % 2**128
     rng.bit_generator.state = state
     return rng
-
-
-def per_slot_assembly(plans, config, rng):
-    """The signal assembly as first written: one ``complex_normal`` call per
-    slot's channels and per noise matrix.  Returns ``(true_channels, [(p, y)])``,
-    ``true_channels`` one (occupancy x m) array per slot, users ascending."""
-    slot_indices, pilot_choices, bits = plans
-    payloads = qpsk_modulate(bits)
-    pilot_rows = build_hadamard_pilots(config.n_p).astype(float)
-    true_channels, slots = [], []
-    for slot in range(config.n_slots):
-        users, replicas = np.nonzero(slot_indices == slot)
-        p = np.zeros((config.m, config.n_p), dtype=complex)
-        y = np.zeros((config.m, config.n_d), dtype=complex)
-        channels = np.zeros((0, config.m), dtype=complex)
-        if users.size:
-            channels = complex_normal(rng, (users.size, config.m), config.channel_var)
-            p += channels.T @ pilot_rows[pilot_choices[users, replicas]]
-            y += channels.T @ payloads[users]
-        true_channels.append(channels)
-        if config.noise_var > 0:
-            p += complex_normal(rng, (config.m, config.n_p), config.noise_var)
-            y += complex_normal(rng, (config.m, config.n_d), config.noise_var)
-        slots.append((p, y))
-    return true_channels, slots
 
 
 def true_channel(frame, user, slot):
@@ -226,6 +202,20 @@ class TestSystemConfig:
         with pytest.raises(ValueError):
             small_config(noise_var=-0.1)
 
+    @pytest.mark.parametrize("value", [2.5, 2.0, "3"])
+    @pytest.mark.parametrize("name", ["k_a", "m", "n_slots", "n_p", "n_d", "r", "t"])
+    def test_non_integer_count_named(self, name, value):
+        # t=1.5 would read as errors <= 1, and the others failed deep in make_frame
+        with pytest.raises(TypeError, match=f"^{name} must be an integer"):
+            small_config(**{name: value})
+
+    def test_numpy_integer_counts_stored_as_int(self):
+        counts = dict(k_a=np.int64(30), m=np.int32(16), n_slots=np.uint8(12), n_p=np.int64(8),
+                      n_d=np.int64(16), r=np.int16(3), t=np.int64(2))
+        config = small_config(**counts)
+        assert config == small_config()
+        assert all(type(getattr(config, name)) is int for name in counts)
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name", ["noise_var", "channel_var", "latency_ms", "symbol_rate"])
     def test_non_finite_real_named(self, name, value):
@@ -303,16 +293,19 @@ class TestGenerateUserPlans:
         pilot_rows = build_hadamard_pilots(cfg.n_p).astype(float)
         p = np.zeros((cfg.n_slots, cfg.m, cfg.n_p), dtype=complex)
         y = np.zeros((cfg.n_slots, cfg.m, cfg.n_d), dtype=complex)
-        np.testing.assert_array_equal(frame.payloads, qpsk_modulate(frame.payload_bits))
+        assert frame.payloads.dtype == np.complex64
+        np.testing.assert_array_equal(
+            frame.payloads, qpsk_modulate(frame.payload_bits).astype(np.complex64))
         for user in range(cfg.k_a):
             for slot, j in zip(frame.slot_indices[user], frame.pilot_choices[user]):
-                h = true_channel(frame, user, slot)
+                h = true_channel(frame, user, slot).astype(complex)
                 p[slot] += np.outer(h, pilot_rows[j])
                 y[slot] += np.outer(h, frame.payloads[user])
         assert sum(h.shape[0] for h in frame.true_channels.values()) == cfg.k_a * cfg.r
+        # the frame sums its (double-exact) products in single precision
         for slot, signal in enumerate(frame.slots):
-            np.testing.assert_allclose(signal.p, p[slot], rtol=1e-12, atol=1e-12)
-            np.testing.assert_allclose(signal.y, y[slot], rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(signal.p, p[slot], rtol=0, atol=8 * EPS32)
+            np.testing.assert_allclose(signal.y, y[slot], rtol=0, atol=8 * EPS32)
 
 
 class TestPlanDrawOracle:
@@ -400,10 +393,13 @@ class TestAssembleFrame:
             h = true_channel(frame, 0, slot)
             sig = frame.slots[int(slot)]
             # pilot symbols are +/-1 so the products are exact; the payload
-            # products may differ from np.outer by one rounding (FMA in the
-            # matrix product), hence the 1-ulp relative tolerance
+            # products are single precision and may differ from np.outer by
+            # one rounding (FMA in the matrix product), hence the 1-ulp
+            # tolerance of the largest quadrature product
+            assert sig.p.dtype == sig.y.dtype == np.complex64
             np.testing.assert_array_equal(sig.p, np.outer(h, pilot_rows[j]))
-            np.testing.assert_allclose(sig.y, np.outer(h, frame.payloads[0]), rtol=1e-15)
+            np.testing.assert_allclose(sig.y, np.outer(h, frame.payloads[0]), rtol=0,
+                                       atol=EPS32 * np.abs(h).max())
         empty = [s for s in range(cfg.n_slots) if s not in frame.slot_indices[0]]
         for s in empty:
             np.testing.assert_array_equal(frame.slots[s].p, 0)
@@ -431,10 +427,11 @@ class TestAssembleFrame:
                 h = true_channel(frame, user, slot)
                 residual_p[int(slot)] -= np.outer(h, pilot_rows[j])
                 residual_y[int(slot)] -= np.outer(h, frame.payloads[user])
+        # the frame's sums and the residual's are single precision
         scale = max(np.abs(s.p).max() for s in frame.slots)
         for rp, ry in zip(residual_p, residual_y):
-            assert np.abs(rp).max() < 1e-12 * scale
-            assert np.abs(ry).max() < 1e-12 * scale
+            assert np.abs(rp).max() < 8 * EPS32 * scale
+            assert np.abs(ry).max() < 8 * EPS32 * scale
 
     def test_two_users_same_slot_noiseless_sum(self):
         cfg = small_config(k_a=2, n_slots=2, r=2, noise_var=0.0)

@@ -96,6 +96,12 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match=message):
             run_plr_sweep(SweepSpec(**args), workers=2)
 
+    def test_non_integer_seed_rejected_before_starting_workers(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_spawn_pool", lambda workers: pytest.fail("pool started"))
+        with pytest.raises(TypeError, match="^seed must be an integer, got 1.5"):
+            run_plr_sweep(SweepSpec(config=tiny_config(), ka_values=[5], algorithms=["logical"],
+                                    base_seed=1.5), workers=2)
+
     def test_algorithms_coerced(self):
         spec = SweepSpec(config=tiny_config(), ka_values=[5], algorithms=["snb", "pab"])
         assert all(hasattr(a, "value") for a in spec.algorithms)

@@ -41,6 +41,19 @@ class TestRandomStream:
         with pytest.raises(ValueError, match=r"must be in \[0, 2\*\*64\)"):
             RandomStream(seed, stream_id)
 
+    @pytest.mark.parametrize("seed, stream_id, name", [
+        (1.5, 0, "seed"), (2.0, 0, "seed"), (0, 3.0, "stream_id"), ("7", 0, "seed"),
+    ])
+    def test_non_integer_seed_and_stream_id_named(self, seed, stream_id, name):
+        with pytest.raises(TypeError, match=f"^{name} must be an integer"):
+            RandomStream(seed, stream_id)
+
+    def test_numpy_integers_stored_as_int(self):
+        stream = RandomStream(np.uint64(7), np.int64(3))
+        assert (stream.seed, stream.stream_id) == (7, 3)
+        assert type(stream.seed) is type(stream.stream_id) is int
+        assert stream == RandomStream(7, 3)
+
     def test_largest_64_bit_seed_and_stream_id_accepted(self):
         top = 2**64 - 1
         a = RandomStream(top, top).generator().standard_normal(8)
@@ -460,6 +473,14 @@ class TestQpsk:
         bits = qpsk_hard_demodulate(symbols)
         assert bits.dtype == np.uint8
         np.testing.assert_array_equal(bits, expected)
+
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    def test_zero_quadratures_are_bit_zero(self, dtype):
+        # the documented tie rule, whatever the zero's sign bit
+        symbols = np.array([complex(0.0, -0.0), complex(-0.0, 0.0), complex(-0.0, -0.0), 0j],
+                           dtype=dtype)
+        assert np.signbit(symbols.view(np.finfo(dtype).dtype)).sum() == 4
+        np.testing.assert_array_equal(qpsk_hard_demodulate(symbols), np.zeros(8, dtype=np.uint8))
 
     @given(st.lists(st.integers(0, 1), min_size=2, max_size=64).filter(lambda b: len(b) % 2 == 0))
     def test_round_trip_identity(self, bits):
