@@ -24,6 +24,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .signals import as_integer
+
 
 @dataclass(frozen=True)
 class InterferenceScenario:
@@ -36,18 +38,12 @@ class InterferenceScenario:
     t: int          # correctable errors
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError(f"antenna count must be >= 1, got {self.m}")
-        if self.a_pilot < 1:
-            raise ValueError(f"a_pilot must be >= 1, got {self.a_pilot}")
+        for name, minimum in (("m", 1), ("a_pilot", 1), ("a_total", None), ("n_d", 1), ("t", 0)):
+            object.__setattr__(self, name, as_integer(name, getattr(self, name), minimum))
         if self.a_total < self.a_pilot:
             raise ValueError(
                 f"a_total={self.a_total} cannot be below a_pilot={self.a_pilot}"
             )
-        if self.n_d < 1:
-            raise ValueError(f"n_d must be >= 1, got {self.n_d}")
-        if self.t < 0:
-            raise ValueError(f"t must be nonnegative, got {self.t}")
 
     @property
     def n_it(self) -> int:
@@ -62,10 +58,7 @@ def symbol_error_probability(m: int, n_it: int) -> float:
     Interference-limited (noise neglected): zero when there is no
     interference, strictly decreasing in the antenna count otherwise.
     """
-    if m < 1:
-        raise ValueError(f"antenna count must be >= 1, got {m}")
-    if n_it < 0:
-        raise ValueError(f"interferer count must be nonnegative, got {n_it}")
+    m, n_it = as_integer("m", m, 1), as_integer("n_it", n_it, 0)
     if n_it == 0:
         return 0.0
     e = math.erfc(math.sqrt(m / (2.0 * n_it)))

@@ -59,16 +59,11 @@ class SystemConfig:
     symbol_rate: float = 1e6
 
     def __post_init__(self):
-        for name in ("k_a", "m", "n_slots", "n_p", "n_d", "r", "t"):
+        for name, minimum in (("k_a", 0), ("m", 1), ("n_slots", 1), ("n_p", 1), ("n_d", 1),
+                              ("r", 1), ("t", 0)):
             value = getattr(self, name)
             if not (value is None and name == "n_slots"):
-                object.__setattr__(self, name, as_integer(name, value))
-        if self.k_a < 0:
-            raise ValueError(f"k_a must be nonnegative, got {self.k_a}")
-        for name in ("m", "n_slots", "n_p", "n_d", "r"):
-            value = getattr(self, name)
-            if not (value is None and name == "n_slots") and value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
+                object.__setattr__(self, name, as_integer(name, value, minimum))
         if self.n_p & (self.n_p - 1) != 0:
             raise ValueError(f"n_p must be a power of two, got {self.n_p}")
         for name in ("noise_var", "channel_var", "latency_ms", "symbol_rate"):
@@ -96,8 +91,6 @@ class SystemConfig:
             raise ValueError(f"noise_var must be nonnegative, got {self.noise_var}")
         if self.channel_var <= 0:
             raise ValueError(f"channel_var must be positive, got {self.channel_var}")
-        if self.t < 0:
-            raise ValueError(f"t must be nonnegative, got {self.t}")
 
 
 @dataclass

@@ -13,7 +13,6 @@ import csv
 import dataclasses
 import inspect
 import math
-import operator
 import os
 import time
 from dataclasses import dataclass
@@ -27,6 +26,7 @@ from .frame import SystemConfig, make_frame
 from .receiver import check_decode_criterion, count_errors
 from .signals import (
     RandomStream,
+    as_integer,
     complex_normal,
     qpsk_hard_demodulate,
     qpsk_modulate,
@@ -79,8 +79,8 @@ class SweepSpec:
     Each (algorithm, k_a) point runs at least ``min_frames`` frames and
     stops once ``target_loss_events`` packet losses have been seen, or at
     ``max_frames``.  Frame indices share a stream id with ``k_a``, so
-    ``max_frames`` must stay below 2**32.  Loads must be integers, and no
-    algorithm or load may be listed twice.
+    ``max_frames`` must stay below 2**32.  Loads and frame counts must be
+    integers, and no algorithm or load may be listed twice.
     """
 
     config: SystemConfig
@@ -93,7 +93,9 @@ class SweepSpec:
     decode_criterion: str = "bit"
 
     def __post_init__(self):
-        object.__setattr__(self, "ka_values", tuple(map(operator.index, self.ka_values)))
+        object.__setattr__(
+            self, "ka_values", tuple(as_integer("ka_values", ka) for ka in self.ka_values)
+        )
         object.__setattr__(
             self, "algorithms", tuple(Algorithm(a) for a in self.algorithms)
         )
@@ -103,16 +105,11 @@ class SweepSpec:
             raise ValueError("algorithms must not be empty")
         _reject_repeats("algorithms", [a.value for a in self.algorithms])
         _reject_repeats("ka_values", self.ka_values)
-        if self.min_frames < 1:
-            raise ValueError(f"min_frames must be >= 1, got {self.min_frames}")
-        if self.max_frames < self.min_frames:
-            raise ValueError("max_frames must be >= min_frames")
+        for name in ("min_frames", "max_frames", "target_loss_events"):
+            minimum = self.min_frames if name == "max_frames" else 1
+            object.__setattr__(self, name, as_integer(name, getattr(self, name), minimum))
         if self.max_frames >= 2**32:
             raise ValueError(f"max_frames must be below 2**32, got {self.max_frames}")
-        if self.target_loss_events < 1:
-            raise ValueError(
-                f"target_loss_events must be >= 1, got {self.target_loss_events}"
-            )
         check_decode_criterion(self.decode_criterion)
         for ka in self.ka_values:  # reject infeasible configs, seeds and loads early
             dataclasses.replace(self.config, k_a=ka)
@@ -167,6 +164,7 @@ class AnalysisRecord:
 
 def frame_stream(base_seed: int, ka: int, frame_idx: int) -> RandomStream:
     """The stream assigned to one frame trial: stable in (seed, ka, index)."""
+    ka, frame_idx = as_integer("k_a", ka), as_integer("frame index", frame_idx)
     for name, value in (("k_a", ka), ("frame index", frame_idx)):  # 32 bits of the id each
         if not 0 <= value < 2**32:
             raise ValueError(f"{name} must be in [0, 2**32) for its stream, got {value}")
@@ -245,8 +243,7 @@ def run_plr_sweep(
     includes the other receivers run on the shared frames.
     ``measure_time=False`` zeroes it, making the output byte-stable.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    workers = as_integer("workers", workers, 1)
     pool = _spawn_pool(workers) if workers > 1 else None
     try:
         loads = [_run_load(spec, ka, pool, workers) for ka in spec.ka_values]
@@ -342,10 +339,11 @@ def run_singleton_experiment(
     removes the need for the pilot-phase matrix (subtracting a user shifts
     the probed estimate only when it shares the probed pilot).
     """
-    algorithm = _check_singleton_args(
+    algorithm, slot, n_p, trials = _check_singleton_args(
         m, n_d, t, a_pilot, a_total, presub_fraction, trials, algorithm,
         n_p, noise_var, seed, decode_criterion,
     )
+    m, a_total, a_pilot, n_d, t = dataclasses.astuple(slot)
     rng = RandomStream(seed, a_total).generator()
     n_out = a_total - a_pilot
     n_pre = int(round(presub_fraction * n_out))
@@ -428,27 +426,21 @@ def run_singleton_experiment(
 def _check_singleton_args(
     m, n_d, t, a_pilot, a_total, presub_fraction, trials, algorithm,
     n_p, noise_var, seed, decode_criterion,
-) -> Algorithm:
-    """Reject a singleton experiment's bad input; return its algorithm."""
+) -> tuple[Algorithm, InterferenceScenario, int, int]:
+    """Reject a singleton experiment's bad input; return its algorithm, its
+    slot with the counts as ints, and its n_p and trials as ints."""
     algorithm = Algorithm(algorithm)
     if algorithm not in (Algorithm.SNB, Algorithm.PAB):
         raise ValueError(f"singleton experiment supports SNB and PAB, got {algorithm}")
-    for name, value in (("m", m), ("n_d", n_d), ("n_p", n_p)):
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
+    slot = InterferenceScenario(m, a_total, a_pilot, n_d, t)
+    n_p, trials = as_integer("n_p", n_p, 1), as_integer("trials", trials, 1)
     if not 0 <= noise_var < math.inf:
         raise ValueError(f"noise_var must be finite and nonnegative, got {noise_var}")
     if not 0.0 <= presub_fraction <= 1.0:
         raise ValueError(f"presub_fraction must lie in [0, 1], got {presub_fraction}")
-    if a_pilot < 1 or a_total < a_pilot:
-        raise ValueError(f"need a_total >= a_pilot >= 1, got {a_total}, {a_pilot}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
     check_decode_criterion(decode_criterion)
-    RandomStream(seed, a_total)  # a seed or load outside the stream range
-    return algorithm
+    RandomStream(seed, slot.a_total)  # a seed or load outside the stream range
+    return algorithm, slot, n_p, trials
 
 
 def _singleton_point(kwargs) -> SingletonRecord:
@@ -462,9 +454,8 @@ def run_singleton_sweep(*, a_values, workers: int = 1, **point) -> list[Singleto
     may be listed twice, and every load's arguments are checked before any
     worker starts.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    a_values = [operator.index(a) for a in a_values]
+    workers = as_integer("workers", workers, 1)
+    a_values = [as_integer("a_values", a) for a in a_values]
     _reject_repeats("a_values", a_values)
     signature = inspect.signature(run_singleton_experiment)
     tasks = []
@@ -481,19 +472,15 @@ def run_singleton_sweep(*, a_values, workers: int = 1, **point) -> list[Singleto
 
 def tabulate_singleton_failure(m, n_d, t, a_pilot, a_values) -> list[AnalysisRecord]:
     """Closed-form failure curve as CSV-ready records, over loads none listed twice."""
-    a_values = [operator.index(a) for a in a_values]
+    a_values = [as_integer("a_values", a) for a in a_values]
     _reject_repeats("a_values", a_values)
     rows = []
     for a in a_values:
         scen = InterferenceScenario(m=m, a_total=a, a_pilot=a_pilot, n_d=n_d, t=t)
         rows.append(
             AnalysisRecord(
-                a_total=a,
-                a_pilot=a_pilot,
-                m=m,
-                n_d=n_d,
-                t=t,
-                p_e=symbol_error_probability(m, scen.n_it),
+                **dataclasses.asdict(scen),
+                p_e=symbol_error_probability(scen.m, scen.n_it),
                 p_fail=singleton_failure_probability(scen),
             )
         )

@@ -50,12 +50,17 @@ class RandomStream:
         return np.random.default_rng(np.random.SeedSequence((self.seed, self.stream_id)))
 
 
-def as_integer(name: str, value) -> int:
-    """``value`` as an int, by ``operator.index``; a TypeError naming ``name`` if it is none."""
+def as_integer(name: str, value, minimum: int | None = None) -> int:
+    """``value`` as an int, by ``operator.index``; a TypeError naming ``name`` if it is
+    none, and a ValueError naming it if it is below ``minimum``."""
     try:
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if minimum is not None and value < minimum:
+        floor = "nonnegative" if minimum == 0 else f">= {minimum}"
+        raise ValueError(f"{name} must be {floor}, got {value}")
+    return value
 
 
 def complex_normal(rng: np.random.Generator, shape, var: float) -> np.ndarray:

@@ -120,7 +120,7 @@ def assert_assembly_matches_oracle(config, stream):
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
-class TestComputeSlotCount:
+class TestDerivedSlotCount:
     """The slot count ``SystemConfig`` derives from its latency budget."""
 
     def test_reference_budget(self):
@@ -160,22 +160,22 @@ class TestComputeSlotCount:
         with pytest.raises(ValueError, match=f"{bad} must be positive"):
             SystemConfig(n_slots=6, r=2, latency_ms=latency_ms, symbol_rate=symbol_rate)
 
-    def test_from_latency_constructor(self):
+    def test_reference_counts_derive_78_slots(self):
         cfg = SystemConfig(m=256, n_p=64, n_d=256, k_a=10)
         assert cfg.n_slots == 78
 
-    def test_from_latency_checks_replicas_against_the_budgets_slots(self):
+    def test_replicas_checked_against_the_derived_slot_count(self):
         # 1000 ms at 1 Msps fits 1562 slots of 320 symbols: room for 100 replicas
         cfg = SystemConfig(r=100, latency_ms=1000.0)
         assert (cfg.n_slots, cfg.r) == (1562, 100)
 
-    def test_from_latency_applies_floyd_limit_to_the_budgets_slots(self):
+    def test_floyd_limit_applied_to_the_derived_slot_count(self):
         # 10 s fits 15625 slots, above 10000, so r may be at most 15625 // 50 = 312
         assert SystemConfig(r=312, latency_ms=10_000.0).n_slots == 15625
         with pytest.raises(ValueError, match="r=313 replicas in 15625 slots"):
             SystemConfig(r=313, latency_ms=10_000.0)
 
-    def test_from_latency_names_a_budget_that_fits_no_slot(self):
+    def test_budget_that_fits_no_slot_named(self):
         message = r"latency budget of 0.01 ms at 1e\+06 symbols/s fits no 320-symbol slot"
         with pytest.raises(ValueError, match=message):
             SystemConfig(latency_ms=0.01)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import multiprocessing.dummy
 import os
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from scipy import integrate, stats
 
 from csa_mimo import montecarlo, signals
+from csa_mimo.analysis import InterferenceScenario, symbol_error_probability
 from csa_mimo.cancellation import RELATIVE_GAIN_FLOOR, Algorithm, run_receiver
 from csa_mimo.frame import SystemConfig, make_frame
 from csa_mimo.montecarlo import (
@@ -511,7 +513,7 @@ class TestSingletonExperiment:
         with pytest.raises(ValueError, match="^n_d "):
             run_singleton_sweep(m=16, n_d=0, t=1, a_pilot=1, a_values=[2, 4],
                                 presub_fraction=0.0, trials=1, algorithm="snb", workers=2)
-        with pytest.raises(ValueError, match="a_total >= a_pilot"):
+        with pytest.raises(ValueError, match="cannot be below a_pilot"):
             run_singleton_sweep(m=16, n_d=16, t=1, a_pilot=2, a_values=iter([4, 1]),
                                 presub_fraction=0.0, trials=1, algorithm="pab", workers=2)
 
@@ -557,6 +559,64 @@ class TestSingletonExperiment:
         with pytest.raises(ValueError, match="workers"):
             run_singleton_sweep(m=16, n_d=16, t=1, a_pilot=1, a_values=[2, 4],
                                 presub_fraction=0.0, trials=1, algorithm="snb", workers=0)
+
+
+_SINGLETON = dict(m=16, n_d=16, t=1, a_pilot=1, presub_fraction=0.0, trials=2, algorithm="snb",
+                  n_p=8)
+
+# entry point: (call, valid counts, the counts its result stores or records)
+COUNT_ENTRY_POINTS = {
+    "SystemConfig": (SystemConfig, dict(k_a=5, m=8, n_slots=6, n_p=8, n_d=8, r=2, t=1), vars),
+    "SweepSpec": (
+        lambda **counts: SweepSpec(config=tiny_config(), algorithms=["logical"], **counts),
+        dict(ka_values=[5, 6], min_frames=1, max_frames=2, target_loss_events=1), vars),
+    "frame_stream": (lambda **ids: frame_stream(0, **ids), dict(ka=5, frame_idx=3), None),
+    "run_plr_sweep": (
+        lambda workers: run_plr_sweep(SweepSpec(config=tiny_config(), ka_values=[5, 6],
+                                                algorithms=["logical"], max_frames=1),
+                                      workers=workers),
+        dict(workers=2), None),
+    "run_singleton_sweep": (
+        lambda **counts: run_singleton_sweep(**_SINGLETON, **counts),
+        dict(a_values=[2, 4], workers=2),
+        lambda records: dict(a_values=[rec.a_total for rec in records])),
+    "run_singleton_experiment": (
+        lambda **counts: run_singleton_experiment(presub_fraction=0.0, algorithm="snb", **counts),
+        dict(m=16, n_d=16, t=1, a_pilot=1, a_total=2, trials=2, n_p=8), vars),
+    "tabulate_singleton_failure": (
+        tabulate_singleton_failure, dict(m=16, n_d=16, t=1, a_pilot=1, a_values=[2, 4]),
+        lambda rows: dict(vars(rows[0]), a_values=[rec.a_total for rec in rows])),
+    "InterferenceScenario": (
+        InterferenceScenario, dict(m=16, a_total=2, a_pilot=1, n_d=16, t=1), vars),
+    "symbol_error_probability": (symbol_error_probability, dict(m=16, n_it=3), None),
+}
+# arguments whose error names them otherwise
+_NAMED_AS = dict(ka="k_a", frame_idx="frame index")
+
+
+class TestIntegerCounts:
+    """Every public entry point takes its counts through ``signals.as_integer``."""
+
+    @pytest.mark.parametrize("entry, name", [
+        (entry, name) for entry, (_, counts, _) in COUNT_ENTRY_POINTS.items() for name in counts])
+    def test_fractional_count_named_before_any_pool(self, entry, name, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_spawn_pool", lambda workers: pytest.fail("pool started"))
+        call, counts, _ = COUNT_ENTRY_POINTS[entry]
+        value = counts[name]
+        bad = value[:-1] + [value[-1] + 0.5] if isinstance(value, list) else value + 0.5
+        with pytest.raises(TypeError, match=f"^{_NAMED_AS.get(name, name)} must be an integer"):
+            call(**dict(counts, **{name: bad}))
+
+    @pytest.mark.parametrize("entry", COUNT_ENTRY_POINTS)
+    def test_numpy_integers_stored_as_int(self, entry, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_spawn_pool", multiprocessing.dummy.Pool)
+        call, counts, stored = COUNT_ENTRY_POINTS[entry]
+        result = call(**{name: np.array(value) if isinstance(value, list) else np.int64(value)
+                         for name, value in counts.items()})
+        for name, value in (stored(result) if stored else {}).items():
+            if name in counts:
+                values = value if isinstance(value, (list, tuple)) else [value]
+                assert all(type(v) is int for v in values), (name, value)
 
 
 def block_fading_snb_failure(m: int, n_d: int, t: int, a_total: int) -> float:
