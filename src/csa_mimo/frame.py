@@ -17,9 +17,10 @@ import numpy as np
 from .signals import (
     RandomStream,
     as_integer,
+    as_real,
     build_hadamard_pilots,
+    complex_normal_segments,
     qpsk_modulate,
-    standard_normal_segments,
     uniform_bits,
 )
 
@@ -66,12 +67,14 @@ class SystemConfig:
                 object.__setattr__(self, name, as_integer(name, value, minimum))
         if self.n_p & (self.n_p - 1) != 0:
             raise ValueError(f"n_p must be a power of two, got {self.n_p}")
-        for name in ("noise_var", "channel_var", "latency_ms", "symbol_rate"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        for name in ("latency_ms", "symbol_rate"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        for name, floor in (("noise_var", "nonnegative"), ("channel_var", "positive"),
+                            ("latency_ms", "positive"), ("symbol_rate", "positive")):
+            value = as_real(name, getattr(self, name))
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            if value < 0 or (value == 0 and floor == "positive"):
+                raise ValueError(f"{name} must be {floor}, got {value}")
+            object.__setattr__(self, name, value)
         if self.n_slots is None:
             slot = self.n_p + self.n_d
             n = int(self.latency_ms * 1e-3 * self.symbol_rate // (2 * slot))
@@ -87,10 +90,6 @@ class SystemConfig:
                 f"slots r may be at most n_slots // {_FLOYD_MIN_SHARE} "
                 f"= {self.n_slots // _FLOYD_MIN_SHARE}"
             )
-        if self.noise_var < 0:
-            raise ValueError(f"noise_var must be nonnegative, got {self.noise_var}")
-        if self.channel_var <= 0:
-            raise ValueError(f"channel_var must be positive, got {self.channel_var}")
 
 
 @dataclass
@@ -224,41 +223,21 @@ def assemble_frame(plans, config: SystemConfig, rng: np.random.Generator) -> Fra
     user-ascending, then the slot's two noise matrices) is fixed so a given
     stream always yields the same frame.
 
-    The whole frame is one float64 ``standard_normal_segments`` draw.  Per
-    slot its segments are the channels (occupancy x m complex entries),
-    then the pilot noise (m x n_p) and the payload noise (m x n_d), the two
-    noise segments only when ``noise_var > 0``.  Each segment is scaled in
-    float64 as ``complex_normal`` scales, and rounded once to complex64 into
-    the first half of its own buffer.  Each slot's channel rows, ``p`` and
-    ``y`` are complex64 views into that draw, and the outer products are
-    added into the noise views: ``noise + products`` has the bits of ``(0 +
-    products) + noise``.  Single precision rounds at about 6e-8, far below
-    the pilot estimates' noise (``sqrt(noise_var / n_p)`` per entry).
+    Every fading and noise sample is one complex64 ``complex_normal_segments``
+    call: per slot the channels, then the pilot and the payload noise, which
+    become ``p`` and ``y`` as the products are added in (``noise + products``
+    has the bits of ``(0 + products) + noise``).  Single precision rounds at
+    about 6e-8, far below the pilot estimates' noise (``sqrt(noise_var / n_p)``).
     """
-    m, n_p, n_d = config.m, config.n_p, config.n_d
+    m, n_p, n_d, noise = config.m, config.n_p, config.n_d, config.noise_var
     pilot_rows = build_hadamard_pilots(n_p).astype(np.float32)
     frame = FrameInstance(config, *plans, slots=[])
-    noisy = config.noise_var > 0
-    sizes = []
+    draws = []
     for users, _ in frame.occupants:
-        sizes += [2 * users.size * m] + ([2 * m * n_p, 2 * m * n_d] if noisy else [])
-    segments = iter(standard_normal_segments(rng, sizes))
-
-    def narrowed(var: float, shape) -> np.ndarray:
-        """The next segment times ``sqrt(var / 2)``, as complex64 in its own buffer."""
-        segment = next(segments)
-        out = segment.view(np.float32)[:segment.size]
-        np.multiply(segment, np.sqrt(var / 2.0), out=out, casting="same_kind")
-        return out.view(np.complex64).reshape(shape)
-
+        draws += [((users.size, m), config.channel_var), ((m, n_p), noise), ((m, n_d), noise)]
+    arrays = complex_normal_segments(rng, draws, np.complex64)
     for slot, (users, pilots) in enumerate(frame.occupants):  # users ascending
-        channels = narrowed(config.channel_var, (users.size, m))
-        if noisy:
-            p = narrowed(config.noise_var, (m, n_p))
-            y = narrowed(config.noise_var, (m, n_d))
-        else:
-            p = np.zeros((m, n_p), dtype=np.complex64)
-            y = np.zeros((m, n_d), dtype=np.complex64)
+        channels, p, y = arrays[3 * slot:3 * slot + 3]
         if users.size:
             p += channels.T @ pilot_rows[pilots]
             y += channels.T @ frame.payloads[users]

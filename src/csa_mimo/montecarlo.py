@@ -27,10 +27,11 @@ from .receiver import check_decode_criterion, count_errors
 from .signals import (
     RandomStream,
     as_integer,
+    as_real,
     complex_normal,
+    complex_normal_segments,
     qpsk_hard_demodulate,
     qpsk_modulate,
-    standard_normal_segments,
     uniform_bits,
 )
 
@@ -339,7 +340,7 @@ def run_singleton_experiment(
     removes the need for the pilot-phase matrix (subtracting a user shifts
     the probed estimate only when it shares the probed pilot).
     """
-    algorithm, slot, n_p, trials = _check_singleton_args(
+    algorithm, slot, n_p, trials, noise_var, presub_fraction = _check_singleton_args(
         m, n_d, t, a_pilot, a_total, presub_fraction, trials, algorithm,
         n_p, noise_var, seed, decode_criterion,
     )
@@ -383,12 +384,10 @@ def run_singleton_experiment(
             phi = channels[:, :a_pilot].sum(axis=1)
             phi = phi + complex_normal(rng, (b, m), noise_var / n_p)
             y = channels.transpose(0, 2, 1) @ payloads
-            if noise_var > 0:  # complex_normal's draw, split across threads by trial
-                noise_scale = np.sqrt(noise_var / 2.0)
-                for y_trial, part in zip(y, standard_normal_segments(rng, [2 * m * n_d] * b)):
-                    noise = part.view(complex).reshape(m, n_d)
-                    noise *= noise_scale
-                    y_trial += noise
+            if noise_var > 0:  # one array per trial, so a split draw splits by trial
+                for y_trial, noise in zip(
+                        y, complex_normal_segments(rng, [((m, n_d), noise_var)] * b)):
+                    y_trial += noise  # the draw is freed with the loop, before the products
             order = list(range(a_pilot, a_pilot + n_pre)) + list(range(1, a_pilot))
             x = payloads[:, order]
             x_h = x.conj().transpose(0, 2, 1)
@@ -426,21 +425,23 @@ def run_singleton_experiment(
 def _check_singleton_args(
     m, n_d, t, a_pilot, a_total, presub_fraction, trials, algorithm,
     n_p, noise_var, seed, decode_criterion,
-) -> tuple[Algorithm, InterferenceScenario, int, int]:
-    """Reject a singleton experiment's bad input; return its algorithm, its
-    slot with the counts as ints, and its n_p and trials as ints."""
+) -> tuple[Algorithm, InterferenceScenario, int, int, float, float]:
+    """Reject a singleton experiment's bad input; return its algorithm, its slot with
+    the counts as ints, n_p and trials as ints, and noise_var and presub_fraction as floats."""
     algorithm = Algorithm(algorithm)
     if algorithm not in (Algorithm.SNB, Algorithm.PAB):
         raise ValueError(f"singleton experiment supports SNB and PAB, got {algorithm}")
     slot = InterferenceScenario(m, a_total, a_pilot, n_d, t)
     n_p, trials = as_integer("n_p", n_p, 1), as_integer("trials", trials, 1)
+    noise_var = as_real("noise_var", noise_var)
+    presub_fraction = as_real("presub_fraction", presub_fraction)
     if not 0 <= noise_var < math.inf:
         raise ValueError(f"noise_var must be finite and nonnegative, got {noise_var}")
     if not 0.0 <= presub_fraction <= 1.0:
         raise ValueError(f"presub_fraction must lie in [0, 1], got {presub_fraction}")
     check_decode_criterion(decode_criterion)
     RandomStream(seed, slot.a_total)  # a seed or load outside the stream range
-    return algorithm, slot, n_p, trials
+    return algorithm, slot, n_p, trials, noise_var, presub_fraction
 
 
 def _singleton_point(kwargs) -> SingletonRecord:

@@ -8,7 +8,6 @@ from __future__ import annotations
 import copy
 import math
 import multiprocessing
-import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -51,31 +50,50 @@ class RandomStream:
 
 
 def as_integer(name: str, value, minimum: int | None = None) -> int:
-    """``value`` as an int, by ``operator.index``; a TypeError naming ``name`` if it is
-    none, and a ValueError naming it if it is below ``minimum``."""
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    """``value`` as an int; a TypeError naming ``name`` if it is a bool or not a Python
+    or numpy integer, and a ValueError naming it if it is below ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    value = int(value)
     if minimum is not None and value < minimum:
         floor = "nonnegative" if minimum == 0 else f">= {minimum}"
         raise ValueError(f"{name} must be {floor}, got {value}")
     return value
 
 
-def complex_normal(rng: np.random.Generator, shape, var: float) -> np.ndarray:
-    """Zero-mean circularly symmetric complex Gaussian samples.
+def as_real(name: str, value) -> float:
+    """``value`` as a float; a TypeError naming ``name`` if it is a bool or not a real number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise TypeError(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
-    ``var`` is the total per-sample variance, split equally between the
-    real and imaginary parts.
+
+def complex_normal(rng: np.random.Generator, shape, var: float) -> np.ndarray:
+    """Zero-mean circularly symmetric complex Gaussian samples of total variance ``var``,
+    split equally between the real and imaginary parts: one ``complex_normal_segments`` array."""
+    return complex_normal_segments(rng, [(shape, var)])[0]
+
+
+def complex_normal_segments(rng: np.random.Generator, draws, dtype=np.complex128) -> list:
+    """One ``complex_normal`` array per ``(shape, var)`` of ``draws``, in order, all from
+    one ``standard_normal_segments`` draw.  Each is scaled in float64 and rounded once into
+    ``dtype`` (complex64 for frames) in its own segment, so no two share memory.  Variance 0
+    gives zeros and draws nothing; a negative variance raises before anything is drawn.
     """
-    if var < 0:
-        raise ValueError(f"variance must be nonnegative, got {var}")
-    if var == 0:
-        return np.zeros(shape, dtype=complex)
-    z = rng.standard_normal(tuple(np.atleast_1d(shape)) + (2,)).view(np.complex128)[..., 0]
-    z *= np.sqrt(var / 2.0)
-    return z
+    for _, var in draws:
+        if var < 0:
+            raise ValueError(f"variance must be nonnegative, got {var}")
+    segments = iter(standard_normal_segments(rng, [2 * np.prod(s) for s, var in draws if var]))
+
+    def scaled(shape, var) -> np.ndarray:
+        if var == 0:
+            return np.zeros(shape, dtype)
+        segment = next(segments)
+        out = segment.view(np.finfo(dtype).dtype)[:segment.size]
+        np.multiply(segment, np.sqrt(var / 2.0), out=out, casting="same_kind")
+        return out.view(dtype).reshape(shape)
+
+    return [scaled(shape, var) for shape, var in draws]
 
 
 def uniform_bits(rng: np.random.Generator, shape) -> np.ndarray:

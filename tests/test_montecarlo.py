@@ -619,6 +619,53 @@ class TestIntegerCounts:
                 assert all(type(v) is int for v in values), (name, value)
 
 
+# entry point: (call taking the real arguments as keywords, their valid values)
+REAL_ENTRY_POINTS = {
+    "SystemConfig": (tiny_config, dict(noise_var=0.1, channel_var=1.0, latency_ms=50.0,
+                                       symbol_rate=1e6)),
+    "run_singleton_experiment": (
+        lambda **reals: run_singleton_experiment(**dict(_SINGLETON, a_total=2, **reals)),
+        dict(noise_var=0.1, presub_fraction=0.5)),
+}
+
+
+class TestRealArguments:
+    """Bools are no counts, and the real-valued arguments go through ``signals.as_real``."""
+
+    @pytest.mark.parametrize("value", [True, False])
+    @pytest.mark.parametrize("entry, name", [
+        (entry, name) for entry, (_, counts, _) in COUNT_ENTRY_POINTS.items() for name in counts])
+    def test_bool_count_named(self, entry, name, value, monkeypatch):
+        # k_a=True ran one user, as operator.index takes a bool as 0 or 1
+        monkeypatch.setattr(montecarlo, "_spawn_pool", lambda workers: pytest.fail("pool started"))
+        call, counts, _ = COUNT_ENTRY_POINTS[entry]
+        good = counts[name]
+        bad = good[:-1] + [value] if isinstance(good, list) else value
+        with pytest.raises(TypeError, match=f"^{_NAMED_AS.get(name, name)} must be an integer"):
+            call(**dict(counts, **{name: bad}))
+
+    @pytest.mark.parametrize("value", [True, np.True_, "0.1", None, 1j])
+    @pytest.mark.parametrize("entry, name", [
+        (entry, name) for entry, (_, reals) in REAL_ENTRY_POINTS.items() for name in reals])
+    def test_non_real_named(self, entry, name, value):
+        # noise_var=True drew noise of variance 1, and presub_fraction=True recorded p=True
+        call, reals = REAL_ENTRY_POINTS[entry]
+        with pytest.raises(TypeError, match=f"^{name} must be a real number, got {value!r}"):
+            call(**dict(reals, **{name: value}))
+
+    @pytest.mark.parametrize("entry", REAL_ENTRY_POINTS)
+    def test_integers_and_numpy_reals_stored_as_float(self, entry):
+        call, reals = REAL_ENTRY_POINTS[entry]
+        kinds = itertools.cycle([np.float32, np.int64, int, np.float64])
+        given = {name: kind(value) for (name, value), kind in zip(reals.items(), kinds)}
+        stored = vars(call(**given))
+        for name, value in given.items():
+            stored_name = "p" if name == "presub_fraction" else name
+            if stored_name in stored:
+                assert type(stored[stored_name]) is float
+                assert stored[stored_name] == float(value)
+
+
 def block_fading_snb_failure(m: int, n_d: int, t: int, a_total: int) -> float:
     """Failure probability of a noiseless SNB singleton with a lone pilot user.
 

@@ -15,6 +15,7 @@ from csa_mimo.signals import (
     RandomStream,
     build_hadamard_pilots,
     complex_normal,
+    complex_normal_segments,
     qpsk_hard_demodulate,
     qpsk_modulate,
     standard_normal_segments,
@@ -280,6 +281,73 @@ class TestStandardNormalSegments:
         assert all(segment.base is not None for segment in segments)
         for a, b in itertools.combinations(segments, 2):
             assert not np.shares_memory(a, b)
+
+
+class TestComplexNormalSegments:
+    """The complex draw against one ``standard_normal`` call over its normals."""
+
+    # zero-variance and empty arrays between drawn ones, an int and a () shape
+    DRAWS = [((3, 4), 0.5), (7, 0.0), ((2, 0), 1.0), ((), 2.0), ((60, 300), 0.1),
+             ((5, 2), 0.0), (4000, 3.0)]
+
+    @staticmethod
+    def expected(draws, dtype, normals):
+        """Each array from the next normals, in order, scaled in float64 and
+        rounded once; zeros at variance 0.  Every normal is used."""
+        arrays = []
+        for shape, var in draws:
+            if var == 0:
+                arrays.append(np.zeros(shape, dtype))
+                continue
+            size = 2 * np.zeros(shape).size
+            z, normals = normals[:size] * np.sqrt(var / 2.0), normals[size:]
+            arrays.append(z.astype(np.finfo(dtype).dtype).view(dtype).reshape(shape))
+        assert normals.size == 0
+        return arrays
+
+    @pytest.mark.parametrize("dtype", (np.complex128, np.complex64))
+    @pytest.mark.parametrize("parts", (1, 3))
+    def test_matches_serial_draw_in_order(self, monkeypatch, parts, dtype):
+        split_into(monkeypatch, parts)
+        rng, oracle_rng = RandomStream(31, 0).generator(), RandomStream(31, 0).generator()
+        drawn = complex_normal_segments(rng, self.DRAWS, dtype)
+        n = sum(2 * np.zeros(shape).size for shape, var in self.DRAWS if var)
+        expected = self.expected(self.DRAWS, dtype, oracle_rng.standard_normal(n))
+        assert len(drawn) == len(expected)
+        for array, want in zip(drawn, expected):
+            assert array.dtype == dtype and array.shape == want.shape
+            assert array.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    @pytest.mark.parametrize("parts", (1, 3))
+    def test_one_array_call_is_complex_normal(self, monkeypatch, parts):
+        split_into(monkeypatch, parts)
+        for shape, var in self.DRAWS:
+            [array] = complex_normal_segments(RandomStream(32, 0).generator(), [(shape, var)])
+            alone = complex_normal(RandomStream(32, 0).generator(), shape, var)
+            assert array.shape == alone.shape and array.tobytes() == alone.tobytes()
+
+    @pytest.mark.parametrize("parts", (1, 3))
+    def test_zero_variance_draws_nothing(self, monkeypatch, parts):
+        split_into(monkeypatch, parts)
+        rng, others_rng = RandomStream(33, 0).generator(), RandomStream(33, 0).generator()
+        complex_normal_segments(rng, self.DRAWS, np.complex64)
+        complex_normal_segments(others_rng, [d for d in self.DRAWS if d[1] != 0], np.complex64)
+        assert rng.bit_generator.state == others_rng.bit_generator.state
+
+    @pytest.mark.parametrize("parts", (1, 3))
+    def test_complex64_arrays_hold_disjoint_memory(self, monkeypatch, parts):
+        split_into(monkeypatch, parts)
+        arrays = complex_normal_segments(RandomStream(34, 0).generator(), self.DRAWS, np.complex64)
+        for a, b in itertools.combinations(arrays, 2):
+            assert not np.shares_memory(a, b)
+
+    def test_negative_variance_rejected_before_drawing(self):
+        rng = RandomStream(35, 0).generator()
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="^variance must be nonnegative, got -0.1$"):
+            complex_normal_segments(rng, [((3, 4), 1.0), (5, -0.1)], np.complex64)
+        assert rng.bit_generator.state == state
 
 
 class TestUniformBits:
