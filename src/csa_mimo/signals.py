@@ -71,19 +71,19 @@ def as_real(name: str, value) -> float:
 def complex_normal(rng: np.random.Generator, shape, var: float) -> np.ndarray:
     """Zero-mean circularly symmetric complex Gaussian samples of total variance ``var``,
     split equally between the real and imaginary parts: one ``complex_normal_segments`` array."""
-    return complex_normal_segments(rng, [(shape, var)])[0]
+    return complex_normal_segments(rng, [(tuple(np.atleast_1d(shape)), var)])[0]
 
 
 def complex_normal_segments(rng: np.random.Generator, draws, dtype=np.complex128) -> list:
-    """One ``complex_normal`` array per ``(shape, var)`` of ``draws``, in order, all from
-    one ``standard_normal_segments`` draw.  Each is scaled in float64 and rounded once into
-    ``dtype`` (complex64 for frames) in its own segment, so no two share memory.  Variance 0
-    gives zeros and draws nothing; a negative variance raises before anything is drawn.
+    """One ``complex_normal`` array per ``(shape, var)`` of ``draws`` (tuple shapes), in order,
+    from one ``standard_normal_segments`` draw.  Each is scaled in float64 and rounded once
+    into ``dtype`` (complex64 for frames) in its own segment, so no two share memory.
+    Variance 0 gives zeros and draws nothing; a negative variance raises before any draw.
     """
     for _, var in draws:
         if var < 0:
             raise ValueError(f"variance must be nonnegative, got {var}")
-    segments = iter(standard_normal_segments(rng, [2 * np.prod(s) for s, var in draws if var]))
+    segments = iter(standard_normal_segments(rng, [2 * math.prod(s) for s, var in draws if var]))
 
     def scaled(shape, var) -> np.ndarray:
         if var == 0:

@@ -286,9 +286,9 @@ class TestStandardNormalSegments:
 class TestComplexNormalSegments:
     """The complex draw against one ``standard_normal`` call over its normals."""
 
-    # zero-variance and empty arrays between drawn ones, an int and a () shape
-    DRAWS = [((3, 4), 0.5), (7, 0.0), ((2, 0), 1.0), ((), 2.0), ((60, 300), 0.1),
-             ((5, 2), 0.0), (4000, 3.0)]
+    # zero-variance and empty arrays between drawn ones, and a () shape
+    DRAWS = [((3, 4), 0.5), ((7,), 0.0), ((2, 0), 1.0), ((), 2.0), ((60, 300), 0.1),
+             ((5, 2), 0.0), ((4000,), 3.0)]
 
     @staticmethod
     def expected(draws, dtype, normals):
