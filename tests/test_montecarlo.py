@@ -625,7 +625,7 @@ REAL_ENTRY_POINTS = {
                                        symbol_rate=1e6)),
     "run_singleton_experiment": (
         lambda **reals: run_singleton_experiment(**dict(_SINGLETON, a_total=2, **reals)),
-        dict(noise_var=0.1, presub_fraction=0.5)),
+        dict(noise_var=0.1, presub_fraction=1.0)),
 }
 
 
@@ -636,7 +636,7 @@ class TestRealArguments:
     @pytest.mark.parametrize("entry, name", [
         (entry, name) for entry, (_, counts, _) in COUNT_ENTRY_POINTS.items() for name in counts])
     def test_bool_count_named(self, entry, name, value, monkeypatch):
-        # k_a=True ran one user, as operator.index takes a bool as 0 or 1
+        # a bool is an int to Python, so k_a=True ran one user
         monkeypatch.setattr(montecarlo, "_spawn_pool", lambda workers: pytest.fail("pool started"))
         call, counts, _ = COUNT_ENTRY_POINTS[entry]
         good = counts[name]
@@ -656,6 +656,7 @@ class TestRealArguments:
     @pytest.mark.parametrize("entry", REAL_ENTRY_POINTS)
     def test_integers_and_numpy_reals_stored_as_float(self, entry):
         call, reals = REAL_ENTRY_POINTS[entry]
+        # the valid values are whole where an integer kind takes them
         kinds = itertools.cycle([np.float32, np.int64, int, np.float64])
         given = {name: kind(value) for (name, value), kind in zip(reals.items(), kinds)}
         stored = vars(call(**given))

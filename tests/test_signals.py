@@ -346,7 +346,7 @@ class TestComplexNormalSegments:
         rng = RandomStream(35, 0).generator()
         state = rng.bit_generator.state
         with pytest.raises(ValueError, match="^variance must be nonnegative, got -0.1$"):
-            complex_normal_segments(rng, [((3, 4), 1.0), (5, -0.1)], np.complex64)
+            complex_normal_segments(rng, [((3, 4), 1.0), ((5,), -0.1)], np.complex64)
         assert rng.bit_generator.state == state
 
 
