@@ -14,7 +14,7 @@ import dataclasses
 import re
 import sys
 
-from .cancellation import Algorithm
+from .cancellation import DECODE_CRITERIA, Algorithm
 from .frame import SystemConfig
 from .montecarlo import (
     AnalysisRecord,
@@ -26,7 +26,6 @@ from .montecarlo import (
     run_singleton_sweep,
     tabulate_singleton_failure,
 )
-from .receiver import DECODE_CRITERIA
 
 
 def _split_list(text: str) -> list[str]:

@@ -21,9 +21,15 @@ from multiprocessing import get_context
 import numpy as np
 
 from .analysis import InterferenceScenario, singleton_failure_probability, symbol_error_probability
-from .cancellation import RELATIVE_GAIN_FLOOR, Algorithm, pab_channel_estimate, run_receiver
+from .cancellation import (
+    RELATIVE_GAIN_FLOOR,
+    Algorithm,
+    check_decode_criterion,
+    count_errors,
+    pab_channel_estimate,
+    run_receiver,
+)
 from .frame import SystemConfig, make_frame
-from .receiver import check_decode_criterion, count_errors
 from .signals import (
     RandomStream,
     as_integer,
@@ -66,8 +72,10 @@ def wilson_interval(events: int, trials: int) -> tuple[float, float]:
     return low, high
 
 
-def _reject_repeats(name: str, values) -> None:
-    """Raise a ValueError naming every value listed more than once."""
+def _check_entries(name: str, values) -> None:
+    """Raise a ValueError if ``values`` is empty, or name every value listed twice."""
+    if not values:
+        raise ValueError(f"{name} must not be empty")
     repeated = sorted({v for v in values if values.count(v) > 1})
     if repeated:
         raise ValueError(f"{name} lists {', '.join(map(str, repeated))} more than once")
@@ -100,12 +108,8 @@ class SweepSpec:
         object.__setattr__(
             self, "algorithms", tuple(Algorithm(a) for a in self.algorithms)
         )
-        if not self.ka_values:
-            raise ValueError("ka_values must not be empty")
-        if not self.algorithms:
-            raise ValueError("algorithms must not be empty")
-        _reject_repeats("algorithms", [a.value for a in self.algorithms])
-        _reject_repeats("ka_values", self.ka_values)
+        _check_entries("ka_values", self.ka_values)
+        _check_entries("algorithms", [a.value for a in self.algorithms])
         for name in ("min_frames", "max_frames", "target_loss_events"):
             minimum = self.min_frames if name == "max_frames" else 1
             object.__setattr__(self, name, as_integer(name, getattr(self, name), minimum))
@@ -451,13 +455,13 @@ def _singleton_point(kwargs) -> SingletonRecord:
 def run_singleton_sweep(*, a_values, workers: int = 1, **point) -> list[SingletonRecord]:
     """Run ``run_singleton_experiment`` at each slot load ``a_total`` of ``a_values``.
 
-    ``point`` holds the experiment's other arguments, as keywords.  No load
-    may be listed twice, and every load's arguments are checked before any
-    worker starts.
+    ``point`` holds the experiment's other arguments, as keywords.  The
+    loads must not be empty and none may be listed twice, and every load's
+    arguments are checked before any worker starts.
     """
     workers = as_integer("workers", workers, 1)
     a_values = [as_integer("a_values", a) for a in a_values]
-    _reject_repeats("a_values", a_values)
+    _check_entries("a_values", a_values)
     signature = inspect.signature(run_singleton_experiment)
     tasks = []
     for a in a_values:
@@ -472,9 +476,9 @@ def run_singleton_sweep(*, a_values, workers: int = 1, **point) -> list[Singleto
 
 
 def tabulate_singleton_failure(m, n_d, t, a_pilot, a_values) -> list[AnalysisRecord]:
-    """Closed-form failure curve as CSV-ready records, over loads none listed twice."""
+    """Closed-form failure curve as CSV-ready records, over one or more loads, none twice."""
     a_values = [as_integer("a_values", a) for a in a_values]
-    _reject_repeats("a_values", a_values)
+    _check_entries("a_values", a_values)
     rows = []
     for a in a_values:
         scen = InterferenceScenario(m=m, a_total=a, a_pilot=a_pilot, n_d=n_d, t=t)

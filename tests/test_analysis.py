@@ -263,6 +263,8 @@ class TestFailureCurve:
             tabulate_singleton_failure(16, 16, 1, 1, [5, 5])
         with pytest.raises(ValueError, match="a_values lists 5 more than once"):
             tabulate_singleton_failure(16, 16, 1, 1, np.array([5, 7, 5]))
+        with pytest.raises(ValueError, match="^a_values must not be empty$"):
+            tabulate_singleton_failure(16, 16, 1, 1, [])
 
     def test_crossings_match_oracle_for_all_sharer_counts(self):
         for a_pilot in (1, 2, 3):

@@ -14,6 +14,9 @@ from csa_mimo.cancellation import (
     RELATIVE_GAIN_FLOOR,
     Algorithm,
     ReceiverState,
+    combining_gains,
+    compute_combining_statistics,
+    estimate_all_pilot_channels,
     logical_peel,
     pab_channel_estimate,
     run_receiver,
@@ -21,11 +24,6 @@ from csa_mimo.cancellation import (
 )
 from csa_mimo.frame import FrameInstance, SystemConfig, assemble_frame, make_frame
 from csa_mimo.montecarlo import wilson_interval
-from csa_mimo.receiver import (
-    combining_gains,
-    compute_combining_statistics,
-    estimate_all_pilot_channels,
-)
 from csa_mimo.signals import (
     RandomStream,
     build_hadamard_pilots,

@@ -11,7 +11,7 @@ from scipy import integrate, stats
 
 from csa_mimo import montecarlo, signals
 from csa_mimo.analysis import InterferenceScenario, symbol_error_probability
-from csa_mimo.cancellation import RELATIVE_GAIN_FLOOR, Algorithm, run_receiver
+from csa_mimo.cancellation import RELATIVE_GAIN_FLOOR, Algorithm, count_errors, run_receiver
 from csa_mimo.frame import SystemConfig, make_frame
 from csa_mimo.montecarlo import (
     _BLAS_THREAD_VARS,
@@ -28,7 +28,6 @@ from csa_mimo.montecarlo import (
     tabulate_singleton_failure,
     wilson_interval,
 )
-from csa_mimo.receiver import count_errors
 from csa_mimo.signals import RandomStream, complex_normal, qpsk_hard_demodulate, qpsk_modulate
 from csv_records import read_csv_records
 
@@ -554,6 +553,9 @@ class TestSingletonExperiment:
         with pytest.raises(ValueError, match="^a_values lists 5 more than once$"):
             run_singleton_sweep(m=16, n_d=16, t=1, a_pilot=1, a_values=[5, np.int64(5)],
                                 presub_fraction=0.0, trials=1, algorithm="snb", workers=2)
+        with pytest.raises(ValueError, match="^a_values must not be empty$"):
+            run_singleton_sweep(m=16, n_d=16, t=1, a_pilot=1, a_values=[],
+                                presub_fraction=0.0, trials=1, algorithm="snb", workers=2)
 
     def test_sweep_worker_count_below_one_rejected(self):
         with pytest.raises(ValueError, match="workers"):
@@ -665,6 +667,28 @@ class TestRealArguments:
             if stored_name in stored:
                 assert type(stored[stored_name]) is float
                 assert stored[stored_name] == float(value)
+
+
+class TestPlainOutcomes:
+    """Reports and records hold Python ints, floats and strs, as JSON takes them."""
+
+    def test_reports_and_records_hold_plain_values(self):
+        # json.dumps rejects a numpy.int64, which receiver-level checks let pass
+        frame = make_frame(tiny_config(k_a=12), RandomStream(3))
+        for algorithm in Algorithm:
+            report = run_receiver(frame, algorithm)
+            for name in ("sweep_count", "r", "decoded_count", "lost_count", "n_up", "n_pa"):
+                assert type(getattr(report, name)) is int, (algorithm, name)
+        spec = SweepSpec(config=tiny_config(), ka_values=[6, 12], algorithms=list(Algorithm),
+                         max_frames=2)
+        records = [*run_plr_sweep(spec), *tabulate_singleton_failure(16, 16, 1, 1, [2, 3])]
+        for algorithm in ("snb", "pab"):
+            records += run_singleton_sweep(a_values=[2, 3], **dict(_SINGLETON, algorithm=algorithm))
+        for record in records:
+            for field in dataclasses.fields(record):
+                assert field.type in ("int", "float", "str")
+                value = getattr(record, field.name)
+                assert type(value).__name__ == field.type, (record, field.name)
 
 
 def block_fading_snb_failure(m: int, n_d: int, t: int, a_total: int) -> float:

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from csa_mimo.analysis import InterferenceScenario, singleton_failure_probability
-from csa_mimo.cancellation import Algorithm, run_receiver
-from csa_mimo.frame import SystemConfig, assemble_frame, make_frame
-from csa_mimo.receiver import (
+from csa_mimo.cancellation import (
+    Algorithm,
     compute_combining_statistics,
     count_errors,
     estimate_all_pilot_channels,
+    run_receiver,
 )
+from csa_mimo.frame import SystemConfig, assemble_frame, make_frame
 from csa_mimo.signals import (
     RandomStream,
     build_hadamard_pilots,
