@@ -27,8 +27,8 @@ and reports the same sweeps:
 The three signal receivers share one front end per slot: the matched-filter
 estimate of every pilot's channel from the pilot phase
 (``estimate_all_pilot_channels``) and the maximal-ratio-combining numerators
-``f`` and gains ``g`` of those estimates against the payload phase
-(``compute_combining_statistics``; the gains alone by ``combining_gains``).
+``f = phi^H y`` and gains ``g = ||phi||^2`` (``combining_gains``) of those
+estimates against the payload phase; pilot j's payload estimate is ``f[j] / g[j]``.
 A decode attempt on a resource demodulates the combined payload of its
 pilot and accepts the first undecoded user within ``t`` errors
 (``count_errors``, under one of ``DECODE_CRITERIA``; the singleton
@@ -148,17 +148,6 @@ def estimate_all_pilot_channels(p: np.ndarray, n_p: int) -> np.ndarray:
     return np.divide(walsh_hadamard_transform(p), n_p, order="C")
 
 
-def compute_combining_statistics(phi: np.ndarray, y: np.ndarray):
-    """Combining statistics for one pilot estimate (or all, if 2-D).
-
-    For a single estimate ``phi`` of shape (m,), returns ``f = phi^H y`` of
-    shape (n_d,) and the scalar combining gain ``g = ||phi||^2``.  For an
-    (m, n_p) column stack, returns the (n_p, n_d) stack of f rows and the
-    (n_p,) gain vector.  The payload estimate of pilot j is ``f[j] / g[j]``.
-    """
-    return phi.conj().T @ y, combining_gains(phi)
-
-
 def combining_gains(phi: np.ndarray):
     """Combining gain ``||phi||^2`` of one estimate, or (n_p,) gains of a stack."""
     if phi.ndim == 1:
@@ -218,12 +207,10 @@ class ReceiverState:
             pilots = ids[block] % cfg.n_p
             phi = estimate_all_pilot_channels(signal.p, cfg.n_p)
             if snb:
-                f, g = compute_combining_statistics(phi, signal.y)
-                self.f[block] = f[pilots]
+                self.f[block] = (phi.conj().T @ signal.y)[pilots]
             else:
-                g = combining_gains(phi)
                 self.phi[:, block] = phi[:, pilots]
-            self.g[block] = g[pilots]
+            self.g[block] = combining_gains(phi)[pilots]
         if not snb:
             self.x = [frame.payloads[users] for users, _ in frame.occupants]
         if self.algorithm is Algorithm.PRCE:

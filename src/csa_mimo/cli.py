@@ -5,7 +5,7 @@ active-user count), ``singleton`` (single-slot singleton decode failure
 versus slot load), and ``analysis`` (closed-form failure curve).  Options
 may come from a flat ``key = value`` config file; command-line flags
 override file values.  A flag the chosen experiment does not read is an
-error; a config-file key is not, as a file may be shared.
+error; an unread config-file key is not, and is only parsed, as a file may be shared.
 """
 from __future__ import annotations
 
@@ -37,7 +37,8 @@ def _split_list(text: str) -> list[str]:
 
 # every config key with the parser of its value: the SystemConfig fields,
 # each typed by its value in the default config, and the SweepSpec fields
-_SYSTEM_KEYS = {k: type(v) for k, v in dataclasses.asdict(SystemConfig()).items()}
+_SYSTEM_DEFAULTS = dataclasses.asdict(SystemConfig())
+_SYSTEM_KEYS = {k: type(v) for k, v in _SYSTEM_DEFAULTS.items()}
 _SWEEP_KEYS = {"ka_values": lambda text: [int(v) for v in _split_list(text)],
                "algorithms": _split_list, "min_frames": int, "max_frames": int,
                "target_loss_events": int, "base_seed": int, "decode_criterion": str}
@@ -124,7 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # the flags each experiment reads, by dest; the others are rejected.  --config,
-# --out and --no-timing apply to all three.
+# --out and --no-timing apply to all three.  singleton and analysis take the
+# system keys among them, and no others, and leave their checks to the callee.
 _EXPERIMENT_FLAGS = {
     "plr": {"algorithms", "ka", "ka_range", "min_frames", "max_frames", "target_loss_events",
             "base_seed", "decode_criterion", "workers"} | set(_SYSTEM_KEYS),
@@ -179,11 +181,11 @@ def _system_config(opts: dict) -> SystemConfig:
 def _run(args, parser: argparse.ArgumentParser) -> list:
     _reject_unread_flags(args, parser)
     opts = _merged_options(args)
-    config = _system_config(opts)
     workers = 1 if args.workers is None else args.workers
     a_pilot = 1 if args.a_pilot is None else args.a_pilot
 
     if args.experiment == "plr":
+        config = _system_config(opts)
         sweep = {"ka_values": [config.k_a], "algorithms": ["pab"], "max_frames": 100}
         sweep |= {k: opts[k] for k in _SWEEP_KEYS if k in opts}
         return run_plr_sweep(SweepSpec(config=config, **sweep), workers=workers,
@@ -192,23 +194,22 @@ def _run(args, parser: argparse.ArgumentParser) -> list:
     a_values = _load_values(args.a_total, args.a_range, ("--a-total", "--a-range"))
     if a_values is None:
         raise ValueError("provide --a-total or --a-range for this experiment")
+    system = {k: opts.get(k, _SYSTEM_DEFAULTS[k])
+              for k in _EXPERIMENT_FLAGS[args.experiment] & _SYSTEM_KEYS.keys()}
     if args.experiment == "analysis":
-        return tabulate_singleton_failure(
-            m=config.m, n_d=config.n_d, t=config.t, a_pilot=a_pilot, a_values=a_values,
-        )
+        return tabulate_singleton_failure(a_pilot=a_pilot, a_values=a_values, **system)
 
     algos = opts.get("algorithms", ["snb"])
     if len(algos) != 1:
         raise ValueError("singleton experiment takes exactly one algorithm")
-    if config.channel_var != 1.0:
+    if opts.get("channel_var", 1.0) != 1.0:
         raise ValueError("the singleton experiment models unit channel variance, "
-                         f"got channel_var={config.channel_var}")
+                         f"got channel_var={opts['channel_var']}")
     return run_singleton_sweep(
-        m=config.m, n_d=config.n_d, t=config.t, a_pilot=a_pilot, a_values=a_values,
+        a_pilot=a_pilot, a_values=a_values, **system,
         presub_fraction=0.0 if args.presub_fraction is None else args.presub_fraction,
         trials=10000 if args.trials is None else args.trials,
-        algorithm=Algorithm(algos[0]), n_p=config.n_p, noise_var=config.noise_var,
-        seed=opts.get("base_seed", 0),
+        algorithm=Algorithm(algos[0]), seed=opts.get("base_seed", 0),
         decode_criterion=opts.get("decode_criterion", "bit"),
         workers=workers,
     )

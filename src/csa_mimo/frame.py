@@ -7,7 +7,6 @@ independent block-fading channels plus additive noise.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -69,12 +68,7 @@ class SystemConfig:
             raise ValueError(f"n_p must be a power of two, got {self.n_p}")
         for name, floor in (("noise_var", "nonnegative"), ("channel_var", "positive"),
                             ("latency_ms", "positive"), ("symbol_rate", "positive")):
-            value = as_real(name, getattr(self, name))
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-            if value < 0 or (value == 0 and floor == "positive"):
-                raise ValueError(f"{name} must be {floor}, got {value}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, as_real(name, getattr(self, name), floor))
         if self.n_slots is None:
             slot = self.n_p + self.n_d
             n = int(self.latency_ms * 1e-3 * self.symbol_rate // (2 * slot))

@@ -437,10 +437,8 @@ def _check_singleton_args(
         raise ValueError(f"singleton experiment supports SNB and PAB, got {algorithm}")
     slot = InterferenceScenario(m, a_total, a_pilot, n_d, t)
     n_p, trials = as_integer("n_p", n_p, 1), as_integer("trials", trials, 1)
-    noise_var = as_real("noise_var", noise_var)
+    noise_var = as_real("noise_var", noise_var, "nonnegative")
     presub_fraction = as_real("presub_fraction", presub_fraction)
-    if not 0 <= noise_var < math.inf:
-        raise ValueError(f"noise_var must be finite and nonnegative, got {noise_var}")
     if not 0.0 <= presub_fraction <= 1.0:
         raise ValueError(f"presub_fraction must lie in [0, 1], got {presub_fraction}")
     check_decode_criterion(decode_criterion)

@@ -61,11 +61,18 @@ def as_integer(name: str, value, minimum: int | None = None) -> int:
     return value
 
 
-def as_real(name: str, value) -> float:
-    """``value`` as a float; a TypeError naming ``name`` if it is a bool or not a real number."""
+def as_real(name: str, value, floor: str | None = None) -> float:
+    """``value`` as a finite float; a TypeError naming ``name`` if it is a bool or not a
+    Python or numpy real number, and a ValueError naming it if it is nan or infinite, or
+    below ``floor``: ``"nonnegative"`` (>= 0) or ``"positive"`` (> 0)."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise TypeError(f"{name} must be a real number, got {value!r}")
-    return float(value)
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    if floor is not None and (value < 0 or (value == 0 and floor == "positive")):
+        raise ValueError(f"{name} must be {floor}, got {value}")
+    return value
 
 
 def complex_normal(rng: np.random.Generator, shape, var: float) -> np.ndarray:
@@ -78,11 +85,10 @@ def complex_normal_segments(rng: np.random.Generator, draws, dtype=np.complex128
     """One ``complex_normal`` array per ``(shape, var)`` of ``draws`` (tuple shapes), in order,
     from one ``standard_normal_segments`` draw.  Each is scaled in float64 and rounded once
     into ``dtype`` (complex64 for frames) in its own segment, so no two share memory.
-    Variance 0 gives zeros and draws nothing; a negative variance raises before any draw.
+    Each variance goes through ``as_real`` as nonnegative, before any draw; variance 0
+    gives zeros and draws nothing.
     """
-    for _, var in draws:
-        if var < 0:
-            raise ValueError(f"variance must be nonnegative, got {var}")
+    draws = [(shape, as_real("variance", var, "nonnegative")) for shape, var in draws]
     segments = iter(standard_normal_segments(rng, [2 * math.prod(s) for s, var in draws if var]))
 
     def scaled(shape, var) -> np.ndarray:

@@ -15,7 +15,6 @@ from csa_mimo.cancellation import (
     Algorithm,
     ReceiverState,
     combining_gains,
-    compute_combining_statistics,
     estimate_all_pilot_channels,
     logical_peel,
     pab_channel_estimate,
@@ -180,7 +179,7 @@ def full_recompute_subtract(state, user, c, mode):
     phi = estimate_all_pilot_channels(p_res[slot], state.config.n_p)
     qs = slot_resources(frame, slot)
     state.phi[:, qs] = phi[:, occupied(frame, slot)]
-    state.g[qs] = compute_combining_statistics(phi, y_res[slot])[1][occupied(frame, slot)]
+    state.g[qs] = combining_gains(phi)[occupied(frame, slot)]
     state.stale[qs] = True
     state.done[slot][frame.occupants[slot][0].tolist().index(user)] = True
 
@@ -188,7 +187,7 @@ def full_recompute_subtract(state, user, c, mode):
 def full_recompute_numerator(state, q):
     """``f_q`` of resource q from the oracle's explicit payload-phase residual."""
     slot = int(state.frame.resources.ids[q]) // state.config.n_p
-    return compute_combining_statistics(state.phi[:, q], explicit_residual(state, slot))[0]
+    return state.phi[:, q].conj() @ explicit_residual(state, slot)
 
 
 def explicit_residual(state, slot):
@@ -570,7 +569,7 @@ class TestReceiverState:
             assert slot_resources(frame, slot) == list(range(first, first + pilots[slot].size))
             first += pilots[slot].size
             phi = estimate_all_pilot_channels(signal.p, cfg.n_p)
-            f, g = compute_combining_statistics(phi, signal.y)
+            f, g = phi.conj().T @ signal.y, combining_gains(phi)
             for j in range(cfg.n_p):
                 if j not in pilots[slot]:
                     # nobody picked j: no resource, so no state

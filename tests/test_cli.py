@@ -169,6 +169,22 @@ class TestConfigFile:
         assert code == 0
         assert out.exists()
 
+    @pytest.mark.parametrize("keys", [
+        "latency_ms = 0.1\n", "r = 100\n", "n_slots = 10\nlatency_ms = 1\n",
+    ], ids=["budget_fits_no_slot", "more_replicas_than_slots", "n_slots_with_latency_ms"])
+    def test_frame_keys_ignored_by_one_slot_experiments(self, keys, tmp_path, capsys):
+        # plr reads these keys and rejects each file; a one-slot experiment reads none of them
+        cfg = tmp_path / "shared.cfg"
+        cfg.write_text(keys)
+        for flags in (["--experiment", "analysis", "--a-total", "6"],
+                      ["--experiment", "singleton", "--a-total", "6", "--trials", "20"]):
+            assert run_cli(flags + ["--no-timing"]) == 0
+            alone = capsys.readouterr().out
+            assert run_cli(flags + ["--no-timing", "--config", str(cfg)]) == 0
+            assert capsys.readouterr().out == alone
+        assert run_cli(["--config", str(cfg), "--algorithm", "logical", "--ka", "5",
+                        "--frames", "1", "--no-timing"]) == 2
+
 
 class TestPlrExperiment:
     def test_sweep_to_csv(self, tmp_path):
@@ -257,6 +273,15 @@ class TestSingletonExperiment:
 
     def test_requires_load(self):
         assert run_cli(["--experiment", "singleton", "--algorithm", "snb"]) == 2
+
+    def test_any_pilot_count_accepted(self, capsys):
+        # one slot reads n_p only through the pilot estimate's noise variance noise_var / n_p
+        command = ["--experiment", "singleton", "--a-total", "6", "--trials", "20", "--m", "16",
+                   "--n-d", "16", "--t", "1", "--no-timing", "--n-pilots"]
+        assert run_cli(command + ["3"]) == 0
+        assert capsys.readouterr().out.startswith("algorithm,a_total,")
+        assert run_cli(command + ["0"]) == 2
+        assert "n_p must be >= 1, got 0" in capsys.readouterr().err
 
 
 class TestAnalysisExperiment:

@@ -349,6 +349,23 @@ class TestComplexNormalSegments:
             complex_normal_segments(rng, [((3, 4), 1.0), ((5,), -0.1)], np.complex64)
         assert rng.bit_generator.state == state
 
+    @pytest.mark.parametrize("var, error, message", [
+        (np.nan, ValueError, "variance must be finite, got nan"),
+        (np.inf, ValueError, "variance must be finite, got inf"),
+        (-np.inf, ValueError, "variance must be finite, got -inf"),
+        # a bool is an int to Python, so True drew variance 1
+        (True, TypeError, "variance must be a real number, got True"),
+        (np.True_, TypeError, f"variance must be a real number, got {np.True_!r}"),
+    ])
+    def test_non_finite_or_bool_variance_rejected_before_drawing(self, var, error, message):
+        rng = RandomStream(35, 0).generator()
+        state = rng.bit_generator.state
+        with pytest.raises(error, match=f"^{message}$"):
+            complex_normal_segments(rng, [((3, 4), 1.0), ((5,), var)], np.complex64)
+        with pytest.raises(error, match=f"^{message}$"):
+            complex_normal(rng, 3, var)
+        assert rng.bit_generator.state == state
+
 
 class TestUniformBits:
     """The word-wise bit draw against numpy's bounded uint8 draw."""
