@@ -87,7 +87,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frame import FrameInstance
-from .signals import qpsk_hard_demodulate, walsh_hadamard_transform
+from .signals import one_blas_thread, qpsk_hard_demodulate, walsh_hadamard_transform
 
 # Combining gains at or below m * channel_var * RELATIVE_GAIN_FLOOR are treated
 # as unused pilots; a lone user's expected gain is m * channel_var, so this only
@@ -346,6 +346,7 @@ def _decode_attempt(
     return None
 
 
+@one_blas_thread()
 def run_receiver(
     frame: FrameInstance,
     algorithm: Algorithm | str,
@@ -362,7 +363,7 @@ def run_receiver(
     ``logical_peel`` instead, whose report, sweep count included, is the
     one this loop gives when an attempt decodes a resource's sole undecoded
     user.  Identical (frame, algorithm) inputs always produce the identical
-    report.
+    report.  It runs on one BLAS thread (``signals.one_blas_thread``).
     """
     algorithm = Algorithm(algorithm)
     check_decode_criterion(decode_criterion)

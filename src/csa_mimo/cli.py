@@ -150,12 +150,12 @@ def _load_values(value, grid, flags: tuple[str, str]) -> list[int] | None:
         raise ValueError(f"give {flags[0]} or {flags[1]}, not both")
     if grid is None:
         return None if value is None else [value]
-    parts = grid.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"expected start:stop:step, got {grid!r}")
-    start, stop, step = (int(p) for p in parts)
+    try:
+        start, stop, step = (int(p) for p in grid.split(":"))
+    except ValueError:  # not three parts, or a part not an integer
+        raise ValueError(f"{flags[1]} expects START:STOP:STEP integers, got {grid!r}") from None
     if step <= 0 or start > stop:
-        raise ValueError(f"range needs start <= stop and a positive step, got {grid!r}")
+        raise ValueError(f"{flags[1]} needs start <= stop and a positive step, got {grid!r}")
     return list(range(start, stop + 1, step))
 
 

@@ -19,6 +19,7 @@ from .signals import (
     as_real,
     build_hadamard_pilots,
     complex_normal_segments,
+    one_blas_thread,
     qpsk_modulate,
     uniform_bits,
 )
@@ -249,10 +250,11 @@ def make_frame(
     Plans are drawn before any signal randomness, so the collision structure
     of a given stream is the same whether or not signals are materialized
     (``with_signals=False`` supports receivers that only peel the
-    user/resource graph).
+    user/resource graph).  Signals are assembled on one BLAS thread.
     """
     rng = stream.generator()
     plans = generate_user_plans(config, rng)
     if not with_signals:
         return FrameInstance(config, *plans)
-    return assemble_frame(plans, config, rng)
+    with one_blas_thread():
+        return assemble_frame(plans, config, rng)

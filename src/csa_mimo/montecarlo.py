@@ -183,6 +183,8 @@ def _spawn_pool(workers: int):
     so the variables are set to 1 while the workers start and the parent's
     own values are put back afterwards.  Unpinned, every worker would start
     one BLAS thread per core and the pool would oversubscribe the machine.
+    The variables pin every BLAS call in a worker, singleton batches too,
+    not only the frame trials that ``signals.one_blas_thread`` pins.
     The workers are daemonic, so each draws its frames' normals on one
     thread (see ``signals._part_count``).
     """

@@ -1,11 +1,15 @@
 """Signal-level primitives: seeded streams, fading/noise draws, pilots, QPSK.
 
-Everything here is pure given a generator, so frame trials can run on
-independent workers without shared state.
+Everything here is pure given a generator, so frame trials can run on independent
+workers without shared state, except ``one_blas_thread``, which sets the process's
+BLAS thread count for the span of a block.
 """
 from __future__ import annotations
 
+import contextlib
 import copy
+import ctypes
+import functools
 import math
 import multiprocessing
 import os
@@ -202,8 +206,9 @@ def standard_normal_segments(rng: np.random.Generator, sizes) -> list:
 def _part_count(total: int) -> int:
     """Parts a draw of ``total`` normals is split into: one per CPU this
     process may run on, and fewer, down to one, below ``_MIN_PART`` normals
-    per part.  A daemonic process, such as every ``multiprocessing`` pool
-    worker, draws on one thread: the pool already fills the CPUs."""
+    per part, with no BLAS worker spinning on them (``one_blas_thread``).
+    A daemonic process, such as every ``multiprocessing`` pool worker, draws
+    on one thread: the pool already fills the CPUs."""
     if multiprocessing.current_process().daemon:
         return 1
     threads = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
@@ -222,6 +227,46 @@ def _locate(probe: np.ndarray, window: np.ndarray):
         if np.array_equal(window[i:i + probe.size], probe):
             return i
     return None
+
+
+@functools.cache
+def _blas_thread_controls() -> tuple:
+    """(get, set) thread-count functions of each OpenBLAS mapped into this process, the first
+    of the ``symbols`` pairs it exports; found once, and empty for MKL or Accelerate."""
+    symbols = [(f"{p}_get_num_threads{s}", f"{p}_set_num_threads{s}")
+               for p in ("scipy_openblas", "openblas") for s in ("64_", "")]
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            paths = {line.split(maxsplit=5)[5].strip() for line in maps if "openblas" in line}
+    except OSError:  # no /proc: not Linux
+        return ()
+    controls = []
+    for path in sorted(paths):
+        with contextlib.suppress(OSError, StopIteration):  # not loadable, or no pair
+            library = ctypes.CDLL(path)
+            names = next(n for n in symbols if all(hasattr(library, f) for f in n))
+            get, set_threads = (getattr(library, name) for name in names)
+            get.restype, set_threads.restype = ctypes.c_int, None
+            set_threads.argtypes = [ctypes.c_int]
+            controls.append((get, set_threads))
+    return tuple(controls)
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block with every OpenBLAS found on one thread and put each count back on
+    exit, also when the block raises; with none found, just run it.  Blocks may nest but
+    not run on two threads at once, since the count is the process's.  A threaded call
+    leaves OpenBLAS's workers spinning on the CPUs the split normal draw uses.  The bits
+    do not move: OpenBLAS splits a matrix product over its output, never over the sum."""
+    saved = [(set_threads, get()) for get, set_threads in _blas_thread_controls()]
+    for set_threads, _ in saved:
+        set_threads(1)
+    try:
+        yield
+    finally:
+        for set_threads, count in saved:
+            set_threads(count)
 
 
 def build_hadamard_pilots(n_p: int) -> np.ndarray:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csa_mimo import cancellation
+from csa_mimo import cancellation, signals
 from csa_mimo.cancellation import (
     RELATIVE_GAIN_FLOOR,
     Algorithm,
@@ -1031,3 +1031,41 @@ class TestSweepInvariants:
         frame = manual_frame(assignments, noise_var=0.0)
         for algorithm in ALL_ALGORITHMS:
             assert run_receiver(frame, algorithm).decoded.all()
+
+
+class TestOneBlasThread:
+    """``run_receiver`` runs on one BLAS thread and puts the count back."""
+
+    def test_one_thread_inside_receiver_init_and_restored_after(self, monkeypatch, blas_threads):
+        init, seen = ReceiverState.__init__, []
+
+        def recording_init(self, *args, **kwargs):
+            seen.append(blas_threads())
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cancellation.ReceiverState, "__init__", recording_init)
+        frame = make_frame(SystemConfig(k_a=12, m=16, n_slots=6, n_p=8, n_d=16, t=2),
+                           RandomStream(20, 0))
+        before = blas_threads()
+        for algorithm in ALL_ALGORITHMS:
+            run_receiver(frame, algorithm)
+            assert blas_threads() == before
+        assert seen == [[1] * len(before)] * 3  # LOGICAL keeps no state
+
+    def test_restored_when_the_receiver_raises(self, blas_threads):
+        frame = make_frame(SystemConfig(k_a=12, m=16, n_slots=6, n_p=8, n_d=16, t=2),
+                           RandomStream(20, 0), with_signals=False)
+        before = blas_threads()
+        with pytest.raises(ValueError, match="without signals"):
+            run_receiver(frame, Algorithm.PAB)
+        assert blas_threads() == before
+
+    def test_reports_unchanged_without_the_pin(self, monkeypatch):
+        # reference-size slots, as a sweep makes them, with BLAS at its default thread count
+        frame = make_frame(SystemConfig(k_a=300), RandomStream(21, 0))
+        pinned = [run_receiver(frame, algorithm) for algorithm in ALL_ALGORITHMS]
+        monkeypatch.setattr(signals, "_blas_thread_controls", lambda: ())
+        for algorithm, report in zip(ALL_ALGORITHMS, pinned):
+            unpinned = run_receiver(frame, algorithm)
+            np.testing.assert_array_equal(unpinned.decoded, report.decoded)
+            assert (unpinned.sweep_count, unpinned.r) == (report.sweep_count, report.r)

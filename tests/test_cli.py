@@ -454,6 +454,17 @@ class TestErrorPaths:
         assert "start <= stop" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [["--experiment", "analysis", "--a-range"],
+                                       ["--algorithm", "logical", "--ka-range"]])
+    @pytest.mark.parametrize("grid, message", [
+        ("2:x:1", "expects START:STOP:STEP integers"),
+        ("2:6", "expects START:STOP:STEP integers"),
+        ("6:2:1", "needs start <= stop and a positive step"),
+    ])
+    def test_bad_grid_error_names_flag_and_grid(self, flags, grid, message, capsys):
+        assert run_cli([*flags, grid]) == 2
+        assert f"{flags[-1]} {message}, got {grid!r}" in capsys.readouterr().err
+
     def test_singleton_rejects_channel_variance_other_than_one(self, tmp_path, capsys):
         # the singleton experiment draws unit-variance channels
         cfg = tmp_path / "var.cfg"

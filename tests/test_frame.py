@@ -467,6 +467,46 @@ class TestAssembleFrame:
         assert not np.array_equal(chans[0], chans[1])
 
 
+class TestOneBlasThread:
+    """``make_frame`` assembles signals on one BLAS thread and puts the count back."""
+
+    def test_one_thread_inside_assembly_and_restored_after(self, monkeypatch, blas_threads):
+        draw, seen = signals.complex_normal_segments, []
+
+        def recording_draw(*args, **kwargs):
+            seen.append(blas_threads())
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr("csa_mimo.frame.complex_normal_segments", recording_draw)
+        before = blas_threads()
+        make_frame(small_config(), RandomStream(13, 0))
+        assert seen == [[1] * len(before)]
+        assert blas_threads() == before
+
+    def test_restored_when_assembly_raises(self, monkeypatch, blas_threads):
+        def failing_draw(*args, **kwargs):
+            raise RuntimeError("draw failed")
+
+        monkeypatch.setattr("csa_mimo.frame.complex_normal_segments", failing_draw)
+        before = blas_threads()
+        with pytest.raises(RuntimeError, match="draw failed"):
+            make_frame(small_config(), RandomStream(13, 0))
+        assert blas_threads() == before
+
+    def test_frame_unchanged_without_the_pin(self, monkeypatch):
+        # reference-size slots, as a sweep makes them, with BLAS at its default thread count
+        config, stream = SystemConfig(k_a=300), RandomStream(14, 0)
+        pinned = make_frame(config, stream)
+        monkeypatch.setattr(signals, "_blas_thread_controls", lambda: ())
+        unpinned = make_frame(config, stream)
+        for a, b in zip(pinned.slots, unpinned.slots, strict=True):
+            assert_same_bytes(a.p, b.p)
+            assert_same_bytes(a.y, b.y)
+        assert pinned.true_channels.keys() == unpinned.true_channels.keys()
+        for slot, channels in pinned.true_channels.items():
+            assert_same_bytes(channels, unpinned.true_channels[slot])
+
+
 class TestOccupants:
     """``FrameInstance.occupants``, the one resource map of a frame."""
 

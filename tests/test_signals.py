@@ -16,6 +16,7 @@ from csa_mimo.signals import (
     build_hadamard_pilots,
     complex_normal,
     complex_normal_segments,
+    one_blas_thread,
     qpsk_hard_demodulate,
     qpsk_modulate,
     standard_normal_segments,
@@ -365,6 +366,37 @@ class TestComplexNormalSegments:
         with pytest.raises(error, match=f"^{message}$"):
             complex_normal(rng, 3, var)
         assert rng.bit_generator.state == state
+
+
+class TestOneBlasThread:
+    def test_finds_the_openblas_numpy_is_built_with(self):
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+        if "openblas" not in blas:
+            pytest.skip(f"numpy is built with {blas}")
+        assert signals._blas_thread_controls()
+
+    def test_one_thread_inside_and_restored_after(self, blas_threads):
+        before = blas_threads()
+        with one_blas_thread():
+            assert blas_threads() == [1] * len(before)
+            with one_blas_thread():
+                assert blas_threads() == [1] * len(before)
+            assert blas_threads() == [1] * len(before)
+        assert blas_threads() == before
+
+    def test_restored_when_the_block_raises(self, blas_threads):
+        before = blas_threads()
+        with pytest.raises(RuntimeError, match="inside"):
+            with one_blas_thread():
+                raise RuntimeError("inside")
+        assert blas_threads() == before
+
+    def test_block_runs_unpinned_where_no_openblas_is_found(self, monkeypatch, blas_threads):
+        monkeypatch.setattr(signals, "_blas_thread_controls", lambda: ())
+        before, ran = blas_threads(), []
+        with one_blas_thread():
+            ran.append(blas_threads())
+        assert ran == [before]
 
 
 class TestUniformBits:
