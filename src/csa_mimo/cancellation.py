@@ -29,6 +29,8 @@ estimate of every pilot's channel from the pilot phase
 (``estimate_all_pilot_channels``) and the maximal-ratio-combining numerators
 ``f = phi^H y`` and gains ``g = ||phi||^2`` (``combining_gains``) of those
 estimates against the payload phase; pilot j's payload estimate is ``f[j] / g[j]``.
+A receiver starts slot by slot, its slots spread over the CPUs
+(``signals.for_each_slot``), each writing only its own block of state.
 A decode attempt on a resource demodulates the combined payload of its
 pilot and accepts the first undecoded user within ``t`` errors
 (``count_errors``, under one of ``DECODE_CRITERIA``; the singleton
@@ -87,7 +89,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frame import FrameInstance
-from .signals import one_blas_thread, qpsk_hard_demodulate, walsh_hadamard_transform
+from .signals import for_each_slot, one_blas_thread, qpsk_hard_demodulate, walsh_hadamard_transform
 
 # Combining gains at or below m * channel_var * RELATIVE_GAIN_FLOOR are treated
 # as unused pilots; a lone user's expected gain is m * channel_var, so this only
@@ -196,14 +198,21 @@ class ReceiverState:
         self.g = np.empty(ids.size)
         # one buffer per receiver: per-slot arrays would pin the freed
         # full-width temporaries between them on the heap
-        snb = self.algorithm is Algorithm.SNB
+        snb, pab = self.algorithm is Algorithm.SNB, self.algorithm is Algorithm.PAB
         dtype = self.y[0].dtype  # the frame's precision
         if snb:
             self.f = np.empty((ids.size, cfg.n_d), dtype=dtype)
         else:
             self.phi = np.empty((cfg.m, ids.size), dtype=dtype)
-        for s, signal in enumerate(frame.slots):
-            block = slice(self.bounds[s], self.bounds[s + 1])
+            self.x = [frame.payloads[users] for users, _ in frame.occupants]
+        if self.algorithm is Algorithm.PRCE:
+            self.rows = [frame.true_channels[s] for s in range(cfg.n_slots)]
+        elif pab:
+            self.rows = [np.empty((x.shape[0], cfg.m), dtype) for x in self.x]
+            self.gram = [np.empty((x.shape[0], x.shape[0]), dtype) for x in self.x]
+
+        def start_slot(s: int) -> None:  # writes only slot s's block and entries
+            signal, block = frame.slots[s], slice(self.bounds[s], self.bounds[s + 1])
             pilots = ids[block] % cfg.n_p
             phi = estimate_all_pilot_channels(signal.p, cfg.n_p)
             if snb:
@@ -211,16 +220,12 @@ class ReceiverState:
             else:
                 self.phi[:, block] = phi[:, pilots]
             self.g[block] = combining_gains(phi)[pilots]
-        if not snb:
-            self.x = [frame.payloads[users] for users, _ in frame.occupants]
-        if self.algorithm is Algorithm.PRCE:
-            self.rows = [frame.true_channels[s] for s in range(cfg.n_slots)]
-        elif self.algorithm is Algorithm.PAB:
-            self.rows, self.gram = [], []
-            for x, y in zip(self.x, self.y):
-                x_conj = x.conj()
-                self.rows.append(x_conj @ y.T)  # C^T: row i is y x_i^*
-                self.gram.append(x @ x_conj.T)
+            if pab:
+                x_conj = self.x[s].conj()
+                np.matmul(x_conj, signal.y.T, out=self.rows[s])  # C^T: row i is y x_i^*
+                np.matmul(self.x[s], x_conj.T, out=self.gram[s])
+
+        for_each_slot(start_slot, cfg.n_slots, sum(s.p.size + s.y.size for s in frame.slots))
 
     def numerator(self, q: int) -> np.ndarray:
         """Combining numerator ``f_q = phi_q^H y_res`` of resource q.

@@ -19,6 +19,7 @@ from .signals import (
     as_real,
     build_hadamard_pilots,
     complex_normal_segments,
+    for_each_slot,
     one_blas_thread,
     qpsk_modulate,
     uniform_bits,
@@ -223,20 +224,27 @@ def assemble_frame(plans, config: SystemConfig, rng: np.random.Generator) -> Fra
     become ``p`` and ``y`` as the products are added in (``noise + products``
     has the bits of ``(0 + products) + noise``).  Single precision rounds at
     about 6e-8, far below the pilot estimates' noise (``sqrt(noise_var / n_p)``).
+    The slots' products are added on every CPU that pays (``for_each_slot``).
     """
     m, n_p, n_d, noise = config.m, config.n_p, config.n_d, config.noise_var
     pilot_rows = build_hadamard_pilots(n_p).astype(np.float32)
     frame = FrameInstance(config, *plans, slots=[])
+    occupants, payloads = frame.occupants, frame.payloads  # built before the slots' threads
     draws = []
-    for users, _ in frame.occupants:
+    for users, _ in occupants:
         draws += [((users.size, m), config.channel_var), ((m, n_p), noise), ((m, n_d), noise)]
     arrays = complex_normal_segments(rng, draws, np.complex64)
-    for slot, (users, pilots) in enumerate(frame.occupants):  # users ascending
-        channels, p, y = arrays[3 * slot:3 * slot + 3]
-        if users.size:
+
+    def add_replicas(slot: int) -> None:
+        (users, pilots), (channels, p, y) = occupants[slot], arrays[3 * slot:3 * slot + 3]
+        if users.size:  # users ascending
             p += channels.T @ pilot_rows[pilots]
-            y += channels.T @ frame.payloads[users]
+            y += channels.T @ payloads[users]
         channels.flags.writeable = False  # receivers of a sweep read it in place
+
+    for_each_slot(add_replicas, len(occupants), sum(a.size for a in arrays))
+    for slot in range(len(occupants)):
+        channels, p, y = arrays[3 * slot:3 * slot + 3]
         frame.true_channels[slot] = channels
         frame.slots.append(SlotSignal(p=p, y=y))
     return frame

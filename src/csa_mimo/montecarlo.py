@@ -185,8 +185,9 @@ def _spawn_pool(workers: int):
     one BLAS thread per core and the pool would oversubscribe the machine.
     The variables pin every BLAS call in a worker, singleton batches too,
     not only the frame trials that ``signals.one_blas_thread`` pins.
-    The workers are daemonic, so each draws its frames' normals on one
-    thread (see ``signals._part_count``).
+    The workers are daemonic, so each draws its frames' normals and runs
+    their per-slot stages on one thread (``signals._part_count``, the thread
+    count of every split stage).
     """
     saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
     os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))

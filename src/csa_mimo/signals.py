@@ -2,7 +2,8 @@
 
 Everything here is pure given a generator, so frame trials can run on independent
 workers without shared state, except ``one_blas_thread``, which sets the process's
-BLAS thread count for the span of a block.
+BLAS thread count for the span of a block.  ``for_each_slot`` runs a frame's
+independent per-slot (or per-part) stages on every CPU the process may use.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ import functools
 import math
 import multiprocessing
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,7 @@ _QPSK_LEVEL = 1.0 / np.sqrt(2.0)
 # almost every normal and more words for its rare rejection steps, so n
 # normals span about _WORDS_PER_NORMAL * n words of the stream.
 _WORDS_PER_NORMAL = 1.022
-_MIN_PART = 1 << 20      # normals per thread below which one thread draws everything
+_MIN_PART = 1 << 20      # values per thread below which one thread runs a whole stage
 _MATCH = 8               # equal consecutive normals taken as the same stream position
 
 
@@ -93,17 +94,20 @@ def complex_normal_segments(rng: np.random.Generator, draws, dtype=np.complex128
     gives zeros and draws nothing.
     """
     draws = [(shape, as_real("variance", var, "nonnegative")) for shape, var in draws]
-    segments = iter(standard_normal_segments(rng, [2 * math.prod(s) for s, var in draws if var]))
+    sizes = [2 * math.prod(shape) for shape, var in draws if var]
+    drawn = iter(standard_normal_segments(rng, sizes))
+    arrays = [next(drawn) if var else np.zeros(shape, dtype) for shape, var in draws]
 
-    def scaled(shape, var) -> np.ndarray:
-        if var == 0:
-            return np.zeros(shape, dtype)
-        segment = next(segments)
-        out = segment.view(np.finfo(dtype).dtype)[:segment.size]
-        np.multiply(segment, np.sqrt(var / 2.0), out=out, casting="same_kind")
-        return out.view(dtype).reshape(shape)
+    def scale(i: int) -> None:  # array i's float64 segment becomes the array, in place
+        shape, var = draws[i]
+        if var:
+            segment = arrays[i]
+            out = segment.view(np.finfo(dtype).dtype)[:segment.size]
+            np.multiply(segment, np.sqrt(var / 2.0), out=out, casting="same_kind")
+            arrays[i] = out.view(dtype).reshape(shape)
 
-    return [scaled(shape, var) for shape, var in draws]
+    for_each_slot(scale, len(draws), sum(sizes))
+    return arrays
 
 
 def uniform_bits(rng: np.random.Generator, shape) -> np.ndarray:
@@ -127,11 +131,11 @@ def standard_normal_segments(rng: np.random.Generator, sizes) -> list:
     """``rng.standard_normal(sum(sizes))`` as one array per consecutive segment.
 
     The values and the generator's final state are exactly those of the
-    serial draw.  The draw is split at segment boundaries into one part per
-    thread (see ``_part_count``), each drawn on its own thread; every segment
-    is a view into its part's buffer, and nothing is copied.  A split draw
-    needs a bit generator that can ``advance``, such as the PCG64 of every
-    ``RandomStream``.
+    serial draw.  The draw is split at segment boundaries into the parts
+    ``_part_count`` gives, each drawn on its own thread (``for_each_slot``);
+    every segment is a view into its part's buffer, and nothing is copied.
+    A split draw needs a bit generator that can ``advance``, such as the
+    PCG64 of every ``RandomStream``.
 
     Part k > 0 starts from a copy of ``rng`` advanced to a guess of its
     first word, ``margin`` words early; at 8 sqrt(offset) words, the margin
@@ -167,14 +171,7 @@ def standard_normal_segments(rng: np.random.Generator, sizes) -> list:
     windows = [min(window, n) for window, n in zip(windows, lengths)]
     # spare room for the normals an early start leaves missing at the end
     bufs = [np.empty(n + window) for n, window in zip(lengths, windows)]
-    with ThreadPoolExecutor(max(1, len(gens) - 1)) as pool:
-        futures = [
-            pool.submit(_fill, gen, buf[:n])
-            for gen, buf, n in zip(gens[1:], bufs[1:], lengths[1:])
-        ]
-        _fill(rng, bufs[0][:lengths[0]])
-        for future in futures:
-            future.result()
+    for_each_slot(lambda k: _fill(gens[k], bufs[k][:lengths[k]]), len(gens), total)
 
     parts = [bufs[0][:lengths[0]]]
     for k in range(1, len(gens)):
@@ -204,15 +201,52 @@ def standard_normal_segments(rng: np.random.Generator, sizes) -> list:
 
 
 def _part_count(total: int) -> int:
-    """Parts a draw of ``total`` normals is split into: one per CPU this
-    process may run on, and fewer, down to one, below ``_MIN_PART`` normals
-    per part, with no BLAS worker spinning on them (``one_blas_thread``).
-    A daemonic process, such as every ``multiprocessing`` pool worker, draws
-    on one thread: the pool already fills the CPUs."""
+    """Threads a stage of ``total`` values (a draw's normals, a frame's array
+    elements) runs on: one per CPU this process may run on, and fewer, down
+    to one, below ``_MIN_PART`` values per thread, with no BLAS worker
+    spinning on them (``one_blas_thread``).  A daemonic process, such as
+    every ``multiprocessing`` pool worker, runs on one thread: the pool
+    already fills the CPUs."""
     if multiprocessing.current_process().daemon:
         return 1
     threads = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     return max(1, min(threads, total // _MIN_PART))
+
+
+def for_each_slot(fn, count: int, size: int) -> None:
+    """Call ``fn(s)`` for every ``s`` in ``range(count)``, on every CPU that pays.
+
+    ``size`` is the number of values the whole stage works through.  The
+    range is cut into contiguous blocks, one per thread ``_part_count(size)``
+    gives and at most one per index, so a small frame stays on one thread.
+    The calling thread runs the first block and one new thread each of the
+    others; each block calls ``fn`` in ascending order and stops at its
+    first exception.  Every thread is joined before this returns or
+    raises, and the exception of the first block that raised, which is the
+    one a loop in index order would raise, is raised.  Blocks run at once,
+    so ``fn(s)`` may write only what index s owns.  The helper threads open
+    no ``one_blas_thread`` block of their own: they run inside the caller's.
+    """
+    blocks = max(1, min(_part_count(size), count))
+    bounds = [count * k // blocks for k in range(blocks + 1)]
+    errors = [None] * blocks
+
+    def run(k: int) -> None:
+        try:
+            for s in range(bounds[k], bounds[k + 1]):
+                fn(s)
+        except BaseException as error:  # raised again below, once every block is done
+            errors[k] = error
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(1, blocks)]
+    for thread in threads:
+        thread.start()
+    run(0)
+    for thread in threads:
+        thread.join()
+    error = next((error for error in errors if error is not None), None)
+    if error is not None:
+        raise error
 
 
 def _fill(gen: np.random.Generator, out: np.ndarray) -> None:
@@ -252,21 +286,36 @@ def _blas_thread_controls() -> tuple:
     return tuple(controls)
 
 
+# Blocks of one_blas_thread open in the process, and the counts the first one saved
+_blas_pin_lock = threading.Lock()
+_blas_pin = {"open": 0, "saved": []}
+
+
 @contextlib.contextmanager
 def one_blas_thread():
     """Run the block with every OpenBLAS found on one thread and put each count back on
-    exit, also when the block raises; with none found, just run it.  Blocks may nest but
-    not run on two threads at once, since the count is the process's.  A threaded call
-    leaves OpenBLAS's workers spinning on the CPUs the split normal draw uses.  The bits
-    do not move: OpenBLAS splits a matrix product over its output, never over the sum."""
-    saved = [(set_threads, get()) for get, set_threads in _blas_thread_controls()]
-    for set_threads, _ in saved:
-        set_threads(1)
+    exit, also when the block raises; with none found, just run it.  The count is the
+    process's, so open blocks are counted under a lock, on any thread and nested: the
+    first to open saves the counts and sets them to 1, and the last to close puts them
+    back.  ``for_each_slot``'s threads run inside the caller's block and open none of
+    their own.  A threaded call leaves OpenBLAS's workers spinning on the CPUs the split
+    normal draw uses.  The bits do not move: OpenBLAS splits a matrix product over its
+    output, never over the sum."""
+    with _blas_pin_lock:
+        if _blas_pin["open"] == 0:
+            _blas_pin["saved"] = [(set_threads, get())
+                                  for get, set_threads in _blas_thread_controls()]
+            for set_threads, _ in _blas_pin["saved"]:
+                set_threads(1)
+        _blas_pin["open"] += 1
     try:
         yield
     finally:
-        for set_threads, count in saved:
-            set_threads(count)
+        with _blas_pin_lock:
+            _blas_pin["open"] -= 1
+            if _blas_pin["open"] == 0:
+                for set_threads, count in _blas_pin["saved"]:
+                    set_threads(count)
 
 
 def build_hadamard_pilots(n_p: int) -> np.ndarray:

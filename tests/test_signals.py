@@ -2,6 +2,9 @@
 
 import itertools
 import multiprocessing
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from csa_mimo.signals import (
     build_hadamard_pilots,
     complex_normal,
     complex_normal_segments,
+    for_each_slot,
     one_blas_thread,
     qpsk_hard_demodulate,
     qpsk_modulate,
@@ -397,6 +401,135 @@ class TestOneBlasThread:
         with one_blas_thread():
             ran.append(blas_threads())
         assert ran == [before]
+
+
+    @pytest.mark.parametrize("first_to_close", ("first_opened", "second_opened"))
+    def test_overlapping_blocks_on_two_threads_restore_the_count(self, blas_threads,
+                                                                 first_to_close):
+        before = blas_threads()
+        opened = {k: threading.Event() for k in (0, 1)}
+        release = {k: threading.Event() for k in (0, 1)}
+
+        def hold(k):
+            with one_blas_thread():
+                opened[k].set()
+                assert release[k].wait(10)
+
+        threads = [threading.Thread(target=hold, args=(k,)) for k in (0, 1)]
+        for k, thread in enumerate(threads):
+            thread.start()
+            assert opened[k].wait(10)
+        assert blas_threads() == [1] * len(before)
+        order = (0, 1) if first_to_close == "first_opened" else (1, 0)
+        release[order[0]].set()
+        threads[order[0]].join(10)
+        assert not threads[order[0]].is_alive()
+        assert blas_threads() == [1] * len(before)  # the other block is still open
+        release[order[1]].set()
+        threads[order[1]].join(10)
+        assert not threads[order[1]].is_alive()
+        assert blas_threads() == before
+
+    def test_many_threads_opening_blocks_lose_no_count(self, blas_threads):
+        before, inside = blas_threads(), []
+
+        def open_blocks():
+            for _ in range(200):
+                with one_blas_thread():
+                    inside.append(blas_threads())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=open_blocks) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert inside == [[1] * len(before)] * (8 * 200)
+        assert blas_threads() == before
+
+
+class TestForEachSlot:
+    """``for_each_slot`` against a loop over the indices."""
+
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        """Set the affinity mask to that many CPUs, each paying from one value up."""
+        monkeypatch.setattr(signals, "_MIN_PART", 1)
+        return lambda n: monkeypatch.setattr(signals.os, "sched_getaffinity",
+                                             lambda pid: set(range(n)))
+
+    @pytest.mark.parametrize("cpus_, count, blocks", [
+        (1, 7, [7]), (3, 0, []), (3, 1, [1]), (3, 2, [1, 1]), (3, 8, [2, 3, 3]), (2, 9, [4, 5]),
+    ])
+    def test_contiguous_blocks_one_per_cpu(self, cpus, cpus_, count, blocks):
+        cpus(cpus_)
+        # thread objects, not idents, which a later thread may reuse
+        calls, caller, threads = {}, threading.current_thread(), threading.active_count()
+        for_each_slot(lambda s: calls.setdefault(s, []).append(threading.current_thread()),
+                      count, count)
+        assert sorted(calls) == list(range(count))
+        assert all(len(called) == 1 for called in calls.values())
+        by_index = [calls[s][0] for s in range(count)]
+        runs = [len(list(group)) for _, group in itertools.groupby(by_index)]
+        assert runs == blocks
+        assert len(set(by_index)) == len(blocks)  # each block on its own thread
+        assert not by_index or by_index[0] is caller
+        assert threading.active_count() == threads
+
+    def test_daemonic_process_runs_one_block_on_the_calling_thread(self, cpus, monkeypatch):
+        cpus(3)
+        monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
+        threads = set()
+        for_each_slot(lambda s: threads.add(threading.current_thread()), 9, 9)
+        assert threads == {threading.current_thread()}
+
+    def test_small_stage_runs_on_fewer_threads(self, monkeypatch):
+        monkeypatch.setattr(signals.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        for size, blocks in ((0, 1), (2 * signals._MIN_PART - 1, 1), (2 * signals._MIN_PART, 2),
+                             (9 * signals._MIN_PART, 3)):
+            threads = set()
+            for_each_slot(lambda s: threads.add(threading.current_thread()), 9, size)
+            assert len(threads) == blocks
+
+    @pytest.mark.parametrize("cpus_", (1, 3))
+    def test_raises_the_first_blocks_exception_after_joining(self, cpus, cpus_):
+        # blocks {0, 1, 2}, {3, 4, 5} and {6, 7, 8}: the second raises after the third
+        cpus(cpus_)
+        done, threads = [], threading.active_count()
+
+        def fn(s):
+            if s == 4:
+                raise ValueError("slot 4")
+            if s == 6:
+                raise ValueError("slot 6")
+            if s == 3:
+                time.sleep(0.1)
+            done.append(s)
+
+        with pytest.raises(ValueError, match="^slot 4$"):
+            for_each_slot(fn, 9, 9)
+        assert sorted(done) == [0, 1, 2, 3]
+        assert threading.active_count() == threads
+
+    def test_calling_threads_exception_waits_for_the_other_blocks(self, cpus):
+        cpus(2)
+        done, threads = [], threading.active_count()
+
+        def fn(s):
+            if s == 0:
+                raise KeyError("slot 0")
+            time.sleep(0.05)
+            done.append(s)
+
+        with pytest.raises(KeyError, match="slot 0"):
+            for_each_slot(fn, 4, 4)
+        assert done == [2, 3]
+        assert threading.active_count() == threads
 
 
 class TestUniformBits:
