@@ -20,6 +20,7 @@ from multiprocessing import get_context
 
 import numpy as np
 
+from . import signals
 from .analysis import InterferenceScenario, singleton_failure_probability, symbol_error_probability
 from .cancellation import (
     RELATIVE_GAIN_FLOOR,
@@ -36,6 +37,7 @@ from .signals import (
     as_real,
     complex_normal,
     complex_normal_segments,
+    one_blas_thread,
     qpsk_hard_demodulate,
     qpsk_modulate,
     uniform_bits,
@@ -183,11 +185,10 @@ def _spawn_pool(workers: int):
     so the variables are set to 1 while the workers start and the parent's
     own values are put back afterwards.  Unpinned, every worker would start
     one BLAS thread per core and the pool would oversubscribe the machine.
-    The variables pin every BLAS call in a worker, singleton batches too,
-    not only the frame trials that ``signals.one_blas_thread`` pins.
-    The workers are daemonic, so each draws its frames' normals and runs
-    their per-slot stages on one thread (``signals._part_count``, the thread
-    count of every split stage).
+    The variables pin every BLAS call in a worker, not only the frame trials
+    and singleton experiments that ``signals.one_blas_thread`` pins.  The
+    workers are daemonic, so each makes every ``complex_normal_segments``
+    draw and every per-slot stage on one thread (``signals._part_count``).
     """
     saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
     os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
@@ -299,6 +300,7 @@ def _run_load(spec: SweepSpec, ka: int, pool, workers: int) -> list[_Point]:
     return points
 
 
+@one_blas_thread()
 def run_singleton_experiment(
     m: int,
     n_d: int,
@@ -336,16 +338,21 @@ def run_singleton_experiment(
     matrices.  The out-of-pilot payloads are modulated a chunk of trials at
     a time, so the whole batch's payload tensor never exists.
 
-    The PAB branch forms the payload-phase observation y once and never
-    writes it.  With X the payloads of the K subtracted users in order (the
-    pre-subtractions, then the pilot-sharers), the correlations C = y Xᴴ and
-    the Gram matrix G = X Xᴴ give each re-estimate from the residual left
-    by the earlier subtractions, h_k = (C_k - Σ_{i<k} h_i G_ik) / G_kk
-    (``cancellation.pab_channel_estimate``, the frame receiver's own), and
-    the combining statistic is f = phiᴴ y - (phiᴴ H) X.  In exact
-    arithmetic this is the explicit residual loop.  Pilot orthogonality
-    removes the need for the pilot-phase matrix (subtracting a user shifts
-    the probed estimate only when it shares the probed pilot).
+    The PAB branch forms the payload-phase observation y once: the products,
+    then the noise added in place, drawn a chunk of whole trials at a time in
+    trial order (one ``complex_normal_segments`` call per chunk, just large
+    enough to split over as many threads as the whole batch), so the batch's
+    noise never exists at once.  The subtractions never write y.  With X the
+    payloads of the K subtracted users in order (the pre-subtractions, then
+    the pilot-sharers), the correlations C = y Xᴴ and the Gram matrix G = X Xᴴ
+    give each re-estimate from the residual left by the earlier subtractions,
+    h_k = (C_k - Σ_{i<k} h_i G_ik) / G_kk (``cancellation.pab_channel_estimate``,
+    the frame receiver's own), and the combining statistic is
+    f = phiᴴ y - (phiᴴ H) X.  In exact arithmetic this is the explicit
+    residual loop.  Pilot orthogonality removes the need for the pilot-phase
+    matrix (subtracting a user shifts the probed estimate only when it shares
+    the probed pilot).  The experiment runs on one BLAS thread
+    (``signals.one_blas_thread``).
     """
     algorithm, slot, n_p, trials, noise_var, presub_fraction = _check_singleton_args(
         m, n_d, t, a_pilot, a_total, presub_fraction, trials, algorithm,
@@ -391,10 +398,14 @@ def run_singleton_experiment(
             phi = channels[:, :a_pilot].sum(axis=1)
             phi = phi + complex_normal(rng, (b, m), noise_var / n_p)
             y = channels.transpose(0, 2, 1) @ payloads
-            if noise_var > 0:  # one array per trial, so a split draw splits by trial
-                for y_trial, noise in zip(
-                        y, complex_normal_segments(rng, [((m, n_d), noise_var)] * b)):
-                    y_trial += noise  # the draw is freed with the loop, before the products
+            if noise_var > 0:  # whole trials per draw, enough to split as the batch would
+                size = 2 * m * n_d  # normals per trial
+                chunk = -(-signals._part_count(b * size) * signals._MIN_PART // size)
+                for s in range(0, b, chunk):
+                    draws = [((m, n_d), noise_var)] * min(chunk, b - s)
+                    for y_trial, noise in zip(y[s:s + chunk], complex_normal_segments(rng, draws)):
+                        y_trial += noise
+                    del noise  # frees the chunk's last buffer before the next chunk is drawn
             order = list(range(a_pilot, a_pilot + n_pre)) + list(range(1, a_pilot))
             x = payloads[:, order]
             x_h = x.conj().transpose(0, 2, 1)

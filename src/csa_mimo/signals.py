@@ -87,26 +87,84 @@ def complex_normal(rng: np.random.Generator, shape, var: float) -> np.ndarray:
 
 
 def complex_normal_segments(rng: np.random.Generator, draws, dtype=np.complex128) -> list:
-    """One ``complex_normal`` array per ``(shape, var)`` of ``draws`` (tuple shapes), in order,
-    from one ``standard_normal_segments`` draw.  Each is scaled in float64 and rounded once
-    into ``dtype`` (complex64 for frames) in its own segment, so no two share memory.
-    Each variance goes through ``as_real`` as nonnegative, before any draw; variance 0
-    gives zeros and draws nothing.
+    """One ``complex_normal`` array per ``(shape, var)`` of ``draws`` (tuple shapes), in order.
+
+    The arrays' (real, imaginary) pairs are, in order, one ``rng.standard_normal``
+    draw of all their normals, and the generator's final state is exactly that
+    draw's.  Each array is scaled in float64 and rounded once into ``dtype``
+    (complex64 for frames) in place, in its own float64 segment of the draw, so
+    no two share memory.  Each variance goes through ``as_real`` as nonnegative,
+    before any draw; variance 0 gives zeros and draws nothing.
+
+    The draw is split at array boundaries into the parts ``_part_count`` gives,
+    each drawn on its own thread (``for_each_slot``), as is the scaling.  A
+    split draw needs a bit generator that can ``advance``, such as the PCG64 of
+    every ``RandomStream``.  Part k > 0 starts from a copy of ``rng`` advanced
+    to a guess of its first word, ``margin`` words early; at 8 sqrt(offset)
+    words, the margin is many times the spread of the guess.  Decoding from a
+    wrong word falls into step with the true decoding within a few normals, so
+    long before the part's true start.  After the threads join, the parts are
+    resolved in order: the first ``_MATCH`` normals from the true end of part
+    k - 1 are looked up among the first ``2 * margin`` normals part k drew, the
+    part starts where they are found, and the normals the early start left
+    missing at its end are drawn into spare room.  When they are not found,
+    the part is redrawn from its true start, which is exact too.
     """
     draws = [(shape, as_real("variance", var, "nonnegative")) for shape, var in draws]
-    sizes = [2 * math.prod(shape) for shape, var in draws if var]
-    drawn = iter(standard_normal_segments(rng, sizes))
-    arrays = [next(drawn) if var else np.zeros(shape, dtype) for shape, var in draws]
+    ends = np.cumsum([0] + [2 * math.prod(shape) if var else 0 for shape, var in draws]).tolist()
+    total = ends[-1]
+    arrays = [np.zeros(shape, dtype) if lo == hi else None
+              for (shape, _), lo, hi in zip(draws, ends, ends[1:])]
+    if total == 0:
+        return arrays
+    n_parts = _part_count(total)
+    # part k starts at the first array boundary at or past k/n_parts of the draw
+    starts = np.unique(
+        np.array(ends)[np.searchsorted(ends, np.arange(n_parts) * total / n_parts)])
+    bounds = [int(start) for start in starts if start < total] + [total]
+    lengths = np.diff(bounds).tolist()
+
+    origin = rng.bit_generator.state
+    gens, windows = [rng], [0]
+    for lo in bounds[1:-1]:
+        margin = int(8 * math.sqrt(lo)) + 64
+        gen = copy.deepcopy(rng)
+        gen.bit_generator.advance(max(0, round(lo * _WORDS_PER_NORMAL) - margin))
+        gens.append(gen)
+        windows.append(2 * margin + _MATCH)
+    windows = [min(window, n) for window, n in zip(windows, lengths)]
+    # spare room for the normals an early start leaves missing at the end
+    parts = [np.empty(n + window) for n, window in zip(lengths, windows)]
+    for_each_slot(lambda k: _fill(gens[k], parts[k][:lengths[k]]), len(gens), total)
+
+    for k in range(1, len(gens)):
+        gen, buf, n = gens[k], parts[k], lengths[k]
+        probe = copy.deepcopy(gens[k - 1]).standard_normal(_MATCH)
+        start = _locate(probe, buf[:windows[k]])
+        if start is None:
+            gen.bit_generator.state = gens[k - 1].bit_generator.state
+            _fill(gen, buf[:n])
+            start = 0
+        else:
+            _fill(gen, buf[n:n + start])
+        parts[k] = buf[start:start + n]
+
+    if len(gens) > 1:
+        state = gens[-1].bit_generator.state
+        # advance() clears the buffered 32-bit half, which no normal draw touches
+        state["has_uint32"], state["uinteger"] = origin["has_uint32"], origin["uinteger"]
+        rng.bit_generator.state = state
 
     def scale(i: int) -> None:  # array i's float64 segment becomes the array, in place
-        shape, var = draws[i]
-        if var:
-            segment = arrays[i]
+        (shape, var), lo, hi = draws[i], ends[i], ends[i + 1]
+        if hi > lo:
+            k = np.searchsorted(bounds, lo, "right") - 1  # the part the segment lies in
+            segment = parts[k][lo - bounds[k]:hi - bounds[k]]
             out = segment.view(np.finfo(dtype).dtype)[:segment.size]
             np.multiply(segment, np.sqrt(var / 2.0), out=out, casting="same_kind")
             arrays[i] = out.view(dtype).reshape(shape)
 
-    for_each_slot(scale, len(draws), sum(sizes))
+    for_each_slot(scale, len(draws), total)
     return arrays
 
 
@@ -127,86 +185,14 @@ def uniform_bits(rng: np.random.Generator, shape) -> np.ndarray:
     return bits.reshape(shape)
 
 
-def standard_normal_segments(rng: np.random.Generator, sizes) -> list:
-    """``rng.standard_normal(sum(sizes))`` as one array per consecutive segment.
-
-    The values and the generator's final state are exactly those of the
-    serial draw.  The draw is split at segment boundaries into the parts
-    ``_part_count`` gives, each drawn on its own thread (``for_each_slot``);
-    every segment is a view into its part's buffer, and nothing is copied.
-    A split draw needs a bit generator that can ``advance``, such as the
-    PCG64 of every ``RandomStream``.
-
-    Part k > 0 starts from a copy of ``rng`` advanced to a guess of its
-    first word, ``margin`` words early; at 8 sqrt(offset) words, the margin
-    is many times the spread of the guess.  Decoding from a wrong word falls
-    into step with the true decoding within a few normals, so long before
-    the part's true start.  After the threads join, the parts are resolved
-    in order: the first ``_MATCH`` normals from the true end of part k - 1
-    are looked up among the first ``2 * margin`` normals part k drew, the
-    part starts where they are found, and the normals the early start left
-    missing at its end are drawn into spare room.  When they are not found,
-    the part is redrawn from its true start, which is exact too.
-    """
-    sizes = [int(size) for size in sizes]
-    ends = np.cumsum([0] + sizes).tolist()
-    total = ends[-1]
-    if total == 0:
-        return [np.empty(0) for _ in sizes]
-    n_parts = _part_count(total)
-    # part k starts at the first segment boundary at or past k/n_parts of the draw
-    starts = np.unique(
-        np.array(ends)[np.searchsorted(ends, np.arange(n_parts) * total / n_parts)])
-    bounds = [int(start) for start in starts if start < total] + [total]
-    lengths = np.diff(bounds).tolist()
-
-    origin = rng.bit_generator.state
-    gens, windows = [rng], [0]
-    for lo in bounds[1:-1]:
-        margin = int(8 * math.sqrt(lo)) + 64
-        gen = copy.deepcopy(rng)
-        gen.bit_generator.advance(max(0, round(lo * _WORDS_PER_NORMAL) - margin))
-        gens.append(gen)
-        windows.append(2 * margin + _MATCH)
-    windows = [min(window, n) for window, n in zip(windows, lengths)]
-    # spare room for the normals an early start leaves missing at the end
-    bufs = [np.empty(n + window) for n, window in zip(lengths, windows)]
-    for_each_slot(lambda k: _fill(gens[k], bufs[k][:lengths[k]]), len(gens), total)
-
-    parts = [bufs[0][:lengths[0]]]
-    for k in range(1, len(gens)):
-        gen, buf, n = gens[k], bufs[k], lengths[k]
-        probe = copy.deepcopy(gens[k - 1]).standard_normal(_MATCH)
-        start = _locate(probe, buf[:windows[k]])
-        if start is None:
-            gen.bit_generator.state = gens[k - 1].bit_generator.state
-            _fill(gen, buf[:n])
-            start = 0
-        else:
-            _fill(gen, buf[n:n + start])
-        parts.append(buf[start:start + n])
-
-    if len(gens) > 1:
-        state = gens[-1].bit_generator.state
-        # advance() clears the buffered 32-bit half, which no normal draw touches
-        state["has_uint32"], state["uinteger"] = origin["has_uint32"], origin["uinteger"]
-        rng.bit_generator.state = state
-
-    segments, k = [], 0
-    for lo, hi in zip(ends, ends[1:]):
-        if hi > bounds[k + 1]:  # a nonempty segment past part k starts part k + 1
-            k += 1
-        segments.append(parts[k][lo - bounds[k]:hi - bounds[k]])
-    return segments
-
-
 def _part_count(total: int) -> int:
-    """Threads a stage of ``total`` values (a draw's normals, a frame's array
-    elements) runs on: one per CPU this process may run on, and fewer, down
-    to one, below ``_MIN_PART`` values per thread, with no BLAS worker
-    spinning on them (``one_blas_thread``).  A daemonic process, such as
-    every ``multiprocessing`` pool worker, runs on one thread: the pool
-    already fills the CPUs."""
+    """Threads a stage of ``total`` values (the normals of a
+    ``complex_normal_segments`` draw, a frame's array elements) runs on: one
+    per CPU this process may run on, and fewer, down to one, below
+    ``_MIN_PART`` values per thread, with no BLAS worker spinning on them
+    (``one_blas_thread``).  A daemonic process, such as every
+    ``multiprocessing`` pool worker, runs on one thread: the pool already
+    fills the CPUs."""
     if multiprocessing.current_process().daemon:
         return 1
     threads = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1

@@ -308,6 +308,48 @@ class TestGenerateUserPlans:
             np.testing.assert_allclose(signal.y, y[slot], rtol=0, atol=8 * EPS32)
 
 
+def lone_replica_law(config) -> list:
+    """The exact law of how many of one user's r replicas sit alone on their resource.
+
+    Another user covers a given j of the user's (slot, pilot) resources with
+    probability C(n_slots - j, r - j) / C(n_slots, r) / n_p^j, so by
+    inclusion-exclusion it covers none of a given i of them with probability
+    ``free[i]``; the k_a - 1 other users draw independently, and inclusion-
+    exclusion over the sets of lone replicas gives the law of their count.
+    """
+    n, r, n_p, others = config.n_slots, config.r, config.n_p, config.k_a - 1
+    cover = [math.comb(n - j, r - j) / math.comb(n, r) / n_p**j for j in range(r + 1)]
+    free = [sum((-1)**j * math.comb(i, j) * cover[j] for j in range(i + 1)) for i in range(r + 1)]
+    return [sum((-1)**(i - lone) * math.comb(i, lone) * math.comb(r, i) * free[i]**others
+                for i in range(lone, r + 1)) for lone in range(r + 1)]
+
+
+class TestLoneReplicaLaw:
+    """The plan draw against the exact law of each user's lone replicas."""
+
+    def test_law_at_the_reference_config(self):
+        law = lone_replica_law(SystemConfig(k_a=1100))
+        np.testing.assert_allclose(law, [0.11297, 0.36227, 0.38702, 0.13774], atol=5e-6)
+        assert math.isclose(sum(law), 1.0)
+        assert lone_replica_law(SystemConfig(k_a=1)) == pytest.approx([0, 0, 0, 1])
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("k_a", [300, 700, 1100])
+    def test_plan_only_frames_follow_the_law(self, k_a):
+        # 200 frames: pilots drawn from n_p - 1 values show at k_a = 1100 after
+        # about 72 000 users
+        config = SystemConfig(k_a=k_a)
+        counts = np.zeros(config.r + 1)
+        for i in range(200):
+            frame = make_frame(config, RandomStream(33, (k_a << 32) | i), with_signals=False)
+            q = frame.resources.q
+            lone = (np.bincount(q.ravel())[q] == 1).sum(axis=1)
+            counts += np.bincount(lone, minlength=config.r + 1)
+        assert counts.sum() == 200 * k_a
+        _, pvalue = chisquare(counts, counts.sum() * np.array(lone_replica_law(config)))
+        assert pvalue > 1e-3
+
+
 class TestPlanDrawOracle:
     """The vectorised plan draw against the per-user choice/integers calls."""
 

@@ -54,8 +54,8 @@ def test_frames_drawn_in_parts_reproduce_golden_csv(name, tmp_path, monkeypatch)
 
 @pytest.mark.parametrize("name", ["singleton_pab.csv", "singleton_snb.csv"])
 def test_singleton_noise_drawn_in_parts_reproduces_golden_csv(name, tmp_path, monkeypatch):
-    # every complex draw of the singleton experiment, and the PAB payload
-    # noise one array per trial, is split into three parts
+    # every complex draw of the singleton experiment is split into three
+    # parts, and the PAB payload noise is drawn one trial per chunk
     monkeypatch.setattr(signals, "_MIN_PART", 1)
     monkeypatch.setattr(signals.os, "sched_getaffinity", lambda pid: {0, 1, 2})
     test_cli_reproduces_golden_csv(name, tmp_path)

@@ -563,6 +563,91 @@ class TestSingletonExperiment:
                                 presub_fraction=0.0, trials=1, algorithm="snb", workers=0)
 
 
+class TestSingletonNoiseChunks:
+    """The PAB payload noise, drawn a chunk of whole trials at a time, in trial order."""
+
+    @pytest.fixture
+    def noise_draws(self, monkeypatch):
+        """The arrays of every noise draw, one list per chunk."""
+        draw, chunks = montecarlo.complex_normal_segments, []
+
+        def recording_draw(rng, draws, *args):
+            chunks.append(draw(rng, draws, *args))
+            return chunks[-1]
+
+        monkeypatch.setattr(montecarlo, "complex_normal_segments", recording_draw)
+        return chunks
+
+    @pytest.mark.parametrize("cpus, chunks", [(1, [8] * 5), (2, [16, 16, 8]), (3, [24, 16])])
+    def test_chunk_splits_over_as_many_threads_as_the_batch(
+        self, monkeypatch, noise_draws, cpus, chunks
+    ):
+        # a reference-size trial is 2 m n_d = _MIN_PART / 8 normals
+        monkeypatch.setattr(signals.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        run_singleton_experiment(m=256, n_d=256, t=10, a_pilot=1, a_total=3,
+                                 presub_fraction=0.5, trials=40, algorithm="pab", n_p=64)
+        assert [len(arrays) for arrays in noise_draws] == chunks
+
+    @pytest.mark.parametrize("a_pilot", [1, 2])
+    def test_records_and_noise_alike_for_any_chunk(self, monkeypatch, noise_draws, a_pilot):
+        # a trial is 2 m n_d = 1024 normals: on two CPUs a _MIN_PART of 1 draws one
+        # trial per chunk, of 2048 four trials per chunk in two parts, and of 2**40
+        # the whole batch at once
+        monkeypatch.setattr(signals.os, "sched_getaffinity", lambda pid: {0, 1})
+        kwargs = dict(m=16, n_d=32, t=1, a_pilot=a_pilot, a_total=a_pilot + 5,
+                      presub_fraction=0.5, trials=50, algorithm="pab", n_p=8, noise_var=0.3,
+                      seed=4)
+        runs = []
+        for min_part, chunks in ((1, [1] * 50), (2048, [4] * 12 + [2]), (1 << 40, [50])):
+            monkeypatch.setattr(signals, "_MIN_PART", min_part)
+            noise_draws.clear()
+            record = run_singleton_experiment(**kwargs)
+            assert [len(arrays) for arrays in noise_draws] == chunks
+            runs.append((record, np.concatenate(sum(noise_draws, [])).tobytes()))
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+        assert 0 < runs[0][0].failures < kwargs["trials"]
+
+
+class TestSingletonOneBlasThread:
+    """``run_singleton_experiment`` runs on one BLAS thread and puts the count back."""
+
+    KWARGS = dict(m=16, n_d=16, t=1, a_pilot=2, a_total=6, presub_fraction=0.5, trials=20,
+                  n_p=8)
+
+    @pytest.mark.parametrize("algorithm", ["snb", "pab"])
+    def test_one_thread_inside_and_restored_after(self, monkeypatch, blas_threads, algorithm):
+        draw, seen = montecarlo.complex_normal, []
+
+        def recording_draw(*args):
+            seen.append(blas_threads())
+            return draw(*args)
+
+        monkeypatch.setattr(montecarlo, "complex_normal", recording_draw)
+        before = blas_threads()
+        run_singleton_experiment(algorithm=algorithm, **self.KWARGS)
+        assert blas_threads() == before
+        assert len(seen) >= 2 and seen == [[1] * len(before)] * len(seen)
+
+    @pytest.mark.parametrize("algorithm", ["snb", "pab"])
+    def test_restored_when_the_experiment_raises(self, monkeypatch, blas_threads, algorithm):
+        def failing_draw(*args):
+            raise RuntimeError("draw failed")
+
+        monkeypatch.setattr(montecarlo, "complex_normal", failing_draw)
+        before = blas_threads()
+        with pytest.raises(RuntimeError, match="draw failed"):
+            run_singleton_experiment(algorithm=algorithm, **self.KWARGS)
+        assert blas_threads() == before
+
+    def test_records_unchanged_without_the_pin(self, monkeypatch):
+        # reference-size batches, with BLAS at its default thread count
+        kwargs = dict(m=256, n_d=256, t=10, a_pilot=2, a_total=8, presub_fraction=0.5,
+                      trials=24, n_p=64)
+        pinned = [run_singleton_experiment(algorithm=a, **kwargs) for a in ("snb", "pab")]
+        monkeypatch.setattr(signals, "_blas_thread_controls", lambda: ())
+        assert [run_singleton_experiment(algorithm=a, **kwargs) for a in ("snb", "pab")] == pinned
+
+
 _SINGLETON = dict(m=16, n_d=16, t=1, a_pilot=1, presub_fraction=0.0, trials=2, algorithm="snb",
                   n_p=8)
 

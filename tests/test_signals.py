@@ -23,7 +23,6 @@ from csa_mimo.signals import (
     one_blas_thread,
     qpsk_hard_demodulate,
     qpsk_modulate,
-    standard_normal_segments,
     uniform_bits,
     walsh_hadamard_transform,
 )
@@ -162,15 +161,17 @@ class TestNoiseDraws:
                 SystemConfig(**{field: 0})
 
 
-def assert_segments_match_serial_draw(make_rng, sizes):
-    """``standard_normal_segments`` gives the serial draw's values, cut at
-    ``sizes``, and leaves the generator in the serial draw's state."""
+def assert_draw_matches_serial_draw(make_rng, counts):
+    """``complex_normal_segments`` at variance 2, where the scale is exactly 1, gives
+    one complex128 array of ``count`` values per count whose (real, imaginary)
+    pairs are the serial draw's normals, in order, and leaves the generator in the
+    serial draw's state."""
     rng, oracle_rng = make_rng(), make_rng()
-    segments = standard_normal_segments(rng, sizes)
-    expected = oracle_rng.standard_normal(sum(sizes))
-    assert [segment.shape for segment in segments] == [(size,) for size in sizes]
-    assert all(segment.dtype == np.float64 for segment in segments)
-    drawn = np.concatenate(segments) if segments else np.empty(0)
+    arrays = complex_normal_segments(rng, [((count,), 2.0) for count in counts])
+    expected = oracle_rng.standard_normal(2 * sum(counts))
+    assert [array.shape for array in arrays] == [(count,) for count in counts]
+    assert all(array.dtype == np.complex128 for array in arrays)
+    drawn = np.concatenate([array.view(np.float64) for array in arrays] + [np.empty(0)])
     assert drawn.tobytes() == expected.tobytes()
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
     np.testing.assert_array_equal(
@@ -185,33 +186,33 @@ def split_into(monkeypatch, parts: int) -> None:
     monkeypatch.setattr(signals, "_MIN_PART", 1)
 
 
-class TestStandardNormalSegments:
-    """The threaded segment draw against one ``standard_normal`` call."""
+class TestSplitDraw:
+    """The threaded draw of ``complex_normal_segments`` against one ``standard_normal`` call."""
 
-    SIZES = [
+    COUNTS = [
         [],
         [0],
         [1],
         [0, 1, 0],
         [5, 0, 7],
         [1, 1, 1, 1, 1],
-        [100_000],
-        [40_000, 1, 0, 80_000, 3, 25_000],
+        [50_000],
+        [20_000, 1, 0, 40_000, 3, 12_500],
     ]
 
     @pytest.mark.parametrize("parts", (1, 2, 3, 4))
-    @pytest.mark.parametrize("sizes", SIZES)
-    def test_matches_serial_draw(self, monkeypatch, sizes, parts):
+    @pytest.mark.parametrize("counts", COUNTS)
+    def test_matches_serial_draw(self, monkeypatch, counts, parts):
         split_into(monkeypatch, parts)
         for seed in range(3):
-            assert_segments_match_serial_draw(lambda: RandomStream(21, seed).generator(), sizes)
+            assert_draw_matches_serial_draw(lambda: RandomStream(21, seed).generator(), counts)
 
     @pytest.mark.parametrize("parts", (2, 3, 4))
     def test_matches_serial_draw_on_many_seeds(self, monkeypatch, parts):
         split_into(monkeypatch, parts)
         for seed in range(20):
-            sizes = np.random.default_rng(seed).integers(0, 30_000, size=12).tolist()
-            assert_segments_match_serial_draw(lambda: RandomStream(22, seed).generator(), sizes)
+            counts = np.random.default_rng(seed).integers(0, 15_000, size=12).tolist()
+            assert_draw_matches_serial_draw(lambda: RandomStream(22, seed).generator(), counts)
 
     @pytest.mark.parametrize("parts", (1, 3))
     def test_buffered_uint32_half_survives(self, monkeypatch, parts):
@@ -222,12 +223,12 @@ class TestStandardNormalSegments:
             rng.integers(0, 2**32, dtype=np.uint32)
             assert rng.bit_generator.state["has_uint32"] == 1
             return rng
-        assert_segments_match_serial_draw(rng_holding_half, [30_000, 20_000, 10_000])
+        assert_draw_matches_serial_draw(rng_holding_half, [15_000, 10_000, 5_000])
 
     def test_default_part_count_matches_serial_draw(self):
         # enough normals for one part per CPU on hosts with up to 3 CPUs
-        sizes = [2 * 64 * 256] * (3 * signals._MIN_PART // (2 * 64 * 256) + 1)
-        assert_segments_match_serial_draw(lambda: RandomStream(24, 0).generator(), sizes)
+        counts = [64 * 256] * (3 * signals._MIN_PART // (2 * 64 * 256) + 1)
+        assert_draw_matches_serial_draw(lambda: RandomStream(24, 0).generator(), counts)
 
     def test_part_count(self, monkeypatch):
         monkeypatch.setattr(signals.os, "sched_getaffinity", lambda pid: {0, 1, 2})
@@ -252,7 +253,7 @@ class TestStandardNormalSegments:
 
     def test_guess_is_matched(self, monkeypatch, located):
         split_into(monkeypatch, 4)
-        assert_segments_match_serial_draw(lambda: RandomStream(26, 0).generator(), [50_000] * 4)
+        assert_draw_matches_serial_draw(lambda: RandomStream(26, 0).generator(), [25_000] * 4)
         assert len(located) == 3 and None not in located
 
     @pytest.mark.parametrize("words_per_normal", (0.5, 2.0))
@@ -262,7 +263,7 @@ class TestStandardNormalSegments:
         # a guess far before or past the part's start leaves nothing to match
         monkeypatch.setattr(signals, "_WORDS_PER_NORMAL", words_per_normal)
         split_into(monkeypatch, 4)
-        assert_segments_match_serial_draw(lambda: RandomStream(27, 0).generator(), [50_000] * 4)
+        assert_draw_matches_serial_draw(lambda: RandomStream(27, 0).generator(), [25_000] * 4)
         assert located == [None, None, None]
 
     def test_worker_exception_reaches_caller(self, monkeypatch):
@@ -277,14 +278,15 @@ class TestStandardNormalSegments:
         monkeypatch.setattr(signals, "_fill", failing_fill)
         split_into(monkeypatch, 2)
         with pytest.raises(RuntimeError, match="part failed"):
-            standard_normal_segments(rng, [10_000, 10_000])
+            complex_normal_segments(rng, [((5_000,), 2.0), ((5_000,), 2.0)])
 
-    def test_segments_are_views_of_disjoint_memory(self, monkeypatch):
-        split_into(monkeypatch, 2)
-        segments = standard_normal_segments(
-            RandomStream(29, 0).generator(), [30_000, 20_000, 10_000, 5_000])
-        assert all(segment.base is not None for segment in segments)
-        for a, b in itertools.combinations(segments, 2):
+    @pytest.mark.parametrize("parts", (1, 2))
+    def test_arrays_are_views_of_disjoint_memory(self, monkeypatch, parts):
+        split_into(monkeypatch, parts)
+        draws = [((count,), 2.0) for count in (15_000, 10_000, 5_000, 2_500)]
+        arrays = complex_normal_segments(RandomStream(29, 0).generator(), draws)
+        assert all(array.base is not None for array in arrays)
+        for a, b in itertools.combinations(arrays, 2):
             assert not np.shares_memory(a, b)
 
 
