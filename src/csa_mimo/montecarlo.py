@@ -26,6 +26,7 @@ from .cancellation import (
     RELATIVE_GAIN_FLOOR,
     Algorithm,
     check_decode_criterion,
+    check_payload_energy,
     count_errors,
     pab_channel_estimate,
     run_receiver,
@@ -37,9 +38,11 @@ from .signals import (
     as_real,
     complex_normal,
     complex_normal_segments,
+    for_each_slot,
     one_blas_thread,
     qpsk_hard_demodulate,
     qpsk_modulate,
+    slot_blocks,
     uniform_bits,
 )
 
@@ -338,21 +341,33 @@ def run_singleton_experiment(
     matrices.  The out-of-pilot payloads are modulated a chunk of trials at
     a time, so the whole batch's payload tensor never exists.
 
-    The PAB branch forms the payload-phase observation y once: the products,
-    then the noise added in place, drawn a chunk of whole trials at a time in
-    trial order (one ``complex_normal_segments`` call per chunk, just large
-    enough to split over as many threads as the whole batch), so the batch's
-    noise never exists at once.  The subtractions never write y.  With X the
-    payloads of the K subtracted users in order (the pre-subtractions, then
-    the pilot-sharers), the correlations C = y Xᴴ and the Gram matrix G = X Xᴴ
-    give each re-estimate from the residual left by the earlier subtractions,
-    h_k = (C_k - Σ_{i<k} h_i G_ik) / G_kk (``cancellation.pab_channel_estimate``,
-    the frame receiver's own), and the combining statistic is
-    f = phiᴴ y - (phiᴴ H) X.  In exact arithmetic this is the explicit
-    residual loop.  Pilot orthogonality removes the need for the pilot-phase
-    matrix (subtracting a user shifts the probed estimate only when it shares
-    the probed pilot).  The experiment runs on one BLAS thread
-    (``signals.one_blas_thread``).
+    The PAB branch works a chunk of whole trials at a time, in trial order.
+    It draws the chunk's payload noise (one ``complex_normal_segments``
+    call, just large enough to split over as many threads as the whole
+    batch), and forms each trial's payload-phase observation y: the
+    products, then the noise added in place.  So neither the batch's noise
+    nor its y ever exists at once.  The subtractions never write y.  With X
+    the payloads of the K subtracted users in order (the pre-subtractions,
+    then the pilot-sharers), the correlations C = y Xᴴ and the Gram matrix
+    G = X Xᴴ give each re-estimate from the residual left by the earlier
+    subtractions, h_k = (C_k - Σ_{i<k} h_i G_ik) / G_kk
+    (``cancellation.pab_channel_estimate``, the frame receiver's own), and
+    the combining statistic is f = phiᴴ y - (phiᴴ H) X.  In exact arithmetic
+    this is the explicit residual loop.  Pilot orthogonality removes the
+    need for the pilot-phase matrix (subtracting a user shifts the probed
+    estimate only when it shares the probed pilot).  G's diagonal, the
+    payload energies, is checked once per chunk
+    (``cancellation.check_payload_energy``).
+
+    The batch stages run on every CPU that pays, one block of whole trials
+    per thread (``signals.slot_blocks``, run by ``signals.for_each_slot``):
+    SNB's out-of-pilot modulation and products, each thread modulating its
+    share of one ``_SNB_CHUNK`` at a time into its own buffer, and per PAB
+    chunk, y, its noise add, C, G, the re-estimates and f.  A block writes
+    only its own trials' rows, and each trial gets the BLAS calls, operands
+    and strides it gets on one thread, so no bit depends on the thread
+    count.  The draws stay on the calling thread, in trial order.  The
+    experiment runs on one BLAS thread (``signals.one_blas_thread``).
     """
     algorithm, slot, n_p, trials, noise_var, presub_fraction = _check_singleton_args(
         m, n_d, t, a_pilot, a_total, presub_fraction, trials, algorithm,
@@ -383,10 +398,19 @@ def run_singleton_experiment(
             c_shar = np.einsum("bm,bpm->bp", phi.conj(), sharers)
             c_out = np.sqrt(g)[:, None] * complex_normal(rng, (b, n_out), 1.0)
             f = np.einsum("bp,bpn->bn", c_shar, payloads)
-            if n_out:
-                for s in range(0, b, _SNB_CHUNK):
-                    x_out = qpsk_modulate(bits[s:s + _SNB_CHUNK, a_pilot:])
-                    f[s:s + _SNB_CHUNK] += (c_out[s:s + _SNB_CHUNK, None] @ x_out)[:, 0]
+            if n_out:  # each thread's chunk is its share of one _SNB_CHUNK, in its own buffer
+                blocks = slot_blocks(b, b * n_out * n_d)
+                chunk = -(-_SNB_CHUNK // len(blocks))
+                x_out = np.empty((len(blocks), chunk, n_out, n_d), complex)
+
+                def add_out_of_pilot(k: int) -> None:  # writes only block k's rows of f
+                    for s in range(blocks[k].start, blocks[k].stop, chunk):
+                        rows = slice(s, min(s + chunk, blocks[k].stop))
+                        symbols = qpsk_modulate(bits[rows, a_pilot:], x_out[k, :rows.stop - s])
+                        f[rows] += (c_out[rows, None] @ symbols)[:, 0]
+
+                for_each_slot(add_out_of_pilot, len(blocks), b * n_out * n_d)
+                del x_out  # freed before the next batch's bits are drawn
             if noise_var > 0:
                 f += np.sqrt(noise_var * g)[:, None] * complex_normal(rng, (b, n_d), 1.0)
             for k in range(1, a_pilot):
@@ -397,28 +421,45 @@ def run_singleton_experiment(
             channels = complex_normal(rng, (b, a_total, m), 1.0)
             phi = channels[:, :a_pilot].sum(axis=1)
             phi = phi + complex_normal(rng, (b, m), noise_var / n_p)
-            y = channels.transpose(0, 2, 1) @ payloads
-            if noise_var > 0:  # whole trials per draw, enough to split as the batch would
-                size = 2 * m * n_d  # normals per trial
-                chunk = -(-signals._part_count(b * size) * signals._MIN_PART // size)
-                for s in range(0, b, chunk):
-                    draws = [((m, n_d), noise_var)] * min(chunk, b - s)
-                    for y_trial, noise in zip(y[s:s + chunk], complex_normal_segments(rng, draws)):
-                        y_trial += noise
-                    del noise  # frees the chunk's last buffer before the next chunk is drawn
             order = list(range(a_pilot, a_pilot + n_pre)) + list(range(1, a_pilot))
+            h_t = channels.transpose(0, 2, 1)
             x = payloads[:, order]
             x_h = x.conj().transpose(0, 2, 1)
-            corr = y @ x_h
-            gram = x @ x_h
+            # whole trials per chunk, enough for its noise draw to split as the batch's would
+            size = 2 * m * n_d  # normals per trial
+            chunk = min(b, -(-signals._part_count(b * size) * signals._MIN_PART // size))
+            y = np.empty((chunk, m, n_d), complex)  # one chunk's observations
+            corr = np.empty((chunk, m, len(order)), complex)
+            gram = np.empty((chunk, len(order), len(order)), complex)
             h = np.empty_like(corr)
-            for k, user in enumerate(order):
-                h[:, :, k] = pab_channel_estimate(
-                    corr[:, :, k], h[:, :, :k], gram[:, :k, k], gram[:, k, k, None].real)
-                if user < a_pilot:
-                    phi = phi - h[:, :, k]
-            phi_h = phi.conj()[:, None]
-            f = (phi_h @ y - (phi_h @ h) @ x)[:, 0]
+            f = np.empty((b, n_d), complex)
+            for s in range(0, b, chunk):
+                count = min(chunk, b - s)
+                noise = None
+                if noise_var > 0:
+                    noise = complex_normal_segments(rng, [((m, n_d), noise_var)] * count)
+                blocks = slot_blocks(count, count * size)
+
+                def observe_and_estimate(k: int) -> None:  # writes only block k's trials
+                    own, rows = blocks[k], slice(s + blocks[k].start, s + blocks[k].stop)
+                    np.matmul(h_t[rows], payloads[rows], out=y[own])
+                    if noise is not None:
+                        for y_trial, trial_noise in zip(y[own], noise[own]):
+                            y_trial += trial_noise
+                    np.matmul(y[own], x_h[rows], out=corr[own])
+                    np.matmul(x[rows], x_h[rows], out=gram[own])
+                    check_payload_energy(gram[own])
+                    for i, user in enumerate(order):
+                        h[own, :, i] = pab_channel_estimate(corr[own, :, i], h[own, :, :i],
+                                                            gram[own, :i, i],
+                                                            gram[own, i, i, None].real)
+                        if user < a_pilot:
+                            phi[rows] -= h[own, :, i]
+                    phi_h = phi[rows].conj()[:, None]
+                    f[rows] = (phi_h @ y[own] - (phi_h @ h[own]) @ x[rows])[:, 0]
+
+                for_each_slot(observe_and_estimate, len(blocks), count * size)
+                del noise  # frees the chunk before the next chunk is drawn
             g = np.einsum("bm,bm->b", phi.conj(), phi).real
 
         usable = g > m * RELATIVE_GAIN_FLOOR

@@ -199,32 +199,42 @@ def _part_count(total: int) -> int:
     return max(1, min(threads, total // _MIN_PART))
 
 
+def slot_blocks(count: int, size: int) -> list[slice]:
+    """The contiguous blocks ``for_each_slot`` cuts ``range(count)`` into.
+
+    ``size`` is the number of values the whole stage works through.  There
+    is one block per thread ``_part_count(size)`` gives and at most one per
+    index, so a small stage stays on one thread; with no index, the one
+    block is empty.  A caller that runs a batch in blocks, such as the
+    singleton experiment's trials, runs ``for_each_slot`` over these.
+    """
+    blocks = max(1, min(_part_count(size), count))
+    return [slice(count * k // blocks, count * (k + 1) // blocks) for k in range(blocks)]
+
+
 def for_each_slot(fn, count: int, size: int) -> None:
     """Call ``fn(s)`` for every ``s`` in ``range(count)``, on every CPU that pays.
 
-    ``size`` is the number of values the whole stage works through.  The
-    range is cut into contiguous blocks, one per thread ``_part_count(size)``
-    gives and at most one per index, so a small frame stays on one thread.
-    The calling thread runs the first block and one new thread each of the
-    others; each block calls ``fn`` in ascending order and stops at its
-    first exception.  Every thread is joined before this returns or
-    raises, and the exception of the first block that raised, which is the
-    one a loop in index order would raise, is raised.  Blocks run at once,
-    so ``fn(s)`` may write only what index s owns.  The helper threads open
-    no ``one_blas_thread`` block of their own: they run inside the caller's.
+    The range is cut into ``slot_blocks(count, size)``.  The calling thread
+    runs the first block and one new thread each of the others; each block
+    calls ``fn`` in ascending order and stops at its first exception.
+    Every thread is joined before this returns or raises, and the exception
+    of the first block that raised, which is the one a loop in index order
+    would raise, is raised.  Blocks run at once, so ``fn(s)`` may write only
+    what index s owns.  The helper threads open no ``one_blas_thread`` block
+    of their own: they run inside the caller's.
     """
-    blocks = max(1, min(_part_count(size), count))
-    bounds = [count * k // blocks for k in range(blocks + 1)]
-    errors = [None] * blocks
+    blocks = slot_blocks(count, size)
+    errors = [None] * len(blocks)
 
     def run(k: int) -> None:
         try:
-            for s in range(bounds[k], bounds[k + 1]):
+            for s in range(blocks[k].start, blocks[k].stop):
                 fn(s)
         except BaseException as error:  # raised again below, once every block is done
             errors[k] = error
 
-    threads = [threading.Thread(target=run, args=(k,)) for k in range(1, blocks)]
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(1, len(blocks))]
     for thread in threads:
         thread.start()
     run(0)
@@ -354,7 +364,7 @@ def walsh_hadamard_transform(x: np.ndarray) -> np.ndarray:
     return np.swapaxes(rows, -1, -2).reshape(x.shape)
 
 
-def qpsk_modulate(bits) -> np.ndarray:
+def qpsk_modulate(bits, out: np.ndarray | None = None) -> np.ndarray:
     """Map a bit sequence onto unit-energy Gray-labeled QPSK symbols.
 
     The leading bit of each pair selects the sign of the real part, the
@@ -362,12 +372,14 @@ def qpsk_modulate(bits) -> np.ndarray:
     Adjacent constellation points differ in exactly one bit.  Bit b becomes
     the level s - 2 s b, s = 1/sqrt(2): exactly s or -s, the bits of the
     mapping's own formula.  The (real, imaginary) pairs of levels are read
-    as complex numbers.
+    as complex numbers.  ``out``, a C-contiguous complex128 array of the
+    symbols' shape, takes the symbols in place of a new array.
     """
     bits = np.asarray(bits)
     if bits.shape[-1] % 2 != 0:
         raise ValueError(f"bit count must be even, got {bits.shape[-1]}")
-    levels = np.multiply(bits, -2.0 * _QPSK_LEVEL, dtype=np.float64, order="C")
+    levels = np.multiply(bits, -2.0 * _QPSK_LEVEL, dtype=np.float64, order="C",
+                         out=None if out is None else out.view(np.float64))
     levels += _QPSK_LEVEL
     return levels.view(np.complex128)
 

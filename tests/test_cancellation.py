@@ -706,6 +706,13 @@ class TestPabSubtraction:
         with pytest.raises(ValueError):
             subtract(state, 0, replica(frame, 0, 0), mode="oracle")
 
+    def test_zero_energy_payload_rejected(self):
+        # checked once, on each slot's Gram diagonal, as the receiver starts
+        frame = manual_frame([[(0, 2), (1, 0)], [(2, 1), (3, 3)]])
+        frame.payloads[1] = 0
+        with pytest.raises(ValueError, match="^payload has zero energy$"):
+            ReceiverState(frame, Algorithm.PAB)
+
 
 class TestPabChannelEstimate:
     def test_noiseless_single_user_recovers_channel(self):
@@ -765,10 +772,6 @@ class TestPabChannelEstimate:
         for i in range(b):
             one = pab_channel_estimate(correlation[i], h_sub[i], gram[i], energy[i, 0])
             np.testing.assert_allclose(batch[i], one, rtol=1e-14, atol=1e-14)
-
-    def test_zero_energy_payload_rejected(self):
-        with pytest.raises(ValueError):
-            gram_channel_estimate(np.ones((4, 4), dtype=complex), np.zeros(4, dtype=complex))
 
 
 class TestPrceSubtraction:

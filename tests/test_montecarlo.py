@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import multiprocessing.dummy
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -557,6 +558,14 @@ class TestSingletonExperiment:
             run_singleton_sweep(m=16, n_d=16, t=1, a_pilot=1, a_values=[],
                                 presub_fraction=0.0, trials=1, algorithm="snb", workers=2)
 
+    def test_zero_energy_payload_rejected(self, monkeypatch):
+        # checked once per batch, on the Gram diagonal of the subtracted payloads
+        monkeypatch.setattr(montecarlo, "qpsk_modulate", lambda bits: np.zeros(
+            bits.shape[:-1] + (bits.shape[-1] // 2,), complex))
+        with pytest.raises(ValueError, match="^payload has zero energy$"):
+            run_singleton_experiment(m=16, n_d=16, t=1, a_pilot=1, a_total=4,
+                                     presub_fraction=0.5, trials=20, algorithm="pab", n_p=8)
+
     def test_sweep_worker_count_below_one_rejected(self):
         with pytest.raises(ValueError, match="workers"):
             run_singleton_sweep(m=16, n_d=16, t=1, a_pilot=1, a_values=[2, 4],
@@ -606,6 +615,66 @@ class TestSingletonNoiseChunks:
             runs.append((record, np.concatenate(sum(noise_draws, [])).tobytes()))
         assert runs[1] == runs[0] and runs[2] == runs[0]
         assert 0 < runs[0][0].failures < kwargs["trials"]
+
+
+class TestSingletonTrialBlocks:
+    """The singleton's batch stages, in blocks of whole trials on every CPU, against one CPU.
+
+    Every BLAS call keeps its operands, so each batch's statistic x_hat, as the
+    experiment hard-demodulates it, must keep every bit.  Reference size; SNB
+    runs batches of 1092 and 8 trials, and on two CPUs PAB runs chunks of 16 and
+    4 trials, or with a _MIN_PART of 2**18 five 4-trial chunks of two blocks.
+    """
+
+    @pytest.fixture
+    def statistics(self, monkeypatch):
+        """Each batch's x_hat, in order."""
+        demodulate, seen = montecarlo.qpsk_hard_demodulate, []
+
+        def recording(x_hat):
+            seen.append(x_hat.copy())
+            return demodulate(x_hat)
+
+        monkeypatch.setattr(montecarlo, "qpsk_hard_demodulate", recording)
+        return seen
+
+    @pytest.fixture
+    def stage_threads(self, monkeypatch):
+        """The number of threads each of the experiment's ``for_each_slot`` stages ran on."""
+        for_each_slot, counts = montecarlo.for_each_slot, []
+
+        def recording(fn, count, size):
+            threads = set()
+
+            def traced(s):
+                threads.add(threading.current_thread())
+                fn(s)
+
+            for_each_slot(traced, count, size)
+            counts.append(len(threads))
+
+        monkeypatch.setattr(montecarlo, "for_each_slot", recording)
+        return counts
+
+    @pytest.mark.parametrize("min_part", [signals._MIN_PART, 1 << 18])
+    @pytest.mark.parametrize("noise_var", [0.1, 0.0])
+    @pytest.mark.parametrize("algorithm, trials", [("snb", 1100), ("pab", 20)])
+    def test_two_cpus_match_one(self, monkeypatch, statistics, stage_threads, algorithm, trials,
+                                noise_var, min_part):
+        kwargs = dict(m=256, n_d=256, t=30, a_pilot=2, a_total=60, presub_fraction=0.5,
+                      trials=trials, algorithm=algorithm, n_p=64, noise_var=noise_var, seed=5)
+        runs = []
+        for cpus, part in ((1, signals._MIN_PART), (2, min_part)):
+            monkeypatch.setattr(signals.os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+            monkeypatch.setattr(signals, "_MIN_PART", part)
+            statistics.clear()
+            stage_threads.clear()
+            record = run_singleton_experiment(**kwargs)
+            runs.append((record, [x_hat.tobytes() for x_hat in statistics]))
+            assert max(stage_threads) == cpus
+        assert runs[1] == runs[0]
+        assert len(runs[0][1]) == (2 if algorithm == "snb" else 1)
+        assert 0 < runs[0][0].failures < trials
 
 
 class TestSingletonOneBlasThread:

@@ -23,6 +23,7 @@ from csa_mimo.signals import (
     one_blas_thread,
     qpsk_hard_demodulate,
     qpsk_modulate,
+    slot_blocks,
     uniform_bits,
     walsh_hadamard_transform,
 )
@@ -475,6 +476,7 @@ class TestForEachSlot:
         for_each_slot(lambda s: calls.setdefault(s, []).append(threading.current_thread()),
                       count, count)
         assert sorted(calls) == list(range(count))
+        assert [b.stop - b.start for b in slot_blocks(count, count)] == (blocks or [0])
         assert all(len(called) == 1 for called in calls.values())
         by_index = [calls[s][0] for s in range(count)]
         runs = [len(list(group)) for _, group in itertools.groupby(by_index)]
@@ -706,6 +708,15 @@ class TestQpsk:
         expected = np.ascontiguousarray((1.0 - 2.0 * b0 + 1j * (1.0 - 2.0 * b1)) / np.sqrt(2.0))
         np.testing.assert_array_equal(qpsk_modulate(bits).view(np.uint64),
                                       expected.view(np.uint64))
+
+    def test_out_takes_the_same_symbols(self):
+        # the singleton experiment modulates a bit slice into a buffer's leading rows
+        bits = np.random.default_rng(6).integers(0, 2, size=(6, 4, 16), dtype=np.uint8)[1:4, 1:]
+        buffer = np.full((5, 3, 8), np.nan, dtype=complex)
+        symbols = qpsk_modulate(bits, buffer[:3])
+        assert np.shares_memory(symbols, buffer) and symbols.shape == (3, 3, 8)
+        np.testing.assert_array_equal(symbols.view(np.uint64), qpsk_modulate(bits).view(np.uint64))
+        assert np.isnan(buffer[3:]).all()
 
     @pytest.mark.parametrize("symbols", [
         np.array([0.3 - 2j, -1 + 0.5j, -0.1 - 0.1j]),
